@@ -43,7 +43,8 @@ use std::time::Instant;
 use pim_sim::par;
 use pimnet::analysis::presets;
 use pimnet::collective::CollectiveKind;
-use pimnet::schedule::cache;
+use pimnet::schedule::cache::{self, ScheduleRequest};
+use pimnet::schedule::CommSchedule;
 use pimnet_bench::{results_dir, sweeps};
 
 /// Seeds per chaos-soak cell — small enough to keep the gate fast, large
@@ -107,7 +108,8 @@ fn trace_overhead(budget: f64) -> f64 {
 
     const ELEMS: usize = 1024;
     let g = PimGeometry::paper_scaled(64);
-    let s = cache::build_cached(CollectiveKind::AllReduce, &g, ELEMS, 4)
+    let req = ScheduleRequest::new(CollectiveKind::AllReduce, &g, ELEMS, 4);
+    let s = cache::get::<CommSchedule>(&req, Probe::disabled())
         .expect("schedule")
         .as_ref()
         .clone();
@@ -153,7 +155,8 @@ fn recovery_overhead(budget: f64) -> f64 {
     let sys = pim_arch::SystemConfig::paper_scaled(64);
     let timing = TimingModel::paper();
     let injector = FaultInjector::none();
-    let s = cache::build_cached(CollectiveKind::AllReduce, &g, ELEMS, 8)
+    let req = ScheduleRequest::new(CollectiveKind::AllReduce, &g, ELEMS, 8);
+    let s = cache::get::<CommSchedule>(&req, pim_sim::Probe::disabled())
         .expect("schedule")
         .as_ref()
         .clone();

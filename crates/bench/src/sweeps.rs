@@ -23,7 +23,8 @@ use pimnet::collective::{CollectiveKind, CollectiveSpec};
 use pimnet::exec::{ExecMachine, ReduceOp};
 use pimnet::recovery::{run_recovered, RecoveryConfig, RecoveryRequest, RecoveryStats};
 use pimnet::resilience::{plan_degraded, DegradedPlan};
-use pimnet::schedule::{cache, validate};
+use pimnet::schedule::cache::{self, ScheduleRequest};
+use pimnet::schedule::{validate, BoostPlan, CommSchedule};
 use pimnet::timing::TimingModel;
 use pimnet::FabricConfig;
 
@@ -129,7 +130,8 @@ fn soak_scenario(kind: CollectiveKind, dpus: u32, seed: u64) -> ScenarioOutcome 
         out.rerouted = report.rerouted_transfers;
         out.remapped = report.remapped_transfers;
         out.extra_steps = report.extra_steps;
-        let clean = cache::build_cached(kind, &g, CHAOS_ELEMS, 4).unwrap();
+        let req = ScheduleRequest::new(kind, &g, CHAOS_ELEMS, 4);
+        let clean = cache::get::<CommSchedule>(&req, Probe::disabled()).unwrap();
         out.stretch = timing.time_schedule(s, SimTime::ZERO).total().as_secs_f64()
             / timing
                 .time_schedule(&clean, SimTime::ZERO)
@@ -364,7 +366,9 @@ fn recovery_scenario(kind: CollectiveKind, dpus: u32, seed: u64) -> RecoveryOutc
         (0 | 1, Some(m)) => {
             // Full/Repaired keep the fault-free buffer layout, so the
             // recovered result must be bit-identical to the clean run.
-            let s = cache::build_cached(kind, &g, RECOVERY_ELEMS, 8).expect("reference schedule");
+            let req = ScheduleRequest::new(kind, &g, RECOVERY_ELEMS, 8);
+            let s =
+                cache::get::<CommSchedule>(&req, Probe::disabled()).expect("reference schedule");
             let mut clean = ExecMachine::init(&s, init);
             clean.run(&s, ReduceOp::Sum);
             let ok = s
@@ -698,7 +702,8 @@ pub fn fig13_table(workers: usize) -> Table {
     let rows = par::map_ordered_with(workers, configs, |(kind, n, elems)| {
         let cfg = NocConfig::paper();
         let g = PimGeometry::paper_scaled(n);
-        let s = cache::build_cached(kind, &g, elems, 4).expect("schedule");
+        let req = ScheduleRequest::new(kind, &g, elems, 4);
+        let s = cache::get::<CommSchedule>(&req, Probe::disabled()).expect("schedule");
         let ready = ready_times(n, 50.0, 0.10, 0x000F_1613);
         let credit_probe = Probe::metrics_only();
         let _ = simulate_credit_probed(&s, &ready, &cfg, &credit_probe);
@@ -1228,17 +1233,18 @@ pub fn scaling_cells(reps: u32, workers: usize) -> Vec<ScalingCell> {
     // Warm the schedule + plan caches in parallel; measurement below then
     // never builds.
     par::map_ordered_with(workers, items.clone(), |(kind, dpus)| {
-        let g = PimGeometry::paper_scaled(dpus);
-        cache::boost_cached(kind, &g, SCALING_ELEMS, 4).expect("boost plan builds");
+        let req = ScheduleRequest::new(kind, &PimGeometry::paper_scaled(dpus), SCALING_ELEMS, 4);
+        cache::get::<BoostPlan>(&req, Probe::disabled()).expect("boost plan builds");
     });
 
     let timing = TimingModel::paper();
     items
         .into_iter()
         .map(|(kind, dpus)| {
-            let g = PimGeometry::paper_scaled(dpus);
-            let s = cache::build_cached(kind, &g, SCALING_ELEMS, 4).expect("schedule builds");
-            let plan = cache::boost_cached(kind, &g, SCALING_ELEMS, 4).expect("plan builds");
+            let req =
+                ScheduleRequest::new(kind, &PimGeometry::paper_scaled(dpus), SCALING_ELEMS, 4);
+            let s = cache::get::<CommSchedule>(&req, Probe::disabled()).expect("schedule builds");
+            let plan = cache::get::<BoostPlan>(&req, Probe::disabled()).expect("plan builds");
 
             let full_bd = timing.time_schedule(s.as_ref(), SimTime::ZERO);
             let boost_bd = plan.breakdown(&timing, SimTime::ZERO);
@@ -1409,7 +1415,8 @@ mod tests {
         for (kind, n, elems) in configs {
             let cfg = NocConfig::paper();
             let g = PimGeometry::paper_scaled(n);
-            let s = cache::build_cached(kind, &g, elems, 4).unwrap();
+            let req = ScheduleRequest::new(kind, &g, elems, 4);
+            let s = cache::get::<CommSchedule>(&req, Probe::disabled()).unwrap();
             let ready = ready_times(n, 50.0, 0.10, 0x000F_1613);
             let credit = simulate_credit(&s, &ready, &cfg);
             let sched = simulate_scheduled(&s, &ready, &cfg);

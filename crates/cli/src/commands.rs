@@ -1,10 +1,12 @@
 //! Subcommand implementations.
 
 use pim_arch::SystemConfig;
-use pim_sim::{Bytes, SimTime};
+use pim_sim::{Bytes, Probe, SimTime};
 use pimnet::api::PimnetSystem;
 use pimnet::backends::BackendKind;
 use pimnet::collective::{CollectiveKind, CollectiveSpec};
+use pimnet::schedule::autotune::TunedChoice;
+use pimnet::schedule::cache::{self, Algo, ScheduleRequest};
 use pimnet::schedule::CommSchedule;
 use pimnet::FabricConfig;
 
@@ -432,30 +434,36 @@ fn schedule(flags: &Flags) -> Result<(), String> {
     if autotune && algo_spec.is_some() {
         return Err("--algo and --autotune are mutually exclusive".to_string());
     }
-    let s = if autotune {
-        let choice = pimnet::schedule::autotune::tune(kind, &geometry, elems, 4)
-            .map_err(|e| e.to_string())?;
-        println!(
-            "autotune: {} candidates swept, {} rejected; winner {} \
-             (paper {}, tuned {}, speedup {:.2}x)",
-            choice.candidates,
-            choice.rejected,
-            choice.spec(),
-            choice.paper_time,
-            choice.tuned_time,
-            choice.speedup()
-        );
-        (*choice.schedule).clone()
+    let algo = if autotune {
+        Algo::Tuned
     } else if let Some(spec) = algo_spec {
-        let comp = pimnet::schedule::Composition::parse(spec)?;
-        let built =
-            pimnet::schedule::cache::build_composed_cached(kind, &geometry, elems, 4, comp, 1)
-                .map_err(|e| e.to_string())?;
-        println!("algo: composed schedule {comp} (bank_chip_rank)");
-        (*built).clone()
+        Algo::Composed(pimnet::schedule::Composition::parse(spec)?, 1)
     } else {
-        CommSchedule::build(kind, &geometry, elems, 4).map_err(|e| e.to_string())?
+        Algo::Paper
     };
+    let req = ScheduleRequest {
+        algo,
+        ..ScheduleRequest::new(kind, &geometry, elems, 4)
+    };
+    let s = cache::get::<CommSchedule>(&req, Probe::disabled()).map_err(|e| e.to_string())?;
+    match algo {
+        Algo::Tuned => {
+            let choice =
+                cache::get::<TunedChoice>(&req, Probe::disabled()).map_err(|e| e.to_string())?;
+            println!(
+                "autotune: {} candidates swept, {} rejected; winner {} \
+                 (paper {}, tuned {}, speedup {:.2}x)",
+                choice.candidates,
+                choice.rejected,
+                choice.spec(),
+                choice.paper_time,
+                choice.tuned_time,
+                choice.speedup()
+            );
+        }
+        Algo::Composed(comp, _) => println!("algo: composed schedule {comp} (bank_chip_rank)"),
+        Algo::Paper => {}
+    }
     let report = pimnet::schedule::validate::validate(&s).map_err(|e| e.to_string())?;
     println!(
         "{kind} on {dpus} DPUs, {elems} elements/DPU: {} phases, {} steps, \
@@ -971,8 +979,8 @@ fn trace_one(
 ) -> Result<(pim_sim::Trace, pim_sim::MetricsReport), String> {
     let probe = pim_sim::Probe::enabled();
     let timing = pimnet::timing::TimingModel::paper();
-    let s = pimnet::schedule::cache::build_cached_probed(kind, geometry, elems, 4, &probe)
-        .map_err(|e| e.to_string())?;
+    let req = ScheduleRequest::new(kind, geometry, elems, 4);
+    let s = cache::get::<CommSchedule>(&req, &probe).map_err(|e| e.to_string())?;
     let init = |id: pim_arch::geometry::DpuId| vec![u64::from(id.0) + 1; elems];
     let mut machine = pimnet::exec::ExecMachine::init(&s, init);
     if injector.is_active() {

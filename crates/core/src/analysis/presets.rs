@@ -20,7 +20,8 @@ use pim_faults::{FaultConfig, FaultInjector, PermanentFaultRates};
 use pim_sim::Probe;
 
 use crate::collective::CollectiveKind;
-use crate::schedule::{cache, repair, Composition};
+use crate::schedule::cache::{self, Algo, Proof, ScheduleRequest};
+use crate::schedule::{repair, Composition};
 
 use super::AnalysisReport;
 
@@ -89,20 +90,19 @@ impl PresetCase {
     pub fn run(&self) -> Result<AnalysisReport, String> {
         let g = PimGeometry::paper_scaled(self.dpus);
         let probe = Probe::disabled();
+        let req = ScheduleRequest {
+            algo: self
+                .algo
+                .map_or(Algo::Paper, |comp| Algo::Composed(comp, 1)),
+            ..ScheduleRequest::new(self.kind, &g, self.elems, 4)
+        };
         let Some(seed) = self.storm_seed else {
-            // Pass summaries are memoized per (kind, geometry, payload):
-            // identical geometries across presets — and across repeated
-            // `lint --all-presets` fan-outs in one invocation — are
-            // proven once and recalled, not re-proven.
-            let summary = match self.algo {
-                Some(comp) => {
-                    cache::analyze_composed_cached(self.kind, &g, self.elems, 4, comp, 1, probe)
-                        .map_err(|e| e.to_string())?
-                }
-                None => cache::analyze_cached(self.kind, &g, self.elems, 4, probe)
-                    .map_err(|e| e.to_string())?,
-            };
-            return Ok(summary.report.clone());
+            // Proofs are memoized per request: identical geometries across
+            // presets — and across repeated `lint --all-presets` fan-outs
+            // in one invocation — are proven once and recalled, not
+            // re-proven.
+            let proof = cache::get::<Proof>(&req, probe).map_err(|e| e.to_string())?;
+            return Ok(proof.summary.report.clone());
         };
         // Keep the expected fault count roughly constant across
         // geometries, so large systems still sample *repairable* storms
@@ -121,9 +121,8 @@ impl PresetCase {
         let faults =
             injector.permanent_faults(g.ranks_per_channel, g.chips_per_rank, g.banks_per_chip);
         if faults.is_empty() {
-            let summary = cache::analyze_cached(self.kind, &g, self.elems, 4, probe)
-                .map_err(|e| e.to_string())?;
-            return Ok(summary.report.clone());
+            let proof = cache::get::<Proof>(&req, probe).map_err(|e| e.to_string())?;
+            return Ok(proof.summary.report.clone());
         }
         let unusable = repair::unusable_dpus(&g, &faults);
         if !unusable.is_empty() {
@@ -136,11 +135,13 @@ impl PresetCase {
         // Storms re-prove by delta against the cached base summary: the
         // structural/sync/dataflow work for the shared geometry is done
         // once, and each storm only re-lints the steps its repair dirtied.
-        let (summary, _delta) = cache::analyze_repaired_cached_at_epoch(
-            self.kind, &g, self.elems, 4, &faults, 0, probe,
-        )
-        .map_err(|e| format!("repair failed: {e}"))?;
-        Ok(summary.report.clone())
+        let storm = ScheduleRequest {
+            faults: Some(&faults),
+            ..req
+        };
+        let proof =
+            cache::get::<Proof>(&storm, probe).map_err(|e| format!("repair failed: {e}"))?;
+        Ok(proof.summary.report.clone())
     }
 }
 

@@ -46,6 +46,7 @@ use crate::collective::CollectiveKind;
 use crate::error::PimnetError;
 use crate::exec::{Element, ExecMachine, ReduceOp};
 use crate::resilience::{plan_degraded_probed_at_epoch, DegradedPlan};
+use crate::schedule::cache::{self, ScheduleRequest};
 use crate::schedule::{CommSchedule, CommStep};
 use crate::sync::SyncModel;
 use crate::timing::TimingModel;
@@ -376,12 +377,9 @@ pub fn run_recovered_probed<T: Element>(
     // no deep clone) and run the plain executor. This is what keeps the
     // manager free until faults actually exist (the perf gate pins it).
     if !req.injector.is_active() {
-        let s = crate::schedule::cache::build_cached(
-            req.kind,
-            req.geometry,
-            req.elems_per_node,
-            req.elem_bytes,
-        )?;
+        let clean =
+            ScheduleRequest::new(req.kind, req.geometry, req.elems_per_node, req.elem_bytes);
+        let s = cache::get::<CommSchedule>(&clean, Probe::disabled())?;
         let mut m = init_machine(&s, None, &mut init);
         m.run_probed(&s, req.op, probe);
         return Ok(RecoveryOutcome {

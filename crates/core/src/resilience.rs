@@ -45,7 +45,9 @@ use pim_sim::{Bytes, Probe, SimTime};
 use crate::backends::{BaselineHostBackend, CollectiveBackend};
 use crate::collective::{CollectiveKind, CollectiveSpec};
 use crate::error::PimnetError;
-use crate::schedule::{cache, repair, CommSchedule};
+use crate::schedule::cache::{self, Proof, ScheduleRequest};
+use crate::schedule::repair::{self, RepairedSchedule};
+use crate::schedule::CommSchedule;
 use crate::timing::CommBreakdown;
 
 /// How a collective survived its dead DPUs and permanent fabric faults.
@@ -153,35 +155,6 @@ pub fn plan_degraded(
     injector: &FaultInjector,
     system: &SystemConfig,
 ) -> Result<DegradedPlan, PimnetError> {
-    plan_degraded_at_epoch(
-        kind,
-        geometry,
-        elems_per_node,
-        elem_bytes,
-        injector,
-        system,
-        0,
-    )
-}
-
-/// [`plan_degraded`] under a degradation/health `epoch`: schedule-cache
-/// lookups are keyed by the epoch, so a replan after mid-run quarantine or
-/// fault arrival (epoch > 0) never recalls an entry the pre-fault plan
-/// cached. Static planning is epoch 0, which is exactly
-/// [`plan_degraded`]'s key space.
-///
-/// # Errors
-///
-/// Same as [`plan_degraded`].
-pub fn plan_degraded_at_epoch(
-    kind: CollectiveKind,
-    geometry: &PimGeometry,
-    elems_per_node: usize,
-    elem_bytes: u32,
-    injector: &FaultInjector,
-    system: &SystemConfig,
-    epoch: u64,
-) -> Result<DegradedPlan, PimnetError> {
     plan_degraded_probed_at_epoch(
         kind,
         geometry,
@@ -189,16 +162,19 @@ pub fn plan_degraded_at_epoch(
         elem_bytes,
         injector,
         system,
-        epoch,
+        0,
         Probe::disabled(),
     )
 }
 
-/// [`plan_degraded_at_epoch`] with analysis observability: the repaired
-/// tier's independent re-proof runs through the analysis-summary cache's
-/// delta re-lint, and each proof lands in `probe` as a `lint-*` trace
-/// event (with warmth-independent arguments). With a disabled probe this
-/// is exactly [`plan_degraded_at_epoch`].
+/// [`plan_degraded`] under a degradation/health `epoch`, with analysis
+/// observability. Schedule-cache lookups are keyed by the epoch, so a
+/// replan after mid-run quarantine or fault arrival (epoch > 0) never
+/// recalls an entry the pre-fault plan cached; static planning is epoch
+/// 0. The repaired tier's independent re-proof runs through the proof
+/// cache's delta re-lint, and each proof lands in `probe` as a `lint-*`
+/// trace event (with warmth-independent arguments). With a disabled probe
+/// and epoch 0 this is exactly [`plan_degraded`].
 ///
 /// # Errors
 ///
@@ -232,33 +208,26 @@ pub fn plan_degraded_probed_at_epoch(
     dead.extend_from_slice(&unusable);
     dead.sort_unstable();
     dead.dedup();
+    let req = ScheduleRequest {
+        epoch,
+        ..ScheduleRequest::new(kind, geometry, elems_per_node, elem_bytes)
+    };
     if dead.is_empty() {
         // Built-and-validated schedules are pure functions of these
         // parameters, so recall them from the schedule cache: chaos
         // sweeps re-plan identical (kind, geometry, payload) points once
         // per seed.
-        let schedule = cache::build_cached_at_epoch(
-            kind,
-            geometry,
-            elems_per_node,
-            elem_bytes,
-            epoch,
-            Probe::disabled(),
-        )?
-        .as_ref()
-        .clone();
+        let schedule = cache::get::<CommSchedule>(&req, Probe::disabled())?
+            .as_ref()
+            .clone();
         if permanent.is_empty() {
             return Ok(DegradedPlan::Full(schedule));
         }
-        match cache::repair_cached_at_epoch(
-            kind,
-            geometry,
-            elems_per_node,
-            elem_bytes,
-            &permanent,
-            epoch,
-            Probe::disabled(),
-        ) {
+        let repair_req = ScheduleRequest {
+            faults: Some(&permanent),
+            ..req
+        };
+        match cache::get::<RepairedSchedule>(&repair_req, Probe::disabled()) {
             // Faults that this schedule never routes over need no repair:
             // the untouched plan is still the Full tier.
             Ok(r) if r.report.is_identity() => return Ok(DegradedPlan::Full(r.schedule.clone())),
@@ -271,16 +240,8 @@ pub fn plan_degraded_probed_at_epoch(
                 // The proof is a delta re-lint against the cached base
                 // summary (byte-identical to a batch `run_all`), so a
                 // replan re-proves only what the repair touched.
-                let (summary, _delta) = cache::analyze_repaired_cached_at_epoch(
-                    kind,
-                    geometry,
-                    elems_per_node,
-                    elem_bytes,
-                    &permanent,
-                    epoch,
-                    probe,
-                )?;
-                let analysis = &summary.report;
+                let proof = cache::get::<Proof>(&repair_req, probe)?;
+                let analysis = &proof.summary.report;
                 if analysis.has_errors() {
                     let first = analysis
                         .diagnostics
@@ -361,15 +322,11 @@ pub fn plan_degraded_probed_at_epoch(
     let shrunk_n = prev_power_of_two(alive.len() as u32).min(256);
     if shrunk_n >= 2 {
         let shrunk_geometry = PimGeometry::paper_scaled(shrunk_n);
-        match cache::build_cached_at_epoch(
-            kind,
-            &shrunk_geometry,
-            elems_per_node,
-            elem_bytes,
-            epoch,
-            Probe::disabled(),
-        )
-        .map(|s| s.as_ref().clone())
+        let shrunk_req = ScheduleRequest {
+            geometry: shrunk_geometry,
+            ..req
+        };
+        match cache::get::<CommSchedule>(&shrunk_req, Probe::disabled()).map(|s| s.as_ref().clone())
         {
             Ok(schedule) => {
                 let logical_to_physical: Vec<u32> = alive[..shrunk_n as usize].to_vec();

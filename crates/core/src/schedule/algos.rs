@@ -91,17 +91,6 @@ impl TierAlgo {
             )),
         }
     }
-
-    /// Stable small code for cache keys (index into [`TierAlgo::ALL`]).
-    #[must_use]
-    pub(crate) const fn code(self) -> u32 {
-        match self {
-            TierAlgo::Ring => 0,
-            TierAlgo::Direct => 1,
-            TierAlgo::DoubleBinaryTree => 2,
-            TierAlgo::Rabenseifner => 3,
-        }
-    }
 }
 
 impl fmt::Display for TierAlgo {

@@ -41,7 +41,8 @@ use crate::error::PimnetError;
 use crate::timing::TimingModel;
 
 use super::algos::{Composition, TierAlgo};
-use super::{boost, cache, CommSchedule};
+use super::cache::{self, Algo, Proof, ScheduleRequest};
+use super::{boost, CommSchedule};
 
 /// The autotuner's memoized decision for one request.
 #[derive(Debug, Clone)]
@@ -189,7 +190,7 @@ fn price(schedule: &CommSchedule, timing: &TimingModel) -> SimTime {
 /// Tunes one request: sweeps [`candidates`], proves each with the full
 /// analysis suite, prices the survivors and the paper incumbent, and
 /// memoizes the winner in the schedule cache. Warm calls are a map
-/// lookup.
+/// lookup. This is [`cache::get`] of a [`TunedChoice`] with no probe.
 ///
 /// # Errors
 ///
@@ -202,79 +203,44 @@ pub fn tune(
     elems_per_node: usize,
     elem_bytes: u32,
 ) -> Result<Arc<TunedChoice>, PimnetError> {
-    tune_probed(
-        kind,
-        geometry,
-        elems_per_node,
-        elem_bytes,
-        Probe::disabled(),
-    )
+    let req = ScheduleRequest {
+        algo: Algo::Tuned,
+        ..ScheduleRequest::new(kind, geometry, elems_per_node, elem_bytes)
+    };
+    cache::get(&req, Probe::disabled())
 }
 
-/// [`tune`] with cache observability for the underlying lookups.
-///
-/// # Errors
-///
-/// See [`tune`].
-pub fn tune_probed(
-    kind: CollectiveKind,
-    geometry: &PimGeometry,
-    elems_per_node: usize,
-    elem_bytes: u32,
-    probe: &Probe,
-) -> Result<Arc<TunedChoice>, PimnetError> {
-    cache::tuned_cached_with(kind, geometry, elems_per_node, elem_bytes, probe, || {
-        tune_uncached(kind, geometry, elems_per_node, elem_bytes, probe)
-    })
-}
-
-fn tune_uncached(
-    kind: CollectiveKind,
-    geometry: &PimGeometry,
-    elems_per_node: usize,
-    elem_bytes: u32,
-    probe: &Probe,
-) -> Result<TunedChoice, PimnetError> {
+/// The uncached sweep behind [`tune`]: every schedule and proof it needs
+/// comes from the cache, under `req` with its algorithm swapped.
+pub(crate) fn sweep(req: &ScheduleRequest<'_>, probe: &Probe) -> Result<TunedChoice, PimnetError> {
     let timing = TimingModel::paper();
-    let paper = cache::build_cached_probed(kind, geometry, elems_per_node, elem_bytes, probe)?;
+    let paper = ScheduleRequest {
+        algo: Algo::Paper,
+        ..*req
+    };
+    let paper = cache::get::<CommSchedule>(&paper, probe)?;
     let paper_time = price(&paper, &timing);
 
-    let cands = candidates(kind, geometry, elems_per_node);
+    let cands = candidates(req.kind, &req.geometry, req.elems_per_node);
     let mut best: Option<(Composition, usize)> = None;
     let mut best_schedule = paper;
     let mut best_time = paper_time;
     let mut rejected = 0usize;
 
     for &(comp, chunks) in &cands {
+        let candidate = ScheduleRequest {
+            algo: Algo::Composed(comp, chunks),
+            ..*req
+        };
         // Re-prove the candidate: any diagnostic at all disqualifies it.
-        let summary = match cache::analyze_composed_cached(
-            kind,
-            geometry,
-            elems_per_node,
-            elem_bytes,
-            comp,
-            chunks,
-            probe,
-        ) {
-            Ok(s) => s,
-            Err(_) => {
+        match cache::get::<Proof>(&candidate, probe) {
+            Ok(p) if p.summary.report.is_clean() => {}
+            _ => {
                 rejected += 1;
                 continue;
             }
-        };
-        if !summary.report.is_clean() {
-            rejected += 1;
-            continue;
         }
-        let schedule = cache::build_composed_cached_probed(
-            kind,
-            geometry,
-            elems_per_node,
-            elem_bytes,
-            comp,
-            chunks,
-            probe,
-        )?;
+        let schedule = cache::get::<CommSchedule>(&candidate, probe)?;
         let t = price(&schedule, &timing);
         // Strict improvement only: the incumbent (and earlier
         // candidates) keep ties, making the sweep order a total
@@ -287,10 +253,10 @@ fn tune_uncached(
     }
 
     Ok(TunedChoice {
-        kind,
-        geometry: *geometry,
-        elems_per_node,
-        elem_bytes,
+        kind: req.kind,
+        geometry: req.geometry,
+        elems_per_node: req.elems_per_node,
+        elem_bytes: req.elem_bytes,
         winner: best,
         schedule: best_schedule,
         tuned_time: best_time,

@@ -1,37 +1,57 @@
 //! Memoized schedule construction.
 //!
-//! Schedules are pure functions of their build parameters: the same
-//! `(collective kind, geometry, payload split, permanent-fault set)` always
-//! compiles to the same `CommSchedule`. Yet the sweeps that dominate this
-//! workspace's wall-clock — chaos soaks, preset lint matrices, the
-//! figure-scaling curves, `resilience::plan_degraded` under storms —
-//! rebuild identical schedules thousands of times, once per seed or per
-//! backend. This module memoizes the build **and the validation**: a cache
-//! hit hands back a schedule that already passed
-//! [`validate::validate`], shared behind an
+//! Schedules are pure functions of their request: the same
+//! [`ScheduleRequest`] — collective kind, geometry, payload split,
+//! algorithm, permanent-fault set and health epoch — always compiles to
+//! the same schedule. Yet the sweeps that dominate this workspace's
+//! wall-clock — chaos soaks, preset lint matrices, the figure-scaling
+//! curves, `resilience::plan_degraded` under storms — rebuild identical
+//! schedules thousands of times, once per seed or per backend. This module
+//! memoizes the build **and the validation**: a cache hit hands back a
+//! schedule that already passed [`validate::validate`], shared behind an
 //! [`Arc`].
+//!
+//! # One request, several products
+//!
+//! [`get`] answers one request with one memoized [`Product`]:
+//!
+//! * [`CommSchedule`] — the validated schedule the request's [`Algo`]
+//!   builds (for [`Algo::Tuned`], the autotuner's winner); with `faults`,
+//!   the repaired schedule;
+//! * [`RepairedSchedule`] — the unfaulted schedule repaired around
+//!   `faults` (the identity repair when `faults` is `None`);
+//! * [`BoostPlan`] — the representative-slice thinning of the schedule;
+//! * [`TunedChoice`] — the autotuner's sweep for the request's payload;
+//! * [`Proof`] — the four-pass analysis summary of the schedule; with
+//!   `faults`, the delta re-proof against the unfaulted request's proof.
+//!
+//! Products that need another product look it up through [`get`] too, so
+//! a warm plain schedule makes a cold boost plan or repair cheap.
 //!
 //! # Key derivation
 //!
-//! The cache key is the exact quadruple that determines builder output:
+//! `ScheduleRequest::key` is the only place a cache key is built. It
+//! carries every request field plus the product's tag:
 //!
-//! * the [`CollectiveKind`],
 //! * the full [`PimGeometry`] (all four dimensions, not just the DPU
-//!   count — two geometries with equal products build different rings),
-//! * the payload split `(elems_per_node, elem_bytes)`,
-//! * a **fingerprint of the permanent-fault set** for repaired schedules:
+//!   count — two geometries with equal products build different rings);
+//! * the algorithm, with a composition's chunk split;
+//! * a **fingerprint of the permanent-fault set** ([`fault_fingerprint`]):
 //!   an FNV-1a hash folded over the set's segments, ports and dead ranks in
-//!   their canonical (`BTreeSet`) order, so the fingerprint is stable
-//!   across runs and platforms. The empty set hashes to the fault-free
-//!   fingerprint, which is the plain builder's key space.
+//!   their canonical (`BTreeSet`) order, so it is stable across runs and
+//!   platforms. `None` computes no fingerprint and keys apart from
+//!   `Some(&empty)`;
+//! * the health epoch, so a replan after mid-run quarantine never recalls
+//!   a pre-fault entry whose fault fingerprint happens to coincide.
 //!
-//! Entries are never invalidated (build parameters fully determine the
-//! value); [`clear`] exists for benchmarks that want a cold start. The
-//! cache is process-global and thread-safe — the deterministic fan-out in
+//! Entries are never invalidated (the request fully determines the value);
+//! [`clear`] exists for benchmarks that want a cold start. The cache is
+//! process-global and thread-safe — the deterministic fan-out in
 //! [`pim_sim::par`] shares it across workers, and because every worker
 //! would build bit-identical schedules anyway, sharing is unobservable in
 //! results.
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -46,70 +66,119 @@ use crate::collective::CollectiveKind;
 use crate::error::PimnetError;
 
 use super::algos::{self, Composition};
-use super::autotune::TunedChoice;
+use super::autotune::{self, TunedChoice};
 use super::boost::{self, BoostPlan};
-use super::repair::RepairedSchedule;
+use super::repair::{self, RepairedSchedule};
 use super::{validate, CommSchedule};
 
-/// Cache key: everything that determines builder (and repair) output.
+/// Which builder produces a request's schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Algo {
+    /// The paper's fixed Table V builder ([`CommSchedule::build`]).
+    Paper,
+    /// A per-tier [`Composition`] with a `chunks`-way payload split
+    /// ([`algos::build_composed_chunked`]).
+    Composed(Composition, usize),
+    /// The autotuner's winner for the request's payload
+    /// ([`autotune`]).
+    Tuned,
+}
+
+/// Everything that determines a schedule: the one input of [`get`].
+///
+/// Building a request (and its key) allocates nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct ScheduleRequest<'a> {
+    /// The collective.
+    pub kind: CollectiveKind,
+    /// The full geometry it runs on.
+    pub geometry: PimGeometry,
+    /// Elements contributed per node.
+    pub elems_per_node: usize,
+    /// Element width in bytes.
+    pub elem_bytes: u32,
+    /// The builder.
+    pub algo: Algo,
+    /// Permanent faults to repair around; `None` for the unrepaired
+    /// schedule.
+    pub faults: Option<&'a PermanentFaultSet>,
+    /// Degradation/health epoch: bumped by the recovery manager whenever
+    /// mid-run quarantine or fault arrival changes the live scenario.
+    /// Static planning uses epoch 0.
+    pub epoch: u64,
+}
+
+impl<'a> ScheduleRequest<'a> {
+    /// The paper's schedule for `kind` on `geometry`: no faults, epoch 0.
+    #[must_use]
+    pub fn new(
+        kind: CollectiveKind,
+        geometry: &PimGeometry,
+        elems_per_node: usize,
+        elem_bytes: u32,
+    ) -> Self {
+        ScheduleRequest {
+            kind,
+            geometry: *geometry,
+            elems_per_node,
+            elem_bytes,
+            algo: Algo::Paper,
+            faults: None,
+            epoch: 0,
+        }
+    }
+
+    /// The same request without its fault set: the base a repair starts
+    /// from.
+    fn unfaulted(&self) -> Self {
+        ScheduleRequest {
+            faults: None,
+            ..*self
+        }
+    }
+
+    /// The cache key of this request's `product` — the only code that
+    /// builds a [`Key`].
+    fn key(&self, product: Tag) -> Key {
+        Key {
+            kind: self.kind,
+            geometry: self.geometry,
+            elems_per_node: self.elems_per_node,
+            elem_bytes: self.elem_bytes,
+            algo: self.algo,
+            faults: self.faults.map(fault_fingerprint),
+            epoch: self.epoch,
+            product,
+        }
+    }
+}
+
+/// Which product a cache entry holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Tag {
+    Schedule,
+    Repaired,
+    Boost,
+    Tuned,
+    Proof,
+}
+
+/// Cache key: a [`ScheduleRequest`] with its fault set fingerprinted,
+/// plus the product tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Key {
     kind: CollectiveKind,
     geometry: PimGeometry,
     elems_per_node: usize,
     elem_bytes: u32,
-    /// [`fault_fingerprint`] of the permanent-fault set; `EMPTY_FAULTS`
-    /// for plain (unrepaired) schedules.
-    repair: u64,
-    /// Separates plain entries from (identity-)repaired entries whose
-    /// fault fingerprint is the empty-set fingerprint.
-    repaired: bool,
-    /// Degradation/health epoch: bumped by the recovery manager whenever
-    /// mid-run quarantine or fault arrival changes the live scenario, so a
-    /// post-quarantine replan can never be answered from a pre-fault
-    /// entry whose fault fingerprint happens to coincide. Static planning
-    /// uses epoch 0.
+    algo: Algo,
+    faults: Option<u64>,
     epoch: u64,
-    /// Separates boost plans ([`BoostPlan`]) from the full schedules they
-    /// were thinned from: a boosted lookup must never be answered with a
-    /// plain entry (or vice versa) for otherwise identical parameters.
-    boost: bool,
-    /// Which builder produced the entry: [`PAPER_ALGO`] for the paper's
-    /// Table V builder ([`CommSchedule::build`]), [`composed_algo_code`]
-    /// for a per-tier [`Composition`] (chunk split folded in), and
-    /// [`TUNED_ALGO`] for the autotuner's memoized winner. Composed and
-    /// paper entries for identical parameters must never collide.
-    algo: u32,
+    product: Tag,
 }
 
-/// [`Key::algo`] code of the paper's fixed Table V builder.
-const PAPER_ALGO: u32 = 0;
-
-/// [`Key::algo`] sentinel for memoized autotuner winners
-/// ([`Entry::Tuned`]): the tuned entry is keyed by the *request*
-/// (kind, geometry, payload), not by whichever composition won.
-const TUNED_ALGO: u32 = u32::MAX;
-
-/// Folds a per-tier [`Composition`] and chunk split into a stable
-/// [`Key::algo`] code, disjoint from [`PAPER_ALGO`] and [`TUNED_ALGO`]:
-/// bits 0..=7 carry `1 + bank + 4·chip + 16·rank` (1..=64), bits 8..=15
-/// carry `chunks - 1`.
-fn composed_algo_code(comp: Composition, chunks: usize) -> u32 {
-    debug_assert!((1..=256).contains(&chunks), "chunk split out of range");
-    let c = 1 + comp.bank.code() + 4 * comp.chip.code() + 16 * comp.rank.code();
-    c + (((chunks - 1) as u32) << 8)
-}
-
-/// One memoized value: a validated plain schedule, a repaired one, a
-/// boost plan thinned from a validated plain schedule, or an autotuner
-/// winner.
-#[derive(Debug, Clone)]
-enum Entry {
-    Plain(Arc<CommSchedule>),
-    Repaired(Arc<RepairedSchedule>),
-    Boost(Arc<BoostPlan>),
-    Tuned(Arc<TunedChoice>),
-}
+/// One memoized value of the schedule table; its [`Tag`] fixes the type.
+type Entry = Arc<dyn Any + Send + Sync>;
 
 /// A table slot: either a finished entry, or a build in flight. Pending
 /// slots are what make concurrent misses on the same key build **once**:
@@ -276,8 +345,8 @@ fn get_or_build(
 
 /// Emits one cache event (hit/miss/dedup-wait) and bumps the matching
 /// metrics counter. Cache events have no simulated time, so they carry
-/// timestamp zero; golden-trace tests filter the cache group out, since
-/// hit/miss patterns legitimately differ between cold and warm runs.
+/// timestamp zero; the per-kind golden traces filter the cache group out,
+/// since hit/miss patterns legitimately differ between cold and warm runs.
 fn record_cache_event(code: u16, key: &Key, probe: &Probe) {
     if !probe.is_active() {
         return;
@@ -342,450 +411,213 @@ pub fn fault_fingerprint(faults: &PermanentFaultSet) -> u64 {
     h
 }
 
-/// Builds (or recalls) the schedule for `kind` on `geometry`, validated.
+/// A product of a [`ScheduleRequest`] that [`get`] memoizes.
+pub trait Product: Sized {
+    /// Recalls (or computes and publishes) this product of `req`; see
+    /// [`get`].
+    ///
+    /// # Errors
+    ///
+    /// See [`get`].
+    fn lookup(req: &ScheduleRequest<'_>, probe: &Probe) -> Result<Arc<Self>, PimnetError>;
+}
+
+/// Recalls (or builds) one product of `req`.
 ///
-/// On a miss this is [`CommSchedule::build`] followed by
-/// [`validate::validate`]; on a hit it is a map lookup and an `Arc` clone.
-/// Build or validation errors are returned and **not** cached (they are
-/// cheap to reproduce and carry request-specific messages).
+/// On a miss this runs the product's builder — for schedules, the builder
+/// followed by [`validate::validate`] — outside the table lock; on a hit
+/// it is a map lookup and an `Arc` clone. Schedule-table lookups (every
+/// product but [`Proof`]) land in `probe` as `cache-*` trace events and
+/// metrics counters, and concurrent misses on one key build once. A
+/// [`Proof`] lookup emits exactly one `lint-*` event, hit or miss alike,
+/// with warmth-independent arguments. With a disabled probe nothing is
+/// recorded and results are identical.
 ///
 /// # Errors
 ///
-/// Whatever [`CommSchedule::build`] or [`validate::validate`] return.
+/// Whatever the builder, validator or [`repair::repair`] return for
+/// this request. Errors are not cached: they are cheap to reproduce and
+/// carry request-specific messages.
+pub fn get<P: Product>(req: &ScheduleRequest<'_>, probe: &Probe) -> Result<Arc<P>, PimnetError> {
+    P::lookup(req, probe)
+}
+
+/// [`get_or_build`] for one product type: the entry under `key` always
+/// holds a `P`, because the key's tag names the product.
+fn memo<P: Any + Send + Sync>(
+    key: Key,
+    probe: &Probe,
+    build: impl Fn() -> Result<P, PimnetError>,
+) -> Result<Arc<P>, PimnetError> {
+    let entry = get_or_build(key, probe, || Ok(Arc::new(build()?) as Entry))?;
+    Ok(entry
+        .downcast()
+        .expect("a product tag always holds the same type"))
+}
+
+impl Product for CommSchedule {
+    fn lookup(req: &ScheduleRequest<'_>, probe: &Probe) -> Result<Arc<Self>, PimnetError> {
+        let key = req.key(Tag::Schedule);
+        match (req.faults, req.algo) {
+            // The tuner's memoized winner already holds the schedule.
+            (None, Algo::Tuned) => Ok(get::<TunedChoice>(req, probe)?.schedule.clone()),
+            (Some(_), _) => memo(key, probe, || {
+                Ok(get::<RepairedSchedule>(req, probe)?.schedule.clone())
+            }),
+            (None, algo) => memo(key, probe, || {
+                let (kind, g, elems, bytes) =
+                    (req.kind, &req.geometry, req.elems_per_node, req.elem_bytes);
+                let schedule = match algo {
+                    Algo::Composed(comp, chunks) => {
+                        algos::build_composed_chunked(kind, g, elems, bytes, comp, chunks)?
+                    }
+                    _ => CommSchedule::build(kind, g, elems, bytes)?,
+                };
+                validate::validate(&schedule)?;
+                Ok(schedule)
+            }),
+        }
+    }
+}
+
+impl Product for RepairedSchedule {
+    fn lookup(req: &ScheduleRequest<'_>, probe: &Probe) -> Result<Arc<Self>, PimnetError> {
+        memo(req.key(Tag::Repaired), probe, || {
+            let base = get::<CommSchedule>(&req.unfaulted(), probe)?;
+            repair::repair(&base, req.faults.unwrap_or(&PermanentFaultSet::none()))
+        })
+    }
+}
+
+impl Product for BoostPlan {
+    fn lookup(req: &ScheduleRequest<'_>, probe: &Probe) -> Result<Arc<Self>, PimnetError> {
+        memo(req.key(Tag::Boost), probe, || {
+            let schedule = get::<CommSchedule>(req, probe)?;
+            Ok(boost::plan(&schedule))
+        })
+    }
+}
+
+impl Product for TunedChoice {
+    /// The tuner sweeps regardless of `req.algo`; callers ask with
+    /// [`Algo::Tuned`], and concurrent tuners of one request dedup to a
+    /// single sweep.
+    fn lookup(req: &ScheduleRequest<'_>, probe: &Probe) -> Result<Arc<Self>, PimnetError> {
+        memo(req.key(Tag::Tuned), probe, || autotune::sweep(req, probe))
+    }
+}
+
+// ---------------------------------------------------------------------
+// Proof cache: analysis summaries memoized alongside the schedules they
+// prove, so a warm hit skips re-proving entirely and a repaired variant
+// re-proves only its delta against the cached base.
+// ---------------------------------------------------------------------
+
+/// One memoized verification of a request's schedule.
+#[derive(Debug)]
+pub struct Proof {
+    /// The four-pass summary; its report is byte-identical to
+    /// [`crate::analysis::run_all`] on the proven schedule.
+    pub summary: Arc<AnalysisSummary>,
+    /// For faulted requests, the delta-work stats of the original
+    /// re-proof. They are cached so the `lint-delta` trace event carries
+    /// identical arguments on hits and misses — traces must not depend on
+    /// cache warmth.
+    pub delta: Option<DeltaStats>,
+}
+
+fn proof_table() -> &'static Mutex<HashMap<Key, Arc<Proof>>> {
+    static TABLE: OnceLock<Mutex<HashMap<Key, Arc<Proof>>>> = OnceLock::new();
+    TABLE.get_or_init(|| Mutex::new(HashMap::new()))
+}
+
+fn lock_proof_table() -> std::sync::MutexGuard<'static, HashMap<Key, Arc<Proof>>> {
+    match proof_table().lock() {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    }
+}
+
+/// Looks a proof up without emitting any event; on a miss, verifies
+/// outside the lock. Two workers racing the same cold key may both
+/// verify, but the first insert wins and both produce byte-identical
+/// summaries, so the race is unobservable in results. The schedules a
+/// miss proves are looked up with a disabled probe.
+fn proof(req: &ScheduleRequest<'_>) -> Result<Arc<Proof>, PimnetError> {
+    let key = req.key(Tag::Proof);
+    if let Some(p) = lock_proof_table().get(&key).cloned() {
+        return Ok(p);
+    }
+    let quiet = Probe::disabled();
+    let built = match req.faults {
+        None => Proof {
+            summary: Arc::new(analysis::verify_full_arc(get(req, quiet)?)),
+            delta: None,
+        },
+        // Re-lint only the steps the repair dirtied (and their
+        // state-dependent suffix) against the cached base proof.
+        Some(_) => {
+            let base = proof(&req.unfaulted())?;
+            let repaired = get::<RepairedSchedule>(req, quiet)?;
+            let (summary, delta) = analysis::reverify_repair(&base.summary, &repaired);
+            Proof {
+                summary: Arc::new(summary),
+                delta: Some(delta),
+            }
+        }
+    };
+    Ok(lock_proof_table()
+        .entry(key)
+        .or_insert(Arc::new(built))
+        .clone())
+}
+
+impl Product for Proof {
+    /// Emits one `lint-full` (or, with `faults`, `lint-delta`) event per
+    /// call, with arguments taken from the cached proof.
+    fn lookup(req: &ScheduleRequest<'_>, probe: &Probe) -> Result<Arc<Self>, PimnetError> {
+        let p = proof(req)?;
+        if probe.is_active() {
+            let (code, a2, a3) = match p.delta {
+                None => (
+                    codes::LINT_FULL,
+                    p.summary.steps() as u64,
+                    p.summary.report.error_count() as u64,
+                ),
+                Some(d) => (codes::LINT_DELTA, d.reused() as u64, d.relinted as u64),
+            };
+            let dpus = u64::from(req.geometry.total_dpus());
+            probe
+                .trace
+                .instant(SimTime::ZERO, code, [req.kind as u64, dpus, a2, a3]);
+        }
+        Ok(p)
+    }
+}
+
+/// The validated paper schedule: [`get`] of a [`ScheduleRequest::new`]
+/// with no probe.
+///
+/// # Errors
+///
+/// See [`get`].
 pub fn build_cached(
     kind: CollectiveKind,
     geometry: &PimGeometry,
     elems_per_node: usize,
     elem_bytes: u32,
 ) -> Result<Arc<CommSchedule>, PimnetError> {
-    build_cached_probed(
-        kind,
-        geometry,
-        elems_per_node,
-        elem_bytes,
+    get(
+        &ScheduleRequest::new(kind, geometry, elems_per_node, elem_bytes),
         Probe::disabled(),
     )
 }
 
-/// [`build_cached`] with hit/miss/dedup-wait observability: each lookup
-/// outcome lands in `probe` as a `cache-*` trace event and a metrics
-/// counter. With a disabled probe this is exactly [`build_cached`].
+/// The summary of the paper schedule's [`Proof`].
 ///
 /// # Errors
 ///
-/// Whatever [`CommSchedule::build`] or [`validate::validate`] return.
-pub fn build_cached_probed(
-    kind: CollectiveKind,
-    geometry: &PimGeometry,
-    elems_per_node: usize,
-    elem_bytes: u32,
-    probe: &Probe,
-) -> Result<Arc<CommSchedule>, PimnetError> {
-    build_cached_at_epoch(kind, geometry, elems_per_node, elem_bytes, 0, probe)
-}
-
-/// [`build_cached_probed`] under a degradation/health `epoch`: entries
-/// built at different epochs never collide, even for identical geometry
-/// and fault fingerprints. Epoch 0 is the static-planning key space, so
-/// `build_cached_at_epoch(.., 0, ..)` ≡ `build_cached_probed(..)`.
-///
-/// # Errors
-///
-/// Whatever [`CommSchedule::build`] or [`validate::validate`] return.
-pub fn build_cached_at_epoch(
-    kind: CollectiveKind,
-    geometry: &PimGeometry,
-    elems_per_node: usize,
-    elem_bytes: u32,
-    epoch: u64,
-    probe: &Probe,
-) -> Result<Arc<CommSchedule>, PimnetError> {
-    let key = Key {
-        kind,
-        geometry: *geometry,
-        elems_per_node,
-        elem_bytes,
-        repair: EMPTY_FAULTS,
-        repaired: false,
-        epoch,
-        boost: false,
-        algo: PAPER_ALGO,
-    };
-    let entry = get_or_build(key, probe, || {
-        let schedule = CommSchedule::build(kind, geometry, elems_per_node, elem_bytes)?;
-        validate::validate(&schedule)?;
-        Ok(Entry::Plain(Arc::new(schedule)))
-    })?;
-    match entry {
-        Entry::Plain(s) => Ok(s),
-        _ => unreachable!("plain key holds a non-plain entry"),
-    }
-}
-
-/// Builds (or recalls) the [`BoostPlan`] for `kind` on `geometry`: the
-/// representative-slice thinning of the validated full schedule, with
-/// per-step class facts for analytic timing reconstruction.
-///
-/// The full schedule comes through [`build_cached`] (so a warm plain
-/// entry makes a cold boost lookup cheap); the thinning itself runs only
-/// on a miss. The cache key carries a `boost` discriminator, so boosted
-/// and plain entries for identical parameters never collide.
-///
-/// # Errors
-///
-/// Whatever [`build_cached`] returns — planning itself is infallible.
-pub fn boost_cached(
-    kind: CollectiveKind,
-    geometry: &PimGeometry,
-    elems_per_node: usize,
-    elem_bytes: u32,
-) -> Result<Arc<BoostPlan>, PimnetError> {
-    boost_cached_probed(
-        kind,
-        geometry,
-        elems_per_node,
-        elem_bytes,
-        Probe::disabled(),
-    )
-}
-
-/// [`boost_cached`] with hit/miss/dedup-wait observability (see
-/// [`build_cached_probed`]). With a disabled probe this is exactly
-/// [`boost_cached`].
-///
-/// # Errors
-///
-/// Whatever [`build_cached`] returns.
-pub fn boost_cached_probed(
-    kind: CollectiveKind,
-    geometry: &PimGeometry,
-    elems_per_node: usize,
-    elem_bytes: u32,
-    probe: &Probe,
-) -> Result<Arc<BoostPlan>, PimnetError> {
-    let key = Key {
-        kind,
-        geometry: *geometry,
-        elems_per_node,
-        elem_bytes,
-        repair: EMPTY_FAULTS,
-        repaired: false,
-        epoch: 0,
-        boost: true,
-        algo: PAPER_ALGO,
-    };
-    let entry = get_or_build(key, probe, || {
-        let base = build_cached_probed(kind, geometry, elems_per_node, elem_bytes, probe)?;
-        Ok(Entry::Boost(Arc::new(boost::plan(&base))))
-    })?;
-    match entry {
-        Entry::Boost(p) => Ok(p),
-        _ => unreachable!("boost key holds a non-boost entry"),
-    }
-}
-
-/// Builds (or recalls) the *repaired* schedule for `kind` on `geometry`
-/// under `faults`, keyed by the fault set's [`fault_fingerprint`].
-///
-/// The base schedule comes through [`build_cached`]; the repair itself
-/// (which re-validates its output) runs only on a miss. An empty fault set
-/// degenerates to the identity repair of the cached base schedule.
-///
-/// # Errors
-///
-/// Whatever [`build_cached`] or
-/// [`repair`](super::repair::repair) return.
-pub fn repair_cached(
-    kind: CollectiveKind,
-    geometry: &PimGeometry,
-    elems_per_node: usize,
-    elem_bytes: u32,
-    faults: &PermanentFaultSet,
-) -> Result<Arc<RepairedSchedule>, PimnetError> {
-    repair_cached_probed(
-        kind,
-        geometry,
-        elems_per_node,
-        elem_bytes,
-        faults,
-        Probe::disabled(),
-    )
-}
-
-/// [`repair_cached`] with hit/miss/dedup-wait observability, including the
-/// inner base-schedule lookup. With a disabled probe this is exactly
-/// [`repair_cached`].
-///
-/// # Errors
-///
-/// Whatever [`build_cached`] or
-/// [`repair`](super::repair::repair) return.
-pub fn repair_cached_probed(
-    kind: CollectiveKind,
-    geometry: &PimGeometry,
-    elems_per_node: usize,
-    elem_bytes: u32,
-    faults: &PermanentFaultSet,
-    probe: &Probe,
-) -> Result<Arc<RepairedSchedule>, PimnetError> {
-    repair_cached_at_epoch(kind, geometry, elems_per_node, elem_bytes, faults, 0, probe)
-}
-
-/// [`repair_cached_probed`] under a degradation/health `epoch` (see
-/// [`build_cached_at_epoch`]): a quarantined-link replan at epoch `e > 0`
-/// misses every entry the pre-fault plan cached at epoch 0, even when the
-/// fault fingerprints coincide.
-///
-/// # Errors
-///
-/// Whatever [`build_cached`] or
-/// [`repair`](super::repair::repair) return.
-pub fn repair_cached_at_epoch(
-    kind: CollectiveKind,
-    geometry: &PimGeometry,
-    elems_per_node: usize,
-    elem_bytes: u32,
-    faults: &PermanentFaultSet,
-    epoch: u64,
-    probe: &Probe,
-) -> Result<Arc<RepairedSchedule>, PimnetError> {
-    let key = Key {
-        kind,
-        geometry: *geometry,
-        elems_per_node,
-        elem_bytes,
-        repair: fault_fingerprint(faults),
-        repaired: true,
-        epoch,
-        boost: false,
-        algo: PAPER_ALGO,
-    };
-    let entry = get_or_build(key, probe, || {
-        let base = build_cached_at_epoch(kind, geometry, elems_per_node, elem_bytes, epoch, probe)?;
-        let repaired = super::repair::repair(&base, faults)?;
-        Ok(Entry::Repaired(Arc::new(repaired)))
-    })?;
-    match entry {
-        Entry::Repaired(r) => Ok(r),
-        _ => unreachable!("repaired key holds a non-repaired entry"),
-    }
-}
-
-/// Builds (or recalls) the *composed* schedule for `kind` on `geometry`
-/// under a per-tier algorithm [`Composition`] and `chunks` payload
-/// split, validated. Composed entries live in their own cache-key
-/// `algo` space, so they never collide with the paper builder's
-/// entries for identical parameters.
-///
-/// # Errors
-///
-/// Whatever [`algos::build_composed_chunked`] or
-/// [`validate::validate`] return.
-pub fn build_composed_cached(
-    kind: CollectiveKind,
-    geometry: &PimGeometry,
-    elems_per_node: usize,
-    elem_bytes: u32,
-    comp: Composition,
-    chunks: usize,
-) -> Result<Arc<CommSchedule>, PimnetError> {
-    build_composed_cached_probed(
-        kind,
-        geometry,
-        elems_per_node,
-        elem_bytes,
-        comp,
-        chunks,
-        Probe::disabled(),
-    )
-}
-
-/// [`build_composed_cached`] with hit/miss/dedup-wait observability (see
-/// [`build_cached_probed`]).
-///
-/// # Errors
-///
-/// Whatever [`algos::build_composed_chunked`] or
-/// [`validate::validate`] return.
-pub fn build_composed_cached_probed(
-    kind: CollectiveKind,
-    geometry: &PimGeometry,
-    elems_per_node: usize,
-    elem_bytes: u32,
-    comp: Composition,
-    chunks: usize,
-    probe: &Probe,
-) -> Result<Arc<CommSchedule>, PimnetError> {
-    let key = Key {
-        kind,
-        geometry: *geometry,
-        elems_per_node,
-        elem_bytes,
-        repair: EMPTY_FAULTS,
-        repaired: false,
-        epoch: 0,
-        boost: false,
-        algo: composed_algo_code(comp, chunks),
-    };
-    let entry = get_or_build(key, probe, || {
-        let schedule = algos::build_composed_chunked(
-            kind,
-            geometry,
-            elems_per_node,
-            elem_bytes,
-            comp,
-            chunks,
-        )?;
-        validate::validate(&schedule)?;
-        Ok(Entry::Plain(Arc::new(schedule)))
-    })?;
-    match entry {
-        Entry::Plain(s) => Ok(s),
-        _ => unreachable!("composed key holds a non-plain entry"),
-    }
-}
-
-/// Recalls (or runs `tune` to produce) the autotuner's memoized winner
-/// for one `(kind, geometry, payload)` request. The entry is keyed by
-/// the request under the [`TUNED_ALGO`] sentinel — *not* by the winning
-/// composition — so concurrent tuners dedup to a single sweep.
-///
-/// # Errors
-///
-/// Whatever `tune` returns.
-pub(crate) fn tuned_cached_with(
-    kind: CollectiveKind,
-    geometry: &PimGeometry,
-    elems_per_node: usize,
-    elem_bytes: u32,
-    probe: &Probe,
-    tune: impl Fn() -> Result<TunedChoice, PimnetError>,
-) -> Result<Arc<TunedChoice>, PimnetError> {
-    let key = Key {
-        kind,
-        geometry: *geometry,
-        elems_per_node,
-        elem_bytes,
-        repair: EMPTY_FAULTS,
-        repaired: false,
-        epoch: 0,
-        boost: false,
-        algo: TUNED_ALGO,
-    };
-    let entry = get_or_build(key, probe, || Ok(Entry::Tuned(Arc::new(tune()?))))?;
-    match entry {
-        Entry::Tuned(t) => Ok(t),
-        _ => unreachable!("tuned key holds a non-tuned entry"),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Analysis-summary cache: pass summaries memoized alongside the
-// schedules they prove, so a warm hit skips re-proving entirely and a
-// repaired variant re-proves only its delta against the cached base.
-// ---------------------------------------------------------------------
-
-/// One memoized verification: the summary, plus (for repaired entries)
-/// the delta-work stats of the original proof. The stats are cached so
-/// the `lint-delta` trace event carries identical arguments on hits and
-/// misses — traces must not depend on cache warmth.
-#[derive(Debug)]
-struct LintEntry {
-    summary: Arc<AnalysisSummary>,
-    delta: Option<DeltaStats>,
-}
-
-static LINT_HITS: AtomicU64 = AtomicU64::new(0);
-static LINT_MISSES: AtomicU64 = AtomicU64::new(0);
-
-fn lint_table() -> &'static Mutex<HashMap<Key, Arc<LintEntry>>> {
-    static TABLE: OnceLock<Mutex<HashMap<Key, Arc<LintEntry>>>> = OnceLock::new();
-    TABLE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn lock_lint_table() -> std::sync::MutexGuard<'static, HashMap<Key, Arc<LintEntry>>> {
-    match lint_table().lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Looks a summary up; on a miss, verifies outside the lock. Two workers
-/// racing the same cold key may both verify, but the first insert wins
-/// and both produce byte-identical summaries, so the race is unobservable
-/// in results.
-fn lint_get_or_build(
-    key: Key,
-    build: impl FnOnce() -> Result<LintEntry, PimnetError>,
-) -> Result<Arc<LintEntry>, PimnetError> {
-    if let Some(e) = lock_lint_table().get(&key).cloned() {
-        LINT_HITS.fetch_add(1, Ordering::Relaxed);
-        return Ok(e);
-    }
-    LINT_MISSES.fetch_add(1, Ordering::Relaxed);
-    let built = Arc::new(build()?);
-    Ok(lock_lint_table().entry(key).or_insert(built).clone())
-}
-
-/// Emits one `lint-*` trace event. Exactly one event per analyze call,
-/// with arguments derived from the (warmth-independent) summary — never
-/// from hit/miss state — so run-after-run traces stay byte-identical.
-fn record_lint_event(code: u16, kind: CollectiveKind, dpus: u32, a2: u64, a3: u64, probe: &Probe) {
-    if !probe.is_active() {
-        return;
-    }
-    probe
-        .trace
-        .instant(SimTime::ZERO, code, [kind as u64, u64::from(dpus), a2, a3]);
-}
-
-/// The cached plain-schedule summary, without emitting any event (shared
-/// by the public analyze entry points, which each emit exactly one).
-fn plain_summary_at_epoch(
-    kind: CollectiveKind,
-    geometry: &PimGeometry,
-    elems_per_node: usize,
-    elem_bytes: u32,
-    epoch: u64,
-) -> Result<Arc<AnalysisSummary>, PimnetError> {
-    let key = Key {
-        kind,
-        geometry: *geometry,
-        elems_per_node,
-        elem_bytes,
-        repair: EMPTY_FAULTS,
-        repaired: false,
-        epoch,
-        boost: false,
-        algo: PAPER_ALGO,
-    };
-    let entry = lint_get_or_build(key, || {
-        let schedule = build_cached_at_epoch(
-            kind,
-            geometry,
-            elems_per_node,
-            elem_bytes,
-            epoch,
-            Probe::disabled(),
-        )?;
-        Ok(LintEntry {
-            summary: Arc::new(analysis::verify_full_arc(schedule)),
-            delta: None,
-        })
-    })?;
-    Ok(entry.summary.clone())
-}
-
-/// Verifies (or recalls the verification of) the plain schedule for
-/// `kind` on `geometry`: a full four-pass [`AnalysisSummary`] whose
-/// report is byte-identical to [`crate::analysis::run_all`] on the built
-/// schedule. Warm hits skip re-proving entirely. Emits one `lint-full`
-/// trace event per call (hit or miss alike).
-///
-/// # Errors
-///
-/// Whatever [`build_cached`] returns. Analysis itself never errors — a
-/// broken schedule yields a summary whose report has errors.
+/// See [`get`].
 pub fn analyze_cached(
     kind: CollectiveKind,
     geometry: &PimGeometry,
@@ -793,163 +625,8 @@ pub fn analyze_cached(
     elem_bytes: u32,
     probe: &Probe,
 ) -> Result<Arc<AnalysisSummary>, PimnetError> {
-    analyze_cached_at_epoch(kind, geometry, elems_per_node, elem_bytes, 0, probe)
-}
-
-/// [`analyze_cached`] under a degradation/health `epoch` (see
-/// [`build_cached_at_epoch`]).
-///
-/// # Errors
-///
-/// Whatever [`build_cached`] returns.
-pub fn analyze_cached_at_epoch(
-    kind: CollectiveKind,
-    geometry: &PimGeometry,
-    elems_per_node: usize,
-    elem_bytes: u32,
-    epoch: u64,
-    probe: &Probe,
-) -> Result<Arc<AnalysisSummary>, PimnetError> {
-    let summary = plain_summary_at_epoch(kind, geometry, elems_per_node, elem_bytes, epoch)?;
-    record_lint_event(
-        codes::LINT_FULL,
-        kind,
-        geometry.total_dpus(),
-        summary.steps() as u64,
-        summary.report.error_count() as u64,
-        probe,
-    );
-    Ok(summary)
-}
-
-/// Verifies (or recalls the verification of) a *composed* schedule
-/// (per-tier [`Composition`] + chunk split): a full four-pass
-/// [`AnalysisSummary`] whose report is byte-identical to
-/// [`crate::analysis::run_all`] on the built schedule. This is the
-/// autotuner's proof path: every candidate it prices first passes
-/// through here, and warm hits make re-tuning (or re-admitting) cheap.
-/// Emits one `lint-full` trace event per call.
-///
-/// # Errors
-///
-/// Whatever [`build_composed_cached`] returns.
-pub fn analyze_composed_cached(
-    kind: CollectiveKind,
-    geometry: &PimGeometry,
-    elems_per_node: usize,
-    elem_bytes: u32,
-    comp: Composition,
-    chunks: usize,
-    probe: &Probe,
-) -> Result<Arc<AnalysisSummary>, PimnetError> {
-    let key = Key {
-        kind,
-        geometry: *geometry,
-        elems_per_node,
-        elem_bytes,
-        repair: EMPTY_FAULTS,
-        repaired: false,
-        epoch: 0,
-        boost: false,
-        algo: composed_algo_code(comp, chunks),
-    };
-    let entry = lint_get_or_build(key, || {
-        let schedule =
-            build_composed_cached(kind, geometry, elems_per_node, elem_bytes, comp, chunks)?;
-        Ok(LintEntry {
-            summary: Arc::new(analysis::verify_full_arc(schedule)),
-            delta: None,
-        })
-    })?;
-    let summary = entry.summary.clone();
-    record_lint_event(
-        codes::LINT_FULL,
-        kind,
-        geometry.total_dpus(),
-        summary.steps() as u64,
-        summary.report.error_count() as u64,
-        probe,
-    );
-    Ok(summary)
-}
-
-/// Verifies (or recalls the verification of) the *repaired* schedule for
-/// `kind` under `faults`, by delta re-lint against the cached base
-/// summary: only the steps the repair dirtied (and their
-/// state-dependent suffix) are re-proven. The returned report is
-/// byte-identical to a from-scratch [`crate::analysis::run_all`] of the
-/// repaired schedule. Emits one `lint-delta` trace event per call, whose
-/// arguments come from the cached [`DeltaStats`] — identical on hits and
-/// misses.
-///
-/// # Errors
-///
-/// Whatever [`build_cached`] or [`repair`](super::repair::repair) return.
-pub fn analyze_repaired_cached_at_epoch(
-    kind: CollectiveKind,
-    geometry: &PimGeometry,
-    elems_per_node: usize,
-    elem_bytes: u32,
-    faults: &PermanentFaultSet,
-    epoch: u64,
-    probe: &Probe,
-) -> Result<(Arc<AnalysisSummary>, DeltaStats), PimnetError> {
-    let key = Key {
-        kind,
-        geometry: *geometry,
-        elems_per_node,
-        elem_bytes,
-        repair: fault_fingerprint(faults),
-        repaired: true,
-        epoch,
-        boost: false,
-        algo: PAPER_ALGO,
-    };
-    let entry = lint_get_or_build(key, || {
-        let base = plain_summary_at_epoch(kind, geometry, elems_per_node, elem_bytes, epoch)?;
-        let repaired = repair_cached_at_epoch(
-            kind,
-            geometry,
-            elems_per_node,
-            elem_bytes,
-            faults,
-            epoch,
-            Probe::disabled(),
-        )?;
-        let (summary, delta) = analysis::reverify_repair(&base, &repaired);
-        Ok(LintEntry {
-            summary: Arc::new(summary),
-            delta: Some(delta),
-        })
-    })?;
-    let delta = entry.delta.unwrap_or_default();
-    record_lint_event(
-        codes::LINT_DELTA,
-        kind,
-        geometry.total_dpus(),
-        delta.reused() as u64,
-        delta.relinted as u64,
-        probe,
-    );
-    Ok((entry.summary.clone(), delta))
-}
-
-/// Running analysis-cache counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LintCacheStats {
-    /// Analyze calls answered from the cache.
-    pub hits: u64,
-    /// Analyze calls that had to (re-)prove a schedule.
-    pub misses: u64,
-}
-
-/// Current analysis-cache counters.
-#[must_use]
-pub fn lint_stats() -> LintCacheStats {
-    LintCacheStats {
-        hits: LINT_HITS.load(Ordering::Relaxed),
-        misses: LINT_MISSES.load(Ordering::Relaxed),
-    }
+    let req = ScheduleRequest::new(kind, geometry, elems_per_node, elem_bytes);
+    Ok(get::<Proof>(&req, probe)?.summary.clone())
 }
 
 /// Current counters.
@@ -967,20 +644,22 @@ pub fn reset_stats() {
     HITS.store(0, Ordering::Relaxed);
     MISSES.store(0, Ordering::Relaxed);
     BUILT.store(0, Ordering::Relaxed);
-    LINT_HITS.store(0, Ordering::Relaxed);
-    LINT_MISSES.store(0, Ordering::Relaxed);
 }
 
-/// Drops every cached schedule and analysis summary (counters stay).
+/// Drops every cached schedule and proof (counters stay).
 /// Benchmarks use this to measure cold-cache builds.
 pub fn clear() {
     lock_table().clear();
-    lock_lint_table().clear();
+    lock_proof_table().clear();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The cache is process-global and sibling tests build concurrently,
+    // so these tests never call `clear()` and count hits and misses
+    // through a per-test probe, never through the global `stats()`.
 
     fn g(n: u32) -> PimGeometry {
         PimGeometry::paper_scaled(n)
@@ -988,36 +667,113 @@ mod tests {
 
     #[test]
     fn hit_returns_the_same_validated_schedule() {
-        clear();
-        let a = build_cached(CollectiveKind::AllReduce, &g(16), 96, 4).unwrap();
-        let before = stats();
-        let b = build_cached(CollectiveKind::AllReduce, &g(16), 96, 4).unwrap();
-        let after = stats();
+        let req = ScheduleRequest::new(CollectiveKind::AllReduce, &g(16), 96, 4);
+        let a = get::<CommSchedule>(&req, Probe::disabled()).unwrap();
+        let p = Probe::enabled();
+        let b = get::<CommSchedule>(&req, &p).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "hit must share the entry");
-        assert_eq!(after.hits, before.hits + 1);
-        assert_eq!(after.schedules_built, before.schedules_built);
+        let m = p.metrics.snapshot();
+        assert_eq!((m.cache_hits, m.cache_misses), (1, 0));
         // Structurally equal to a fresh, uncached build.
         let fresh = CommSchedule::build(CollectiveKind::AllReduce, &g(16), 96, 4).unwrap();
         assert_eq!(*a, fresh);
     }
 
+    /// Looks `a` up twice and then `b` once, each through its own probe:
+    /// the repeat must hit and share the entry, and `b` must miss. Proof
+    /// lookups record no cache events, so a fresh entry is their miss.
+    fn separates<P: Product + 'static>(a: &ScheduleRequest<'_>, b: &ScheduleRequest<'_>) {
+        let what = format!("{}: {a:?} vs {b:?}", std::any::type_name::<P>());
+        let first = get::<P>(a, Probe::disabled()).unwrap();
+        let p = Probe::enabled();
+        let again = get::<P>(a, &p).unwrap();
+        assert!(Arc::ptr_eq(&first, &again), "{what}: repeat did not share");
+        assert_eq!(
+            p.metrics.snapshot().cache_misses,
+            0,
+            "{what}: repeat missed"
+        );
+        let p = Probe::enabled();
+        let other = get::<P>(b, &p).unwrap();
+        if std::any::TypeId::of::<P>() == std::any::TypeId::of::<Proof>() {
+            assert!(!Arc::ptr_eq(&first, &other), "{what}: proof was shared");
+        } else {
+            let first_event = p.trace.drain().events.first().map(|e| e.code);
+            assert_eq!(first_event, Some(codes::CACHE_MISS), "{what}: did not miss");
+        }
+    }
+
     #[test]
-    fn distinct_parameters_do_not_collide() {
-        clear();
-        let a = build_cached(CollectiveKind::AllReduce, &g(8), 64, 4).unwrap();
-        let b = build_cached(CollectiveKind::AllGather, &g(8), 64, 4).unwrap();
-        let c = build_cached(CollectiveKind::AllReduce, &g(8), 65, 4).unwrap();
-        let d = build_cached(CollectiveKind::AllReduce, &g(8), 64, 8).unwrap();
-        assert_ne!(*a, *b);
-        assert_ne!(*a, *c);
-        assert_ne!(*a, *d);
+    fn every_request_field_separates_every_product() {
+        let empty = PermanentFaultSet::none();
+        let faults = PermanentFaultSet::parse_tokens("r0c0b2E").unwrap();
+        let comp = Composition::parse("direct_ring_ring").unwrap();
+        // One payload per product, so no product's lookups warm another's
+        // entries. The tuned pair comes last: its sweep warms the composed
+        // requests of the pairs before it.
+        let pairs = |elems| {
+            let base = ScheduleRequest::new(CollectiveKind::AllReduce, &g(8), elems, 4);
+            let with = |f: fn(&mut ScheduleRequest<'_>)| {
+                let mut r = base;
+                f(&mut r);
+                r
+            };
+            let composed = ScheduleRequest {
+                algo: Algo::Composed(comp, 1),
+                ..base
+            };
+            let empty_faults = ScheduleRequest {
+                faults: Some(&empty),
+                ..base
+            };
+            [
+                (base, with(|r| r.kind = CollectiveKind::AllGather)),
+                // Same DPU count, different shape.
+                (base, with(|r| r.geometry = PimGeometry::new(4, 2, 1, 1))),
+                (base, with(|r| r.elems_per_node += 1)),
+                (base, with(|r| r.elem_bytes = 8)),
+                (base, composed),
+                (
+                    composed,
+                    ScheduleRequest {
+                        algo: Algo::Composed(comp, 2),
+                        ..base
+                    },
+                ),
+                (base, empty_faults),
+                (
+                    empty_faults,
+                    ScheduleRequest {
+                        faults: Some(&faults),
+                        ..base
+                    },
+                ),
+                (base, with(|r| r.epoch = 1)),
+                (base, with(|r| r.algo = Algo::Tuned)),
+            ]
+        };
+        for (a, b) in &pairs(40) {
+            separates::<CommSchedule>(a, b);
+        }
+        for (a, b) in &pairs(50) {
+            separates::<RepairedSchedule>(a, b);
+        }
+        for (a, b) in &pairs(60) {
+            separates::<BoostPlan>(a, b);
+        }
+        for (a, b) in &pairs(70) {
+            separates::<TunedChoice>(a, b);
+        }
+        for (a, b) in &pairs(80) {
+            separates::<Proof>(a, b);
+        }
     }
 
     #[test]
     fn errors_are_not_cached() {
-        clear();
         let bad = build_cached(CollectiveKind::AllReduce, &g(8), 64, 0);
         assert!(bad.is_err());
+        assert!(build_cached(CollectiveKind::AllReduce, &g(8), 64, 0).is_err());
         assert!(build_cached(CollectiveKind::AllReduce, &g(8), 64, 4).is_ok());
     }
 
@@ -1039,86 +795,39 @@ mod tests {
     }
 
     #[test]
-    fn repair_cached_matches_a_fresh_repair() {
-        clear();
+    fn products_match_fresh_builds() {
         let faults = PermanentFaultSet::parse_tokens("r0c0b2E").unwrap();
-        let a = repair_cached(CollectiveKind::AllReduce, &g(8), 128, 4, &faults).unwrap();
-        let b = repair_cached(CollectiveKind::AllReduce, &g(8), 128, 4, &faults).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        let base = CommSchedule::build(CollectiveKind::AllReduce, &g(8), 128, 4).unwrap();
-        let fresh = super::super::repair::repair(&base, &faults).unwrap();
-        assert_eq!(*a, fresh);
-        // The fault-free fingerprint shares the plain builder's key space
-        // but the entry kinds do not collide.
-        let plain = build_cached(CollectiveKind::AllReduce, &g(8), 128, 4).unwrap();
-        let identity = repair_cached(
-            CollectiveKind::AllReduce,
-            &g(8),
-            128,
-            4,
-            &PermanentFaultSet::none(),
-        );
-        assert!(identity.is_ok());
-        assert_eq!(identity.unwrap().schedule, *plain);
-    }
-
-    #[test]
-    fn boost_entries_do_not_collide_with_plain() {
-        clear();
-        let plain = build_cached(CollectiveKind::AllReduce, &g(64), 97, 4).unwrap();
-        let built_before = stats().schedules_built;
-        let boosted = boost_cached(CollectiveKind::AllReduce, &g(64), 97, 4).unwrap();
-        assert_eq!(
-            stats().schedules_built,
-            built_before + 1,
-            "the miss constructs only the boost entry; the full schedule is a hit"
-        );
-        assert_eq!(
-            boosted.total_transfers,
-            plain.transfer_count(),
-            "the plan was thinned from the same schedule"
-        );
-        // Warm boost lookups share the entry; the plan matches a fresh
-        // thinning of the cached schedule.
-        let again = boost_cached(CollectiveKind::AllReduce, &g(64), 97, 4).unwrap();
-        assert!(Arc::ptr_eq(&boosted, &again));
+        let req = ScheduleRequest::new(CollectiveKind::AllReduce, &g(8), 128, 4);
+        let plain = get::<CommSchedule>(&req, Probe::disabled()).unwrap();
+        let faulted = ScheduleRequest {
+            faults: Some(&faults),
+            ..req
+        };
+        let repaired = get::<RepairedSchedule>(&faulted, Probe::disabled()).unwrap();
+        assert_eq!(*repaired, repair::repair(&plain, &faults).unwrap());
+        // A faulted request's schedule is the repaired one.
+        let schedule = get::<CommSchedule>(&faulted, Probe::disabled()).unwrap();
+        assert_eq!(*schedule, repaired.schedule);
+        // The identity repair of an empty set is the plain schedule.
+        let none = ScheduleRequest {
+            faults: Some(&PermanentFaultSet::none()),
+            ..req
+        };
+        let identity = get::<RepairedSchedule>(&none, Probe::disabled()).unwrap();
+        assert_eq!(identity.schedule, *plain);
+        // A cold boost plan over a warm schedule builds only the plan.
+        let p = Probe::enabled();
+        let boosted = get::<BoostPlan>(&req, &p).unwrap();
+        let seen: Vec<u16> = p.trace.drain().events.iter().map(|e| e.code).collect();
+        assert_eq!(seen, [codes::CACHE_MISS, codes::CACHE_HIT]);
         assert_eq!(*boosted, boost::plan(&plain));
-    }
-
-    #[test]
-    fn health_epoch_separates_replan_entries() {
-        // Regression: a replan after mid-run quarantine used to share the
-        // pre-fault key whenever the fault fingerprints coincided. With
-        // the epoch in the key, a quarantined-link replan (epoch > 0) must
-        // never be answered from the pre-fault (epoch 0) entry.
-        clear();
-        let faults = PermanentFaultSet::parse_tokens("r0c0b2E").unwrap();
-        let p = Probe::disabled();
-        let pre = repair_cached_at_epoch(CollectiveKind::AllReduce, &g(8), 128, 4, &faults, 0, p)
-            .unwrap();
-        let built_before = stats().schedules_built;
-        let post = repair_cached_at_epoch(CollectiveKind::AllReduce, &g(8), 128, 4, &faults, 1, p)
-            .unwrap();
-        assert!(
-            !Arc::ptr_eq(&pre, &post),
-            "epoch 1 replan must not return the cached epoch-0 entry"
-        );
-        assert!(
-            stats().schedules_built > built_before,
-            "the epoch-1 entry is a fresh build, not a hit"
-        );
-        // Same epoch still hits.
-        let again = repair_cached_at_epoch(CollectiveKind::AllReduce, &g(8), 128, 4, &faults, 1, p)
-            .unwrap();
-        assert!(Arc::ptr_eq(&post, &again));
-        // Plain builds are epoch-separated too, and epoch 0 is the legacy
-        // key space.
-        let plain0 = build_cached(CollectiveKind::AllReduce, &g(8), 512, 4).unwrap();
-        let plain0b =
-            build_cached_at_epoch(CollectiveKind::AllReduce, &g(8), 512, 4, 0, p).unwrap();
-        assert!(Arc::ptr_eq(&plain0, &plain0b));
-        let plain1 = build_cached_at_epoch(CollectiveKind::AllReduce, &g(8), 512, 4, 1, p).unwrap();
-        assert!(!Arc::ptr_eq(&plain0, &plain1));
-        assert_eq!(*plain0, *plain1, "same parameters build equal schedules");
+        // A tuned request's schedule is the tuner's winner.
+        let tuned = ScheduleRequest {
+            algo: Algo::Tuned,
+            ..req
+        };
+        let choice = get::<TunedChoice>(&tuned, Probe::disabled()).unwrap();
+        let winner = get::<CommSchedule>(&tuned, Probe::disabled()).unwrap();
+        assert!(Arc::ptr_eq(&choice.schedule, &winner));
     }
 }

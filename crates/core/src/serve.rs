@@ -54,7 +54,8 @@ use crate::error::PimnetError;
 use crate::exec::ReduceOp;
 use crate::fabric::FabricConfig;
 use crate::recovery::{run_recovered_probed, RecoveryConfig, RecoveryRequest};
-use crate::schedule::{autotune, cache};
+use crate::schedule::cache::{self, Algo, Proof, ScheduleRequest};
+use crate::schedule::CommSchedule;
 use crate::timing::TimingModel;
 
 /// Dequeue order within a tenant queue.
@@ -782,8 +783,8 @@ impl Engine<'_> {
                 // left for dispatch to surface with request context.
                 let chunk = (self.cfg.chunk_elems / 2).max(1);
                 for t in &self.cfg.tenants {
-                    let _ =
-                        cache::analyze_cached(t.kind, &t.geometry, chunk, t.elem_bytes, self.probe);
+                    let req = ScheduleRequest::new(t.kind, &t.geometry, chunk, t.elem_bytes);
+                    let _ = cache::get::<Proof>(&req, self.probe);
                 }
             }
         }
@@ -985,8 +986,8 @@ impl Engine<'_> {
             // Prove the chunk schedule before pricing it (warm hits in
             // the analysis-summary cache skip re-proving): the serving
             // hot path never dispatches an unverified schedule.
-            let summary =
-                cache::analyze_cached(t.kind, &t.geometry, elems, t.elem_bytes, self.probe)?;
+            let paper = ScheduleRequest::new(t.kind, &t.geometry, elems, t.elem_bytes);
+            let summary = &cache::get::<Proof>(&paper, self.probe)?.summary;
             if summary.report.has_errors() {
                 return Err(PimnetError::ScheduleInvalid {
                     reason: format!(
@@ -995,16 +996,11 @@ impl Engine<'_> {
                     ),
                 });
             }
-            let s = if t.autotune {
-                // Opt-in tuned admission: every composed candidate was
-                // re-proved by the tuner and the paper incumbent keeps
-                // ties, so this never prices worse than the line below.
-                autotune::tune_probed(t.kind, &t.geometry, elems, t.elem_bytes, self.probe)?
-                    .schedule
-                    .clone()
-            } else {
-                cache::build_cached_probed(t.kind, &t.geometry, elems, t.elem_bytes, self.probe)?
-            };
+            // Opt-in tuned admission: every composed candidate was
+            // re-proved by the tuner and the paper incumbent keeps ties,
+            // so a tuned tenant never prices worse than the paper.
+            let algo = if t.autotune { Algo::Tuned } else { Algo::Paper };
+            let s = cache::get::<CommSchedule>(&ScheduleRequest { algo, ..paper }, self.probe)?;
             Ok(state
                 .timing
                 .time_schedule(&s, SimTime::ZERO)

@@ -11,10 +11,11 @@
 
 use pim_arch::geometry::PimGeometry;
 use pimnet_suite::net::collective::CollectiveKind;
-use pimnet_suite::net::schedule::{boost, build_composed, cache, CommSchedule, Composition};
+use pimnet_suite::net::schedule::cache::{self, ScheduleRequest};
+use pimnet_suite::net::schedule::{boost, build_composed, BoostPlan, CommSchedule, Composition};
 use pimnet_suite::net::timeline::Timeline;
 use pimnet_suite::net::timing::TimingModel;
-use pimnet_suite::sim::SimTime;
+use pimnet_suite::sim::{Probe, SimTime};
 
 fn build(kind: CollectiveKind, dpus: u32, elems: usize) -> CommSchedule {
     CommSchedule::build(kind, &PimGeometry::paper_scaled(dpus), elems, 4).expect("builds")
@@ -152,13 +153,16 @@ fn reduction_is_at_least_ten_x_at_256_dpus_for_every_kind() {
 /// and its key space is disjoint from the plain schedule cache.
 #[test]
 fn cached_boost_plans_match_direct_planning() {
-    let g = PimGeometry::paper_scaled(256);
-    let cached =
-        cache::boost_cached(CollectiveKind::AllGather, &g, 611, 4).expect("boost plan builds");
+    let req = ScheduleRequest::new(
+        CollectiveKind::AllGather,
+        &PimGeometry::paper_scaled(256),
+        611,
+        4,
+    );
+    let cached = cache::get::<BoostPlan>(&req, Probe::disabled()).expect("boost plan builds");
     let direct = boost::plan(&build(CollectiveKind::AllGather, 256, 611));
     assert_eq!(*cached, direct);
-    let plain =
-        cache::build_cached(CollectiveKind::AllGather, &g, 611, 4).expect("schedule builds");
+    let plain = cache::get::<CommSchedule>(&req, Probe::disabled()).expect("schedule builds");
     assert_eq!(cached.total_transfers, plain.transfer_count());
     assert!(cached.kept_transfers < plain.transfer_count());
 }

@@ -12,8 +12,10 @@ use pimnet_suite::arch::geometry::PimGeometry;
 use pimnet_suite::faults::PermanentFaultSet;
 use pimnet_suite::net::analysis::presets;
 use pimnet_suite::net::collective::CollectiveKind;
-use pimnet_suite::net::schedule::{cache, repair, validate, CommSchedule};
-use pimnet_suite::sim::par;
+use pimnet_suite::net::schedule::cache::{self, ScheduleRequest};
+use pimnet_suite::net::schedule::repair::{self, RepairedSchedule};
+use pimnet_suite::net::schedule::{validate, CommSchedule};
+use pimnet_suite::sim::{par, Probe};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -88,11 +90,11 @@ fn fuzz_style_sampling_is_identical_at_every_worker_count() {
 
 #[test]
 fn cache_hits_are_structurally_equal_to_fresh_builds() {
-    cache::clear();
     let g = PimGeometry::paper_scaled(64);
     for kind in CollectiveKind::ALL {
-        let cold = cache::build_cached(kind, &g, 256, 4).unwrap();
-        let hit = cache::build_cached(kind, &g, 256, 4).unwrap();
+        let req = ScheduleRequest::new(kind, &g, 256, 4);
+        let cold = cache::get::<CommSchedule>(&req, Probe::disabled()).unwrap();
+        let hit = cache::get::<CommSchedule>(&req, Probe::disabled()).unwrap();
         let fresh = CommSchedule::build(kind, &g, 256, 4).unwrap();
         validate::validate(&fresh).unwrap();
         assert_eq!(
@@ -102,7 +104,11 @@ fn cache_hits_are_structurally_equal_to_fresh_builds() {
         assert_eq!(*hit, fresh, "{kind}: cache hit differs from fresh build");
     }
     let faults = PermanentFaultSet::parse_tokens("r0c0b1E,r0c1tx").unwrap();
-    let cached = cache::repair_cached(CollectiveKind::AllReduce, &g, 256, 4, &faults).unwrap();
+    let req = ScheduleRequest {
+        faults: Some(&faults),
+        ..ScheduleRequest::new(CollectiveKind::AllReduce, &g, 256, 4)
+    };
+    let cached = cache::get::<RepairedSchedule>(&req, Probe::disabled()).unwrap();
     let base = CommSchedule::build(CollectiveKind::AllReduce, &g, 256, 4).unwrap();
     let fresh = repair::repair(&base, &faults).unwrap();
     assert_eq!(*cached, fresh, "cached repair differs from fresh repair");
@@ -110,9 +116,10 @@ fn cache_hits_are_structurally_equal_to_fresh_builds() {
 
 #[test]
 fn concurrent_cold_misses_build_each_schedule_once() {
-    cache::clear();
-    cache::reset_stats();
+    // Keys no other test here looks up, counted through this test's own
+    // probe: sibling tests share the process-global cache and counters.
     let g = PimGeometry::paper_scaled(32);
+    let probe = Probe::enabled();
     // 32 concurrent lookups of the same 4 keys from 8 workers.
     let items: Vec<CollectiveKind> = (0..32)
         .map(|i| {
@@ -125,14 +132,15 @@ fn concurrent_cold_misses_build_each_schedule_once() {
         })
         .collect();
     let schedules = par::map_ordered_with(8, items, |kind| {
-        cache::build_cached(kind, &g, 128, 4).unwrap()
+        let req = ScheduleRequest::new(kind, &g, 128, 4);
+        cache::get::<CommSchedule>(&req, &probe).unwrap()
     });
-    let stats = cache::stats();
+    let m = probe.metrics.snapshot();
     assert_eq!(
-        stats.schedules_built, 4,
+        m.cache_misses, 4,
         "in-flight dedup must build each key once"
     );
-    assert_eq!(stats.hits + stats.misses, 32);
+    assert_eq!(m.cache_hits + m.cache_misses, 32);
     // Every lookup of a key observed the same schedule.
     for (i, s) in schedules.iter().enumerate() {
         assert_eq!(**s, *schedules[i % 4], "lookup {i} diverged");

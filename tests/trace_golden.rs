@@ -16,12 +16,17 @@ use std::fs;
 use std::path::PathBuf;
 
 use pimnet_suite::arch::geometry::{DpuId, PimGeometry};
+use pimnet_suite::faults::permanent::PermanentFaultSet;
 use pimnet_suite::net::collective::CollectiveKind;
 use pimnet_suite::net::exec::{ExecMachine, ReduceOp};
-use pimnet_suite::net::schedule::cache;
+use pimnet_suite::net::schedule::autotune::TunedChoice;
+use pimnet_suite::net::schedule::cache::{self, Algo, Proof, ScheduleRequest};
+use pimnet_suite::net::schedule::repair::RepairedSchedule;
+use pimnet_suite::net::schedule::{BoostPlan, CommSchedule, Composition};
+use pimnet_suite::net::serve::{serve_probed, ServeConfig};
 use pimnet_suite::net::timeline::Timeline;
 use pimnet_suite::net::timing::TimingModel;
-use pimnet_suite::sim::trace::{codes, group};
+use pimnet_suite::sim::trace::{code_group, code_name, codes, group};
 use pimnet_suite::sim::{par, MetricsReport, Probe, Trace};
 
 /// The small preset each golden trace captures: one collective over 8
@@ -45,7 +50,8 @@ const KINDS: [(CollectiveKind, &str); 5] = [
 fn capture(kind: CollectiveKind, elems: usize) -> (Trace, MetricsReport) {
     let probe = Probe::enabled();
     let g = PimGeometry::paper_scaled(DPUS);
-    let s = cache::build_cached_probed(kind, &g, elems, 4, &probe).expect("schedule build");
+    let req = ScheduleRequest::new(kind, &g, elems, 4);
+    let s = cache::get::<CommSchedule>(&req, &probe).expect("schedule build");
     let _timeline = Timeline::build_probed(&s, &TimingModel::paper(), &probe);
     let mut m = ExecMachine::init(&s, |id: DpuId| vec![u64::from(id.0) + 1; elems]);
     m.run_probed(&s, ReduceOp::Sum, &probe);
@@ -140,6 +146,155 @@ fn traces_are_byte_identical_between_cold_and_warm_cache_runs() {
             "{kind}: cold run recorded no cache traffic"
         );
     }
+}
+
+/// Drives one fixed sequence of schedule-cache lookups through an enabled
+/// probe: a paper build, its boost plan, a repair at health epochs 0 and
+/// 1 and its delta proof, a composed proof, a tune, and a short serving
+/// window with one autotuned tenant. Every payload size here is unused by
+/// the other tests in this binary, so each lookup's hit or miss is decided
+/// by this sequence alone.
+fn cache_stream(probe: &Probe) {
+    let g = PimGeometry::paper_scaled(DPUS);
+    let kind = CollectiveKind::AllReduce;
+    let faults = PermanentFaultSet::parse_tokens("r0c0b2E").expect("fault token");
+    let comp = Composition::parse("direct_ring_ring").expect("composition spec");
+    let paper = ScheduleRequest::new(kind, &g, 88, 4);
+    cache::get::<CommSchedule>(&paper, probe).expect("paper build");
+    cache::get::<BoostPlan>(&paper, probe).expect("boost plan");
+    for epoch in [0, 1] {
+        let req = ScheduleRequest {
+            faults: Some(&faults),
+            epoch,
+            ..paper
+        };
+        cache::get::<RepairedSchedule>(&req, probe).expect("repair");
+    }
+    let req = ScheduleRequest {
+        faults: Some(&faults),
+        epoch: 1,
+        ..paper
+    };
+    cache::get::<Proof>(&req, probe).expect("repair proof");
+    let req = ScheduleRequest {
+        elems_per_node: 96,
+        algo: Algo::Composed(comp, 1),
+        ..paper
+    };
+    cache::get::<Proof>(&req, probe).expect("composed proof");
+    let req = ScheduleRequest {
+        elems_per_node: 104,
+        algo: Algo::Tuned,
+        ..paper
+    };
+    cache::get::<TunedChoice>(&req, probe).expect("tune");
+
+    let mut cfg = ServeConfig::uniform(1, 7);
+    cfg.horizon_ps = 300_000_000;
+    cfg.chunk_elems = 48;
+    let t = &mut cfg.tenants[0];
+    t.geometry = g;
+    t.elems_per_node = 112;
+    t.autotune = true;
+    serve_probed(&cfg, probe).expect("serve window");
+}
+
+/// The cache- and lint-group events of [`cache_stream`], one
+/// `name,a0,a1,a2,a3` line each, in emission order.
+const CACHE_STREAM: &str = "\
+cache-miss,2,8,88,4
+cache-miss,2,8,88,4
+cache-hit,2,8,88,4
+cache-miss,2,8,88,4
+cache-hit,2,8,88,4
+cache-miss,2,8,88,4
+cache-miss,2,8,88,4
+lint-delta,2,8,0,28
+lint-full,2,8,2,0
+cache-miss,2,8,104,4
+cache-miss,2,8,104,4
+lint-full,2,8,14,0
+cache-hit,2,8,104,4
+lint-full,2,8,2,0
+cache-hit,2,8,104,4
+lint-full,2,8,6,0
+cache-hit,2,8,104,4
+lint-full,2,8,6,0
+cache-hit,2,8,104,4
+lint-full,2,8,28,0
+cache-hit,2,8,104,4
+lint-full,2,8,4,0
+cache-hit,2,8,104,4
+lint-full,2,8,12,0
+cache-hit,2,8,104,4
+lint-full,2,8,12,0
+cache-hit,2,8,104,4
+lint-full,2,8,14,0
+cache-miss,2,8,48,4
+cache-hit,2,8,48,4
+lint-full,2,8,14,0
+cache-hit,2,8,48,4
+lint-full,2,8,2,0
+cache-hit,2,8,48,4
+lint-full,2,8,6,0
+cache-hit,2,8,48,4
+lint-full,2,8,6,0
+cache-hit,2,8,48,4
+lint-full,2,8,28,0
+cache-hit,2,8,48,4
+lint-full,2,8,4,0
+cache-hit,2,8,48,4
+lint-full,2,8,12,0
+cache-hit,2,8,48,4
+lint-full,2,8,12,0
+cache-hit,2,8,48,4
+lint-full,2,8,14,0
+cache-miss,2,8,16,4
+cache-hit,2,8,16,4
+lint-full,2,8,14,0
+cache-hit,2,8,16,4
+lint-full,2,8,2,0
+cache-hit,2,8,16,4
+lint-full,2,8,6,0
+cache-hit,2,8,16,4
+lint-full,2,8,6,0
+cache-hit,2,8,16,4
+lint-full,2,8,28,0
+cache-hit,2,8,16,4
+lint-full,2,8,4,0
+cache-hit,2,8,16,4
+lint-full,2,8,12,0
+cache-hit,2,8,16,4
+lint-full,2,8,12,0
+cache-hit,2,8,16,4
+lint-full,2,8,14,0
+cache-hit,2,8,48,4
+lint-full,2,8,14,0
+cache-hit,2,8,16,4
+";
+
+#[test]
+fn cache_event_stream_is_pinned() {
+    let probe = Probe::enabled();
+    cache_stream(&probe);
+    let trace = probe.trace.drain();
+    assert_eq!(trace.dropped, 0, "cache stream overflowed the ring");
+    let lines: String = trace
+        .events
+        .iter()
+        .filter(|e| matches!(code_group(e.code), group::CACHE | group::LINT))
+        .map(|e| {
+            let [a0, a1, a2, a3] = e.args;
+            format!("{},{a0},{a1},{a2},{a3}\n", code_name(e.code))
+        })
+        .collect();
+    assert_eq!(lines, CACHE_STREAM, "cache/lint event stream drifted");
+    let m = probe.metrics.snapshot();
+    assert_eq!(
+        (m.cache_hits, m.cache_misses),
+        (30, 9),
+        "hit/miss counts drifted"
+    );
 }
 
 #[test]
