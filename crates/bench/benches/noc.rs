@@ -2,8 +2,9 @@
 //! substrate).
 
 use pim_arch::geometry::PimGeometry;
+use pim_faults::FaultInjector;
 use pim_noc::{simulate_credit, simulate_scheduled, NocConfig};
-use pim_sim::SimTime;
+use pim_sim::{Probe, SimTime};
 use pimnet::collective::CollectiveKind;
 use pimnet::schedule::CommSchedule;
 use pimnet_bench::bench;
@@ -18,10 +19,10 @@ fn main() {
         let s = CommSchedule::build(kind, &geo, elems, 4).unwrap();
         let ready = vec![SimTime::ZERO; n as usize];
         bench(&format!("noc/credit/{}", kind.abbrev()), 10, || {
-            simulate_credit(&s, &ready, &cfg)
+            simulate_credit(&s, &ready, &cfg, &FaultInjector::none(), Probe::disabled()).unwrap()
         });
         bench(&format!("noc/scheduled/{}", kind.abbrev()), 10, || {
-            simulate_scheduled(&s, &ready, &cfg)
+            simulate_scheduled(&s, &ready, &cfg, Probe::disabled())
         });
     }
 }

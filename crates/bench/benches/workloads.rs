@@ -38,7 +38,7 @@ fn program_timing() {
     ] {
         let program = w.program(&sys);
         bench(&format!("program/pimnet/{}", w.name()), 20, || {
-            run_program(&program, &sys, &pim).unwrap()
+            run_program(&program, &sys, &pim, pim_sim::Probe::disabled()).unwrap()
         });
     }
 }

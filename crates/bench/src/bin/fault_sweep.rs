@@ -17,8 +17,8 @@
 use pim_arch::geometry::PimGeometry;
 use pim_arch::SystemConfig;
 use pim_faults::{FaultConfig, FaultInjector};
-use pim_noc::{simulate_credit, simulate_credit_faulty, NocConfig};
-use pim_sim::SimTime;
+use pim_noc::{simulate_credit, NocConfig};
+use pim_sim::{Probe, SimTime};
 use pimnet::collective::CollectiveKind;
 use pimnet::resilience::{plan_degraded, DegradedPlan};
 use pimnet::schedule::CommSchedule;
@@ -65,7 +65,14 @@ fn main() {
         let s = CommSchedule::build(kind, &g, ELEMS, 4).expect("schedule");
         let ready = vec![SimTime::ZERO; DPUS as usize];
         let clean_tl = Timeline::build(&s, &timing);
-        let clean_noc = simulate_credit(&s, &ready, &noc_cfg);
+        let clean_noc = simulate_credit(
+            &s,
+            &ready,
+            &noc_cfg,
+            &FaultInjector::none(),
+            Probe::disabled(),
+        )
+        .expect("fault-free credit simulation");
 
         for (ber, straggler) in [
             (0.0, 0.0),
@@ -75,8 +82,10 @@ fn main() {
             (0.10, 0.25),
         ] {
             let inj = scenario(ber, straggler);
-            let tl = Timeline::build_with_faults(&s, &timing, &inj).expect("retry budget");
-            let noc = simulate_credit_faulty(&s, &ready, &noc_cfg, &inj).expect("retry budget");
+            let tl = Timeline::build_with_faults(&s, &timing, &inj, Probe::disabled())
+                .expect("retry budget");
+            let noc = simulate_credit(&s, &ready, &noc_cfg, &inj, Probe::disabled())
+                .expect("retry budget");
             t.row([
                 kind.to_string(),
                 format!("{ber}"),

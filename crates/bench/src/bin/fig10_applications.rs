@@ -39,7 +39,8 @@ fn main() {
                 cells.push("n/a".into());
                 continue;
             }
-            let r = run_program(&program, &sys, b.as_ref()).expect("run");
+            let r =
+                run_program(&program, &sys, b.as_ref(), pim_sim::Probe::disabled()).expect("run");
             cells.push(us(r.total()));
             match b.kind() {
                 BackendKind::Baseline => {

@@ -38,11 +38,18 @@ fn main() {
         for preset in presets {
             let sys = SystemConfig::paper().with_compute(preset);
             let program = w.program(&sys);
-            let base = run_program(&program, &sys, &BaselineHostBackend::new(sys)).unwrap();
+            let base = run_program(
+                &program,
+                &sys,
+                &BaselineHostBackend::new(sys),
+                pim_sim::Probe::disabled(),
+            )
+            .unwrap();
             let pim = run_program(
                 &program,
                 &sys,
                 &PimnetBackend::new(sys, FabricConfig::paper()),
+                pim_sim::Probe::disabled(),
             )
             .unwrap();
             cells.push(x(base.total().ratio(pim.total())));

@@ -5,7 +5,7 @@
 use pim_arch::PimGeometry;
 use pim_noc::traffic::{synthetic_packets, Pattern};
 use pim_noc::{simulate_credit_packets, NocConfig};
-use pim_sim::SimTime;
+use pim_sim::{Probe, SimTime};
 use pimnet_bench::{us, Table};
 
 fn main() {
@@ -26,7 +26,8 @@ fn main() {
     );
     for pattern in Pattern::ALL {
         let packets = synthetic_packets(&g, pattern, 8, 512, 2026);
-        let r = simulate_credit_packets(&packets, &ready, &cfg);
+        let r = simulate_credit_packets(&packets, &ready, &cfg, Probe::disabled())
+            .expect("synthetic traffic is deliverable");
         t.row([
             format!("{pattern:?}"),
             us(r.completion),

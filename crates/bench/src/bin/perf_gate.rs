@@ -15,12 +15,10 @@
 //!
 //! Any byte difference between the runs is a hard failure: determinism
 //! under parallel execution is the contract `pim_sim::par` sells.
-//! The gate also measures the disabled-sink overhead of the
-//! observability layer (plain vs `_probed`-with-disabled-probe pipeline,
-//! interleaved min-of-k) and the fault-free overhead of the runtime
+//! The gate also measures the fault-free overhead of the runtime
 //! recovery manager (plain executor vs `run_recovered` with an inactive
-//! injector), failing when either exceeds 1 % (override with
-//! `PIMNET_TRACE_TOLERANCE`, floored at 0.01), and the incremental
+//! injector, interleaved min-of-k), failing when it exceeds 1 % (override
+//! with `PIMNET_TRACE_TOLERANCE`, floored at 0.01), and the incremental
 //! re-lint speedup on a pinned single-step edit (delta re-verify vs
 //! batch analyzer, byte-identical reports required), failing below 5x
 //! (override with `PIMNET_DELTA_SPEEDUP_FLOOR`).
@@ -56,7 +54,7 @@ const CHAOS_BASE_SEED: u64 = 0xC40;
 /// rounds until the measured overhead drops to `budget` or the rounds
 /// run out.
 ///
-/// The overhead gates are one-sided: they only need evidence that the
+/// The overhead gate is one-sided: it only needs evidence that the
 /// variant *can* run as fast as the plain path, so once the running
 /// minima meet the budget there is nothing left to prove and sampling
 /// stops. Noise can only delay that verdict — a preempted iteration
@@ -91,49 +89,6 @@ fn measured_overhead(budget: f64, mut plain: impl FnMut(), mut variant: impl FnM
     overhead
 }
 
-/// Measures the disabled-sink overhead of the observability layer: the
-/// timeline-build + functional-execution pipeline run through the plain
-/// entry points vs the `_probed` twins holding the disabled probe.
-///
-/// The probed functions short-circuit to their plain bodies when the
-/// probe is inactive, so the true cost is one branch per entry — this
-/// check pins that the "zero-cost when disabled" guarantee stays true as
-/// instrumentation accretes.
-fn trace_overhead(budget: f64) -> f64 {
-    use pim_arch::geometry::PimGeometry;
-    use pim_sim::Probe;
-    use pimnet::exec::{ExecMachine, ReduceOp};
-    use pimnet::timeline::Timeline;
-    use pimnet::timing::TimingModel;
-
-    const ELEMS: usize = 1024;
-    let g = PimGeometry::paper_scaled(64);
-    let req = ScheduleRequest::new(CollectiveKind::AllReduce, &g, ELEMS, 4);
-    let s = cache::get::<CommSchedule>(&req, Probe::disabled())
-        .expect("schedule")
-        .as_ref()
-        .clone();
-    let timing = TimingModel::paper();
-    let off = Probe::disabled();
-
-    let plain = || {
-        let t = Timeline::build(&s, &timing);
-        let mut m = ExecMachine::init(&s, |id| vec![u64::from(id.0) + 1; ELEMS]);
-        m.run(&s, ReduceOp::Sum);
-        std::hint::black_box((t.end, m));
-    };
-    let probed = || {
-        let t = Timeline::build_probed(&s, &timing, off);
-        let mut m = ExecMachine::init(&s, |id| vec![u64::from(id.0) + 1; ELEMS]);
-        m.run_probed(&s, ReduceOp::Sum, off);
-        std::hint::black_box((t.end, m));
-    };
-
-    plain();
-    probed();
-    measured_overhead(budget, plain, probed)
-}
-
 /// Measures the fault-free cost of routing execution through the runtime
 /// recovery manager: the plain cached-plan + executor pipeline vs
 /// `run_recovered` holding an inactive injector.
@@ -141,8 +96,7 @@ fn trace_overhead(budget: f64) -> f64 {
 /// The manager's fast path is one `is_active()` branch plus a planning
 /// call the schedule cache absorbs, so recovery must stay free until
 /// faults actually arrive — this check pins that guarantee as the
-/// manager accretes machinery. Same interleaved min-of-k discipline as
-/// [`trace_overhead`].
+/// manager accretes machinery, timed with [`measured_overhead`].
 fn recovery_overhead(budget: f64) -> f64 {
     use pim_arch::geometry::{DpuId, PimGeometry};
     use pim_faults::FaultInjector;
@@ -179,7 +133,8 @@ fn recovery_overhead(budget: f64) -> f64 {
             timing: &timing,
             config: RecoveryConfig::default(),
         };
-        let out = run_recovered::<u64>(&req, init).expect("fault-free recovery");
+        let out = run_recovered::<u64>(&req, init, pim_sim::Probe::disabled())
+            .expect("fault-free recovery");
         std::hint::black_box(out);
     };
 
@@ -391,23 +346,6 @@ fn main() {
         .and_then(|s| s.parse::<f64>().ok())
         .unwrap_or(0.01)
         .max(0.01);
-    let overhead = trace_overhead(trace_tolerance);
-    println!(
-        "  disabled-sink overhead: {:.2}% (limit {:.0}%)",
-        overhead * 100.0,
-        trace_tolerance * 100.0
-    );
-    if overhead > trace_tolerance {
-        eprintln!(
-            "FAIL: disabled observability sink costs {:.2}% over the plain \
-             path (limit {:.0}%; raise with PIMNET_TRACE_TOLERANCE on noisy \
-             machines)",
-            overhead * 100.0,
-            trace_tolerance * 100.0
-        );
-        std::process::exit(1);
-    }
-
     let recov_overhead = recovery_overhead(trace_tolerance);
     println!(
         "  fault-free recovery overhead: {:.2}% (limit {:.0}%)",
@@ -472,7 +410,6 @@ fn main() {
             "  \"note\": \"parallel speedup omitted: {cores} core(s), {workers} worker(s)\","
         );
     }
-    let _ = writeln!(json, "  \"trace_overhead_frac\": {overhead:.4},");
     let _ = writeln!(json, "  \"recovery_overhead_frac\": {recov_overhead:.4},");
     let _ = writeln!(json, "  \"delta_lint_speedup\": {delta_speedup:.2},");
     let _ = writeln!(json, "  \"serve_requests\": {},", serve.total);

@@ -14,7 +14,7 @@ use pim_arch::geometry::{DpuId, PimGeometry};
 use pim_arch::SystemConfig;
 use pim_faults::{FaultConfig, FaultInjector, FaultTimeline, PermanentFaultRates, TimelineRates};
 use pim_sim::{par, Bandwidth, Bytes, Probe, SimTime};
-use pim_workloads::{run_program, run_program_probed, Workload};
+use pim_workloads::{run_program, Workload};
 use pimnet::backends::{
     BaselineHostBackend, CollectiveBackend, DimmLinkBackend, NdpBridgeBackend, PimnetBackend,
     SoftwareIdealBackend,
@@ -349,7 +349,7 @@ fn recovery_scenario(kind: CollectiveKind, dpus: u32, seed: u64) -> RecoveryOutc
         config: RecoveryConfig::default(),
     };
     let init = |id: DpuId| vec![u64::from(id.0) + 1; RECOVERY_ELEMS];
-    let out = match run_recovered::<u64>(&req, init) {
+    let out = match run_recovered::<u64>(&req, init, Probe::disabled()) {
         Ok(out) => out,
         // The storm left nothing plannable (e.g. every rank sampled
         // dead): a typed end state of its own, not a ladder tier.
@@ -601,7 +601,7 @@ pub fn fig12_best(workers: usize) -> Table {
 /// backend (DIMM-Link, or NDPBridge for All-to-All workloads).
 ///
 /// The breakdown columns are sourced from the [`pim_sim::MetricsReport`]
-/// that [`run_program_probed`] fills — per-tier communication time plus
+/// that [`run_program`] fills — per-tier communication time plus
 /// the sync/mem buckets — rather than from hand-rolled accumulation over
 /// [`pimnet::timing::CommBreakdown`] fields; the metrics sink counts in
 /// exact integer picoseconds, so the output is byte-identical to the
@@ -630,7 +630,7 @@ pub fn fig11_table_for(suite: &[Box<dyn Workload>]) -> Table {
     for w in suite {
         let program = w.program(&sys);
         let probe = Probe::metrics_only();
-        run_program_probed(&program, &sys, &pim, &probe).expect("pimnet run");
+        run_program(&program, &sys, &pim, &probe).expect("pimnet run");
         let r = probe.metrics.snapshot();
         let comm_total = SimTime::from_ps(
             r.comm_time_ps_by_tier.iter().sum::<u64>()
@@ -647,7 +647,8 @@ pub fn fig11_table_for(suite: &[Box<dyn Workload>]) -> Table {
             .contains(&CollectiveKind::AllToAll);
         let (ref_name, reference): (&str, &dyn CollectiveBackend) =
             if uses_a2a { ("N", &ndp) } else { ("D", &dimm) };
-        let reference = run_program(&program, &sys, reference).expect("reference run");
+        let reference =
+            run_program(&program, &sys, reference, Probe::disabled()).expect("reference run");
 
         t.row([
             w.name().to_string(),
@@ -680,7 +681,7 @@ pub fn fig11_table() -> Table {
 /// below pin this).
 #[must_use]
 pub fn fig13_table(workers: usize) -> Table {
-    use pim_noc::{simulate_credit_probed, simulate_scheduled_probed, NocConfig};
+    use pim_noc::{simulate_credit, simulate_scheduled, NocConfig};
     use pim_sim::rng::SimRng;
 
     fn ready_times(n: u32, mean_us: f64, jitter: f64, seed: u64) -> Vec<SimTime> {
@@ -706,9 +707,10 @@ pub fn fig13_table(workers: usize) -> Table {
         let s = cache::get::<CommSchedule>(&req, Probe::disabled()).expect("schedule");
         let ready = ready_times(n, 50.0, 0.10, 0x000F_1613);
         let credit_probe = Probe::metrics_only();
-        let _ = simulate_credit_probed(&s, &ready, &cfg, &credit_probe);
+        simulate_credit(&s, &ready, &cfg, &FaultInjector::none(), &credit_probe)
+            .expect("credit simulation");
         let sched_probe = Probe::metrics_only();
-        let _ = simulate_scheduled_probed(&s, &ready, &cfg, &sched_probe);
+        let _ = simulate_scheduled(&s, &ready, &cfg, &sched_probe);
         let credit = SimTime::from_ps(credit_probe.metrics.snapshot().wall_ps);
         let sched = SimTime::from_ps(sched_probe.metrics.snapshot().wall_ps);
         let gain = 1.0 - sched.as_secs_f64() / credit.as_secs_f64();
@@ -1354,7 +1356,7 @@ mod tests {
         );
         for w in &suite {
             let program = w.program(&sys);
-            let p = run_program(&program, &sys, &pim).unwrap();
+            let p = run_program(&program, &sys, &pim, Probe::disabled()).unwrap();
             let total = p.comm.total();
             let frac = |part: SimTime| pct(part.ratio(total));
             let uses_a2a = program
@@ -1362,7 +1364,7 @@ mod tests {
                 .contains(&CollectiveKind::AllToAll);
             let (ref_name, reference): (&str, &dyn CollectiveBackend) =
                 if uses_a2a { ("N", &ndp) } else { ("D", &dimm) };
-            let r = run_program(&program, &sys, reference).unwrap();
+            let r = run_program(&program, &sys, reference, Probe::disabled()).unwrap();
             t.row([
                 w.name().to_string(),
                 frac(p.comm.inter_bank),
@@ -1418,8 +1420,10 @@ mod tests {
             let req = ScheduleRequest::new(kind, &g, elems, 4);
             let s = cache::get::<CommSchedule>(&req, Probe::disabled()).unwrap();
             let ready = ready_times(n, 50.0, 0.10, 0x000F_1613);
-            let credit = simulate_credit(&s, &ready, &cfg);
-            let sched = simulate_scheduled(&s, &ready, &cfg);
+            let credit =
+                simulate_credit(&s, &ready, &cfg, &FaultInjector::none(), Probe::disabled())
+                    .unwrap();
+            let sched = simulate_scheduled(&s, &ready, &cfg, Probe::disabled());
             let gain = 1.0 - sched.completion.as_secs_f64() / credit.completion.as_secs_f64();
             t.row([
                 kind.to_string(),

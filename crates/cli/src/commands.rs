@@ -368,8 +368,13 @@ fn workload(flags: &Flags) -> Result<(), String> {
             println!("  {:<18} unsupported collective", bk.to_string());
             continue;
         }
-        let r = pim_workloads::program::run_program(&program, &sys, backend.as_ref())
-            .map_err(|e| e.to_string())?;
+        let r = pim_workloads::program::run_program(
+            &program,
+            &sys,
+            backend.as_ref(),
+            Probe::disabled(),
+        )
+        .map_err(|e| e.to_string())?;
         println!("  {:<18} {}", bk.to_string(), r);
     }
     Ok(())
@@ -383,10 +388,12 @@ fn suite() -> Result<(), String> {
     println!("workload suite, PIMnet vs baseline (256 DPUs):");
     for w in pim_workloads::paper_suite() {
         let program = w.program(&sys);
-        let b = pim_workloads::program::run_program(&program, &sys, base.as_ref())
-            .map_err(|e| e.to_string())?;
-        let p = pim_workloads::program::run_program(&program, &sys, pim.as_ref())
-            .map_err(|e| e.to_string())?;
+        let b =
+            pim_workloads::program::run_program(&program, &sys, base.as_ref(), Probe::disabled())
+                .map_err(|e| e.to_string())?;
+        let p =
+            pim_workloads::program::run_program(&program, &sys, pim.as_ref(), Probe::disabled())
+                .map_err(|e| e.to_string())?;
         println!(
             "  {:<10} baseline {:>12}  pimnet {:>12}  speedup {:>7.2}x",
             w.name(),
@@ -525,11 +532,13 @@ fn schedule(flags: &Flags) -> Result<(), String> {
     }
     let probe = metrics_probe(flags);
     if probe.is_active() {
-        let _ = pimnet::timeline::Timeline::build_probed(
+        pimnet::timeline::Timeline::build_with_faults(
             &s,
             &pimnet::timing::TimingModel::paper(),
+            &pim_faults::FaultInjector::none(),
             &probe,
-        );
+        )
+        .map_err(|e| e.to_string())?;
         println!("{}", probe.metrics.snapshot().render());
     }
     Ok(())
@@ -564,9 +573,9 @@ fn noc(flags: &Flags) -> Result<(), String> {
         })
         .collect();
     let probe = metrics_probe(flags);
-    let credit = pim_noc::simulate_credit_faulty_probed(&s, &ready, &cfg, &injector, &probe)
-        .map_err(|e| e.to_string())?;
-    let sched = pim_noc::simulate_scheduled(&s, &ready, &cfg);
+    let credit =
+        pim_noc::simulate_credit(&s, &ready, &cfg, &injector, &probe).map_err(|e| e.to_string())?;
+    let sched = pim_noc::simulate_scheduled(&s, &ready, &cfg, Probe::disabled());
     println!("{kind} on {dpus} DPUs, {elems} elements/DPU, ±10% jitter around {jitter_us} us:");
     println!("  credit-based : {credit}");
     println!(
@@ -690,7 +699,7 @@ fn faults(flags: &Flags) -> Result<(), String> {
     let timing = pimnet::timing::TimingModel::paper();
     let clean = pimnet::timeline::Timeline::build(schedule, &timing);
     let faulty =
-        pimnet::timeline::Timeline::build_with_faults_probed(schedule, &timing, &injector, &probe)
+        pimnet::timeline::Timeline::build_with_faults(schedule, &timing, &injector, &probe)
             .map_err(|e| e.to_string())?;
     let stretch = faulty.end.as_secs_f64() / clean.end.as_secs_f64();
     println!(
@@ -757,7 +766,7 @@ fn repair(flags: &Flags) -> Result<(), String> {
     }
     let s = CommSchedule::build(kind, &g, elems, 4).map_err(|e| e.to_string())?;
     let timing = pimnet::timing::TimingModel::paper();
-    match pimnet::timeline::Timeline::build_repaired_probed(&s, &timing, &faults, &probe) {
+    match pimnet::timeline::Timeline::build_repaired(&s, &timing, &faults, &probe) {
         Ok((timeline, report)) => {
             println!(
                 "  repair: {} rerouted (+{} hops), {} remapped to buddy ports, \
@@ -983,16 +992,11 @@ fn trace_one(
     let s = cache::get::<CommSchedule>(&req, &probe).map_err(|e| e.to_string())?;
     let init = |id: pim_arch::geometry::DpuId| vec![u64::from(id.0) + 1; elems];
     let mut machine = pimnet::exec::ExecMachine::init(&s, init);
-    if injector.is_active() {
-        pimnet::timeline::Timeline::build_with_faults_probed(&s, &timing, injector, &probe)
-            .map_err(|e| e.to_string())?;
-        machine
-            .run_with_faults_probed(&s, pimnet::exec::ReduceOp::Sum, injector, &probe)
-            .map_err(|e| e.to_string())?;
-    } else {
-        let _ = pimnet::timeline::Timeline::build_probed(&s, &timing, &probe);
-        machine.run_probed(&s, pimnet::exec::ReduceOp::Sum, &probe);
-    }
+    pimnet::timeline::Timeline::build_with_faults(&s, &timing, injector, &probe)
+        .map_err(|e| e.to_string())?;
+    machine
+        .run_with_faults_probed(&s, pimnet::exec::ReduceOp::Sum, injector, &probe)
+        .map_err(|e| e.to_string())?;
     Ok((probe.trace.drain(), probe.metrics.snapshot()))
 }
 
@@ -1153,7 +1157,11 @@ fn soak_seed(ctx: &SoakCtx<'_>, seed: u64) -> SoakRow {
         config: pimnet::recovery::RecoveryConfig::default(),
     };
     let elems = ctx.elems;
-    let out = match pimnet::recovery::run_recovered::<u64>(&req, |id| soak_input(id, elems)) {
+    let out = match pimnet::recovery::run_recovered::<u64>(
+        &req,
+        |id| soak_input(id, elems),
+        Probe::disabled(),
+    ) {
         Ok(out) => out,
         // Unplannable outright (e.g. every rank already dead): a typed
         // end state of its own, not a ladder tier.

@@ -14,6 +14,7 @@
 use std::fmt;
 
 use pim_arch::geometry::DpuId;
+use pim_faults::FaultInjector;
 use pim_sim::trace::codes;
 use pim_sim::{Probe, SimTime};
 
@@ -169,58 +170,56 @@ impl<T: Element> ExecMachine<T> {
     /// Runs the schedule to completion with reduction operator `op`.
     ///
     /// Transfers within a step read a snapshot of the pre-step state, since
-    /// they are concurrent in the hardware.
+    /// they are concurrent in the hardware. This is
+    /// [`run_with_faults_probed`](Self::run_with_faults_probed) with no
+    /// faults and nothing to observe.
+    pub fn run<S: ScheduleView>(&mut self, schedule: &S, op: ReduceOp) {
+        if let Err(e) =
+            self.run_with_faults_probed(schedule, op, &FaultInjector::none(), Probe::disabled())
+        {
+            unreachable!("a fault-free run cannot fail: {e}");
+        }
+    }
+
+    /// [`run_with_faults_probed`](Self::run_with_faults_probed) with
+    /// nothing to observe.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`run_with_faults_probed`](Self::run_with_faults_probed).
+    pub fn run_with_faults(
+        &mut self,
+        schedule: &CommSchedule,
+        op: ReduceOp,
+        injector: &FaultInjector,
+    ) -> Result<FaultStats, PimnetError> {
+        self.run_with_faults_probed(schedule, op, injector, Probe::disabled())
+    }
+
+    /// Runs the schedule (in either layout) under a fault scenario: every
+    /// non-local transfer is serialized to its wire image, CRC-checked at
+    /// the receiver, and re-sent (up to the configured retry budget)
+    /// whenever the injector corrupts an attempt.
+    ///
+    /// Because corrupted attempts are always *detected* (the CRC catches
+    /// the injected flip) and the clean re-send carries the original
+    /// payload, a successful faulty run leaves the buffers **bit-identical**
+    /// to the fault-free run — the property `tests/fault_resilience.rs`
+    /// pins down. With an inactive injector no CRC work happens at all.
     ///
     /// The snapshot is staged through a single arena buffer that is reused
     /// across every step of the run (the hot-path equivalent of the
     /// hardware's fixed wire: no per-transfer allocation), so executing a
     /// schedule costs two allocations total instead of two per transfer.
-    pub fn run<S: ScheduleView>(&mut self, schedule: &S, op: ReduceOp) {
-        let mut staging = Staging::default();
-        for p in 0..schedule.phase_count() {
-            for s in 0..schedule.steps_in(p) {
-                staging.snapshot_step(&self.buffers, schedule.step(p, s));
-                staging.apply(&mut self.buffers, op);
-            }
-        }
-    }
-
-    /// [`ExecMachine::run`] plus observation: per-step `exec-step`
-    /// instants, per-transfer `exec-transfer` instants, staging-arena
-    /// reuse counters, and the per-tier injected/delivered byte
-    /// conservation pair. The buffers end bit-identical to `run`.
     ///
-    /// The executor has no simulated clock, so event timestamps are the
-    /// step's **logical ordinal** across the whole schedule — a
-    /// deterministic total order.
-    pub fn run_probed(&mut self, schedule: &CommSchedule, op: ReduceOp, probe: &Probe) {
-        if !probe.is_active() {
-            return self.run(schedule, op);
-        }
-        let mut staging = Staging::default();
-        let mut logical = 0u64;
-        for (pi, phase) in schedule.phases.iter().enumerate() {
-            for (si, step) in phase.steps.iter().enumerate() {
-                let cap_before = staging.arena.capacity();
-                staging.snapshot_step(&self.buffers, StepRef::Nested(step));
-                staging.apply(&mut self.buffers, op);
-                staging.record_step(schedule, (pi, si), cap_before, logical, probe);
-                logical += 1;
-            }
-        }
-    }
-
-    /// Runs the schedule under a fault scenario: every non-local transfer
-    /// is serialized to its wire image, CRC-checked at the receiver, and
-    /// re-sent (up to the configured retry budget) whenever the injector
-    /// corrupts an attempt.
-    ///
-    /// Because corrupted attempts are always *detected* (the CRC catches
-    /// the injected flip) and the clean re-send carries the original
-    /// payload, a successful faulty run leaves the buffers **bit-identical**
-    /// to [`run`](Self::run) — the property `tests/fault_resilience.rs`
-    /// pins down. With an inactive injector this delegates to `run`
-    /// directly and performs no CRC work at all.
+    /// `probe` receives per-step `exec-step` instants, per-transfer
+    /// `exec-transfer` instants, staging-arena reuse counters, the
+    /// per-tier injected/delivered byte conservation pair, one
+    /// `exec-retry` instant per re-send and, under an active injector, the
+    /// run's CRC/corruption/retry counters. The executor has no simulated
+    /// clock, so event timestamps are the step's **logical ordinal**
+    /// across the whole schedule — a deterministic total order. Nothing is
+    /// recorded on the error path beyond the events already emitted.
     ///
     /// # Errors
     ///
@@ -228,86 +227,41 @@ impl<T: Element> ExecMachine<T> {
     ///   schedule should have been degraded first — see `resilience`);
     /// * [`PimnetError::TransferFailed`] if a transfer stays corrupted
     ///   through its whole retry budget.
-    pub fn run_with_faults(
+    pub fn run_with_faults_probed<S: ScheduleView>(
         &mut self,
-        schedule: &CommSchedule,
+        schedule: &S,
         op: ReduceOp,
-        injector: &pim_faults::FaultInjector,
-    ) -> Result<FaultStats, PimnetError> {
-        if !injector.is_active() {
-            self.run(schedule, op);
-            return Ok(FaultStats::default());
-        }
-        if let Some(dead) = schedule.participants().find(|id| injector.is_dead(id.0)) {
-            return Err(PimnetError::DeadDpu { dpu: dead.0 });
-        }
-        let mut stats = FaultStats::default();
-        let mut staging = Staging::default();
-        for (pi, phase) in schedule.phases.iter().enumerate() {
-            for (si, step) in phase.steps.iter().enumerate() {
-                staging.snapshot_step(&self.buffers, StepRef::Nested(step));
-                for (ti, t) in step.transfers.iter().enumerate() {
-                    if !t.is_local() {
-                        stats.transfers += 1;
-                        self.transmit(
-                            staging.transfer_payload(ti),
-                            (pi, si, ti),
-                            injector,
-                            &mut stats,
-                            Probe::disabled(),
-                            0,
-                        )?;
-                    }
-                }
-                staging.apply(&mut self.buffers, op);
-            }
-        }
-        Ok(stats)
-    }
-
-    /// [`ExecMachine::run_with_faults`] plus observation: everything
-    /// [`ExecMachine::run_probed`] records, plus one `exec-retry` instant
-    /// per re-send and the run's CRC/corruption/retry counters. Nothing
-    /// is recorded on the error path beyond the events already emitted.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`ExecMachine::run_with_faults`].
-    pub fn run_with_faults_probed(
-        &mut self,
-        schedule: &CommSchedule,
-        op: ReduceOp,
-        injector: &pim_faults::FaultInjector,
+        injector: &FaultInjector,
         probe: &Probe,
     ) -> Result<FaultStats, PimnetError> {
-        if !probe.is_active() {
-            return self.run_with_faults(schedule, op, injector);
-        }
-        if !injector.is_active() {
-            self.run_probed(schedule, op, probe);
-            return Ok(FaultStats::default());
-        }
-        if let Some(dead) = schedule.participants().find(|id| injector.is_dead(id.0)) {
-            return Err(PimnetError::DeadDpu { dpu: dead.0 });
+        let faulty = injector.is_active();
+        if faulty {
+            let geometry = schedule.header().geometry;
+            if let Some(dead) = geometry.dpus().find(|id| injector.is_dead(id.0)) {
+                return Err(PimnetError::DeadDpu { dpu: dead.0 });
+            }
         }
         let mut stats = FaultStats::default();
         let mut staging = Staging::default();
         let mut logical = 0u64;
-        for (pi, phase) in schedule.phases.iter().enumerate() {
-            for (si, step) in phase.steps.iter().enumerate() {
+        for pi in 0..schedule.phase_count() {
+            for si in 0..schedule.steps_in(pi) {
+                let step = schedule.step(pi, si);
                 let cap_before = staging.arena.capacity();
-                staging.snapshot_step(&self.buffers, StepRef::Nested(step));
-                for (ti, t) in step.transfers.iter().enumerate() {
-                    if !t.is_local() {
-                        stats.transfers += 1;
-                        self.transmit(
-                            staging.transfer_payload(ti),
-                            (pi, si, ti),
-                            injector,
-                            &mut stats,
-                            probe,
-                            logical,
-                        )?;
+                staging.snapshot_step(&self.buffers, step);
+                if faulty {
+                    for (ti, t) in step.transfers().enumerate() {
+                        if !t.is_local() {
+                            stats.transfers += 1;
+                            self.transmit(
+                                staging.transfer_payload(ti),
+                                (pi, si, ti),
+                                injector,
+                                &mut stats,
+                                probe,
+                                logical,
+                            )?;
+                        }
                     }
                 }
                 staging.apply(&mut self.buffers, op);
@@ -315,9 +269,11 @@ impl<T: Element> ExecMachine<T> {
                 logical += 1;
             }
         }
-        probe
-            .metrics
-            .fault_counts(stats.crc_checks, stats.corrupted, stats.retries);
+        if faulty {
+            probe
+                .metrics
+                .fault_counts(stats.crc_checks, stats.corrupted, stats.retries);
+        }
         Ok(stats)
     }
 
@@ -379,7 +335,7 @@ impl<T: Element> ExecMachine<T> {
         &self,
         payload: &[T],
         (pi, si, ti): (usize, usize, usize),
-        injector: &pim_faults::FaultInjector,
+        injector: &FaultInjector,
         stats: &mut FaultStats,
         probe: &Probe,
         logical: u64,
@@ -512,9 +468,9 @@ impl<T: Element> Staging<T> {
     /// deliveries this pass actually queued. The two totals agreeing per
     /// tier is the executor conservation law `tests/metrics_invariants.rs`
     /// checks.
-    fn record_step(
+    fn record_step<S: ScheduleView>(
         &self,
-        schedule: &CommSchedule,
+        schedule: &S,
         (pi, si): (usize, usize),
         cap_before: usize,
         logical: u64,
@@ -523,13 +479,12 @@ impl<T: Element> Staging<T> {
         if !probe.is_active() {
             return;
         }
-        let phase = &schedule.phases[pi];
-        let step = &phase.steps[si];
-        let tier = phase.label.tier_index();
-        let eb = u64::from(schedule.elem_bytes);
+        let step = schedule.step(pi, si);
+        let tier = schedule.phase_label(pi).tier_index();
+        let eb = u64::from(schedule.header().elem_bytes);
         let ts = SimTime::from_ps(logical);
         let mut injected = 0u64;
-        for t in &step.transfers {
+        for t in step.transfers() {
             let bytes = t.src_span.len as u64 * eb;
             injected += bytes * t.dsts.len() as u64;
             probe.trace.instant(
@@ -556,7 +511,7 @@ impl<T: Element> Staging<T> {
         probe.trace.instant(
             ts,
             codes::EXEC_STEP,
-            [pi as u64, si as u64, step.transfers.len() as u64, delivered],
+            [pi as u64, si as u64, step.len() as u64, delivered],
         );
     }
 

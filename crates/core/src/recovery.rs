@@ -336,9 +336,11 @@ fn init_machine<T: Element>(
 }
 
 /// Runs `req` to completion under its time-varying fault scenario,
-/// retrying / replanning / escalating as the timeline unfolds. See the
-/// module docs for the algorithm; [`run_recovered_probed`] is the
-/// observable sibling.
+/// retrying / replanning / escalating as the timeline unfolds (see the
+/// module docs for the algorithm). `probe` receives `recov-*` /
+/// `fault-arrival` trace events (timestamped on the recovery clock) and
+/// the `recovery_*` metrics counters; the outcome is bit-identical
+/// whatever the probe.
 ///
 /// With an **inactive** injector this is a plan + plain execution — the
 /// fault path costs nothing when no faults are configured (`perf_gate`
@@ -350,23 +352,8 @@ fn init_machine<T: Element>(
 /// of faults (unsupported collective, bad geometry). Fault-induced
 /// failures never surface as `Err`: they degrade the outcome's tier and
 /// extend its `error_trail` instead.
-pub fn run_recovered<T: Element>(
-    req: &RecoveryRequest<'_>,
-    init: impl FnMut(DpuId) -> Vec<T>,
-) -> Result<RecoveryOutcome<T>, PimnetError> {
-    run_recovered_probed(req, init, Probe::disabled())
-}
-
-/// [`run_recovered`] plus observation: `recov-*` / `fault-arrival` trace
-/// events (timestamped on the recovery clock) and the `recovery_*`
-/// metrics counters. Disabled-probe results are bit-identical to
-/// [`run_recovered`].
-///
-/// # Errors
-///
-/// Exactly those of [`run_recovered`].
 #[allow(clippy::too_many_lines)]
-pub fn run_recovered_probed<T: Element>(
+pub fn run_recovered<T: Element>(
     req: &RecoveryRequest<'_>,
     mut init: impl FnMut(DpuId) -> Vec<T>,
     probe: &Probe,
@@ -381,7 +368,7 @@ pub fn run_recovered_probed<T: Element>(
             ScheduleRequest::new(req.kind, req.geometry, req.elems_per_node, req.elem_bytes);
         let s = cache::get::<CommSchedule>(&clean, Probe::disabled())?;
         let mut m = init_machine(&s, None, &mut init);
-        m.run_probed(&s, req.op, probe);
+        m.run_with_faults_probed(s.as_ref(), req.op, req.injector, probe)?;
         return Ok(RecoveryOutcome {
             machine: Some(m),
             plan_tier: 0,
@@ -548,7 +535,7 @@ pub fn run_recovered_probed<T: Element>(
                 loop {
                     let barrier_epoch = (epoch << 24) ^ ((pi as u64) << 8) ^ u64::from(round);
                     let attempt = match map.as_deref() {
-                        None => sync.barrier_with_faults_probed(
+                        None => sync.barrier_with_faults(
                             scope,
                             SimTime::ZERO,
                             schedule.participants(),
@@ -556,7 +543,7 @@ pub fn run_recovered_probed<T: Element>(
                             barrier_epoch,
                             probe,
                         ),
-                        Some(m) => sync.barrier_with_faults_probed(
+                        Some(m) => sync.barrier_with_faults(
                             scope,
                             SimTime::ZERO,
                             m.iter().map(|&p| DpuId(p)),
@@ -873,7 +860,7 @@ mod tests {
         let timing = TimingModel::paper();
         let injector = FaultInjector::none();
         let req = request(&g, &system, &timing, &injector);
-        let out = run_recovered(&req, input).unwrap();
+        let out = run_recovered(&req, input, Probe::disabled()).unwrap();
         assert_eq!(out.plan_tier, 0);
         assert_eq!(out.stats, RecoveryStats::default());
         assert_eq!(out.end_ps, 0);
@@ -905,7 +892,7 @@ mod tests {
             ..FaultConfig::none()
         });
         let req = request(&g, &system, &timing, &injector);
-        let out = run_recovered(&req, input).unwrap();
+        let out = run_recovered(&req, input, Probe::disabled()).unwrap();
         assert_eq!(out.plan_tier, 0, "trail: {:?}", out.error_trail);
         assert!(out.stats.step_retries >= 1, "burst never forced a retry");
         assert!(out.stats.backoff_ps >= 6_000_000);
@@ -936,7 +923,7 @@ mod tests {
         });
         let req = request(&g, &system, &timing, &injector);
         let probe = Probe::enabled();
-        let out = run_recovered_probed(&req, input, &probe).unwrap();
+        let out = run_recovered(&req, input, &probe).unwrap();
         assert!(out.stats.quarantines >= 1, "flaky link never quarantined");
         assert!(out.stats.replans >= 1, "quarantine did not force a replan");
         assert!(out.plan_tier >= 1, "replan cannot keep the full schedule");
@@ -992,7 +979,7 @@ mod tests {
         });
         let req = request(&g, &system, &timing, &injector);
         let probe = Probe::enabled();
-        let out = run_recovered_probed(&req, input, &probe).unwrap();
+        let out = run_recovered(&req, input, &probe).unwrap();
         assert_eq!(out.stats.arrivals_applied, 1);
         assert!(out.stats.replans >= 1, "arrival never invalidated the plan");
         assert!(out.stats.final_epoch >= 1);
@@ -1023,7 +1010,7 @@ mod tests {
             ..FaultConfig::none()
         });
         let req = request(&g, &system, &timing, &injector);
-        let out = run_recovered(&req, input).unwrap();
+        let out = run_recovered(&req, input, Probe::disabled()).unwrap();
         assert_eq!(out.plan_tier, 3);
         assert!(out.machine.is_none());
         assert!(out
@@ -1062,7 +1049,7 @@ mod tests {
             let injector = FaultInjector::new(cfg.clone());
             let req = request(&g, &system, &timing, &injector);
             let probe = Probe::enabled();
-            let out = run_recovered_probed(&req, input, &probe).unwrap();
+            let out = run_recovered(&req, input, &probe).unwrap();
             let buffers: Vec<Vec<u64>> = match (&out.machine, reference().0.participants()) {
                 (Some(m), ids) => ids.map(|id| m.buffer(id).to_vec()).collect(),
                 (None, _) => Vec::new(),

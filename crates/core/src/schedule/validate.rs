@@ -117,6 +117,16 @@ fn check_transfer(
     if t.dsts.is_empty() {
         return Err(invalid(format!("{ctx}: transfer with no destination")));
     }
+    // Every later rule looks coordinates up, which needs ids in range.
+    let dpus = g.total_dpus();
+    if let Some(id) = std::iter::once(&t.src)
+        .chain(&t.dsts)
+        .find(|id| id.0 >= dpus)
+    {
+        return Err(invalid(format!(
+            "{ctx}: {id} out of range for a {dpus}-DPU geometry"
+        )));
+    }
     if t.src_span.len != t.dst_span.len {
         return Err(invalid(format!("{ctx}: span length mismatch")));
     }
@@ -396,6 +406,39 @@ mod tests {
             }
         }
         panic!("no transfer found to corrupt");
+    }
+
+    /// The first fabric transfer of an AllReduce over 8 DPUs, rewritten by
+    /// `corrupt`; validating it (directly or before execution) must be a
+    /// typed error, not a coordinate-lookup panic.
+    fn assert_out_of_range_is_rejected(corrupt: impl FnOnce(&mut Transfer)) {
+        use crate::exec::{run_collective, ReduceOp};
+        use pim_arch::geometry::DpuId;
+        let g = PimGeometry::paper_scaled(8);
+        let mut s = build(CollectiveKind::AllReduce, &g, 64);
+        let t = s
+            .phases
+            .iter_mut()
+            .flat_map(|p| &mut p.steps)
+            .flat_map(|st| &mut st.transfers)
+            .find(|t| !t.is_local())
+            .expect("non-local transfer");
+        corrupt(t);
+        let err = validate(&s).unwrap_err();
+        assert!(matches!(err, PimnetError::ScheduleInvalid { .. }), "{err}");
+        assert!(err.to_string().contains("out of range"), "{err}");
+        let ran = run_collective(&s, ReduceOp::Sum, |id: DpuId| vec![u64::from(id.0); 64]);
+        assert!(matches!(ran, Err(PimnetError::ScheduleInvalid { .. })));
+    }
+
+    #[test]
+    fn out_of_range_source_is_rejected() {
+        assert_out_of_range_is_rejected(|t| t.src = pim_arch::geometry::DpuId(8));
+    }
+
+    #[test]
+    fn out_of_range_destination_is_rejected() {
+        assert_out_of_range_is_rejected(|t| t.dsts = vec![pim_arch::geometry::DpuId(8)]);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!   host fallback ([`OverloadThresholds`]);
 //! * **fault-storm composition** — with an active [`FaultConfig`] the
 //!   dispatch path runs each request through
-//!   [`crate::recovery::run_recovered_probed`] against the storm
+//!   [`crate::recovery::run_recovered`] against the storm
 //!   timeline rebased to the request's own start time
 //!   ([`pim_faults::FaultTimeline::shifted`]); tenants whose requests
 //!   repeatedly fail are quarantined with probation hysteresis.
@@ -53,7 +53,7 @@ use crate::collective::{CollectiveKind, CollectiveSpec};
 use crate::error::PimnetError;
 use crate::exec::ReduceOp;
 use crate::fabric::FabricConfig;
-use crate::recovery::{run_recovered_probed, RecoveryConfig, RecoveryRequest};
+use crate::recovery::{run_recovered, RecoveryConfig, RecoveryRequest};
 use crate::schedule::cache::{self, Algo, Proof, ScheduleRequest};
 use crate::schedule::CommSchedule;
 use crate::timing::TimingModel;
@@ -1060,7 +1060,7 @@ impl Engine<'_> {
             config: self.cfg.recovery,
         };
         let seed = self.cfg.seed;
-        let outcome = run_recovered_probed(
+        let outcome = run_recovered(
             &rreq,
             |id: DpuId| -> Vec<u64> {
                 (0..req.elems)

@@ -20,7 +20,6 @@ use pim_sim::{Probe, SimTime};
 
 use crate::error::PimnetError;
 use crate::fabric::FabricConfig;
-use crate::schedule::ScheduleView;
 
 /// How far a collective's participants extend across the hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -98,25 +97,9 @@ impl SyncModel {
         self.one_way(scope) * 2 + skew
     }
 
-    /// [`SyncModel::barrier`] for a schedule in either layout, deriving
-    /// the scope from the schedule's geometry.
-    #[must_use]
-    pub fn barrier_for<S: ScheduleView>(&self, schedule: &S, skew: SimTime) -> SimTime {
-        self.barrier(SyncScope::of_geometry(schedule.header().geometry), skew)
-    }
-
-    /// [`SyncModel::barrier`] plus observation: emits one `barrier` span
-    /// and adds its cost to the metrics.
-    #[must_use]
-    pub fn barrier_probed(&self, scope: SyncScope, skew: SimTime, probe: &Probe) -> SimTime {
-        let cost = self.barrier(scope, skew);
-        self.record_barrier(scope, cost, skew, probe);
-        cost
-    }
-
-    /// Records an already-computed barrier of `cost` (used by the probed
-    /// timeline builders, which learn the barrier cost from the built
-    /// timeline): a `barrier` span starting at simulated time zero.
+    /// Records an already-computed barrier of `cost` (used by the timeline
+    /// builder and the scheduled NoC playback, which price the barrier
+    /// themselves): a `barrier` span starting at simulated time zero.
     pub fn record_barrier(&self, scope: SyncScope, cost: SimTime, skew: SimTime, probe: &Probe) {
         if !probe.is_active() {
             return;
@@ -151,6 +134,10 @@ impl SyncModel {
     /// identifies the barrier instance so each collective re-rolls its
     /// stragglers.
     ///
+    /// On success, `probe` receives one `straggler` instant per delayed
+    /// participant (in participant order) and the `barrier` span; nothing
+    /// is recorded on the error path.
+    ///
     /// # Errors
     ///
     /// [`PimnetError::SyncTimeout`] when a dead participant means the
@@ -163,18 +150,26 @@ impl SyncModel {
         participants: impl Iterator<Item = DpuId>,
         injector: &FaultInjector,
         epoch: u64,
+        probe: &Probe,
     ) -> Result<SimTime, PimnetError> {
         if !injector.is_active() {
-            return Ok(self.barrier(scope, skew));
+            let total = self.barrier(scope, skew);
+            self.record_barrier(scope, total, skew, probe);
+            return Ok(total);
         }
         let timeout_ns = injector.config().effective_watchdog_ns();
         let mut missing = Vec::new();
         let mut straggle_ns = 0u64;
+        let mut stragglers = Vec::new();
         for id in participants {
             if injector.is_dead(id.0) {
                 missing.push(id.0);
-            } else {
-                straggle_ns = straggle_ns.max(injector.straggler_delay_ns(id.0, epoch));
+                continue;
+            }
+            let delay_ns = injector.straggler_delay_ns(id.0, epoch);
+            straggle_ns = straggle_ns.max(delay_ns);
+            if delay_ns > 0 && probe.is_active() {
+                stragglers.push((id, delay_ns));
             }
         }
         if !missing.is_empty() {
@@ -190,43 +185,13 @@ impl SyncModel {
                 missing: Vec::new(),
             });
         }
-        Ok(total)
-    }
-
-    /// [`SyncModel::barrier_with_faults`] plus observation: on success,
-    /// emits one `straggler` instant per delayed participant (in
-    /// participant order) and the `barrier` span.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`SyncModel::barrier_with_faults`]; nothing is
-    /// recorded on the error path.
-    pub fn barrier_with_faults_probed(
-        &self,
-        scope: SyncScope,
-        skew: SimTime,
-        participants: impl Iterator<Item = DpuId>,
-        injector: &FaultInjector,
-        epoch: u64,
-        probe: &Probe,
-    ) -> Result<SimTime, PimnetError> {
-        if !probe.is_active() {
-            return self.barrier_with_faults(scope, skew, participants, injector, epoch);
-        }
-        let ids: Vec<DpuId> = participants.collect();
-        let total = self.barrier_with_faults(scope, skew, ids.iter().copied(), injector, epoch)?;
-        if injector.is_active() {
-            for id in &ids {
-                let delay_ns = injector.straggler_delay_ns(id.0, epoch);
-                if delay_ns > 0 {
-                    probe.trace.instant(
-                        SimTime::ZERO,
-                        codes::STRAGGLER,
-                        [u64::from(id.0), delay_ns, 0, 0],
-                    );
-                    probe.metrics.straggler(delay_ns);
-                }
-            }
+        for (id, delay_ns) in stragglers {
+            probe.trace.instant(
+                SimTime::ZERO,
+                codes::STRAGGLER,
+                [u64::from(id.0), delay_ns, 0, 0],
+            );
+            probe.metrics.straggler(delay_ns);
         }
         self.record_barrier(scope, total, skew, probe);
         Ok(total)
@@ -242,6 +207,18 @@ impl Default for SyncModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The faulty barrier of 8 chip-scope participants at epoch 0.
+    fn chip_barrier(m: &SyncModel, inj: &FaultInjector) -> Result<SimTime, PimnetError> {
+        m.barrier_with_faults(
+            SyncScope::Chip,
+            SimTime::ZERO,
+            (0..8).map(DpuId),
+            inj,
+            0,
+            Probe::disabled(),
+        )
+    }
 
     #[test]
     fn channel_scope_is_the_paper_worst_case() {
@@ -283,6 +260,7 @@ mod tests {
                 ids,
                 &FaultInjector::none(),
                 0,
+                Probe::disabled(),
             )
             .unwrap();
         assert_eq!(t, m.barrier(SyncScope::Chip, SimTime::ZERO));
@@ -301,15 +279,11 @@ mod tests {
             .with_seed(4),
         );
         let clean = m.barrier(SyncScope::Chip, SimTime::ZERO);
-        let faulty = m
-            .barrier_with_faults(SyncScope::Chip, SimTime::ZERO, (0..8).map(DpuId), &inj, 0)
-            .unwrap();
+        let faulty = chip_barrier(&m, &inj).unwrap();
         assert!(faulty > clean);
         assert!(faulty <= clean + SimTime::from_ns(500));
         // Deterministic for the seed/epoch.
-        let again = m
-            .barrier_with_faults(SyncScope::Chip, SimTime::ZERO, (0..8).map(DpuId), &inj, 0)
-            .unwrap();
+        let again = chip_barrier(&m, &inj).unwrap();
         assert_eq!(faulty, again);
     }
 
@@ -321,9 +295,7 @@ mod tests {
             dead_dpus: vec![3, 6],
             ..FaultConfig::none()
         });
-        let err = m
-            .barrier_with_faults(SyncScope::Chip, SimTime::ZERO, (0..8).map(DpuId), &inj, 0)
-            .unwrap_err();
+        let err = chip_barrier(&m, &inj).unwrap_err();
         match err {
             PimnetError::SyncTimeout { missing, .. } => assert_eq!(missing, vec![3, 6]),
             other => panic!("expected SyncTimeout, got {other:?}"),
@@ -343,9 +315,7 @@ mod tests {
             }
             .with_seed(4),
         );
-        let err = m
-            .barrier_with_faults(SyncScope::Chip, SimTime::ZERO, (0..8).map(DpuId), &inj, 0)
-            .unwrap_err();
+        let err = chip_barrier(&m, &inj).unwrap_err();
         match err {
             PimnetError::SyncTimeout {
                 missing,
@@ -370,18 +340,13 @@ mod tests {
         .with_seed(4);
         // Default (1 ms) watchdog: the straggler-stretched barrier closes.
         let inj = FaultInjector::new(base.clone());
-        assert!(m
-            .barrier_with_faults(SyncScope::Chip, SimTime::ZERO, (0..8).map(DpuId), &inj, 0)
-            .is_ok());
+        assert!(chip_barrier(&m, &inj).is_ok());
         // A 10 ns watchdog expressed in picoseconds trips it.
         let inj = FaultInjector::new(FaultConfig {
             watchdog_ps: Some(10_000),
             ..base
         });
-        match m
-            .barrier_with_faults(SyncScope::Chip, SimTime::ZERO, (0..8).map(DpuId), &inj, 0)
-            .unwrap_err()
-        {
+        match chip_barrier(&m, &inj).unwrap_err() {
             PimnetError::SyncTimeout { timeout_ns, .. } => assert_eq!(timeout_ns, 10),
             other => panic!("expected SyncTimeout, got {other:?}"),
         }

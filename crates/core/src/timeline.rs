@@ -18,7 +18,7 @@ use pim_arch::geometry::DpuId;
 
 use crate::error::PimnetError;
 use crate::schedule::{CommSchedule, PhaseLabel, ScheduleView};
-use crate::sync::SyncModel;
+use crate::sync::{SyncModel, SyncScope};
 use crate::timing::TimingModel;
 use crate::topology::Resource;
 
@@ -58,52 +58,17 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// Builds the timeline of `schedule` (in either layout) under `timing`.
+    /// Builds the fault-free timeline of `schedule` (in either layout)
+    /// under `timing`: [`Timeline::build_with_faults`] with no faults and
+    /// nothing to observe.
     #[must_use]
     pub fn build<S: ScheduleView>(schedule: &S, timing: &TimingModel) -> Timeline {
-        let hdr = schedule.header();
-        let sync = SyncModel::from_fabric(&timing.fabric).barrier_for(schedule, SimTime::ZERO);
-        let mut cursor = sync;
-        let mut windows = Vec::with_capacity(schedule.view_transfer_count());
-        for pi in 0..schedule.phase_count() {
-            let label = schedule.phase_label(pi);
-            for si in 0..schedule.steps_in(pi) {
-                let step = schedule.step(pi, si);
-                let step_time = timing.step_time_of(hdr.elem_bytes, step);
-                for t in step.transfers() {
-                    if t.is_local() {
-                        continue;
-                    }
-                    let bytes = t.bytes(hdr.elem_bytes);
-                    // Stand-alone serialization through the slowest hop.
-                    let dur = t
-                        .resources
-                        .iter()
-                        .map(|r| r.bandwidth(&timing.fabric).transfer_time(bytes))
-                        .max()
-                        .unwrap_or(SimTime::ZERO);
-                    windows.push(TransferWindow {
-                        phase: pi,
-                        label,
-                        step: si,
-                        src: t.src,
-                        dsts: t.dsts.to_vec(),
-                        bytes: bytes.as_u64(),
-                        start: cursor,
-                        end: (cursor + dur).min(cursor + step_time),
-                    });
-                }
-                cursor += step_time;
-            }
-        }
-        Timeline {
-            sync,
-            windows,
-            end: cursor,
-        }
+        Timeline::build_with_faults(schedule, timing, &FaultInjector::none(), Probe::disabled())
+            .unwrap_or_else(|e| unreachable!("a fault-free timeline cannot fail: {e}"))
     }
 
-    /// Builds the timeline under a fault scenario.
+    /// Builds the timeline of `schedule` (in either layout) under a fault
+    /// scenario.
     ///
     /// Three fault effects show up in the timing:
     ///
@@ -116,82 +81,26 @@ impl Timeline {
     /// * **dead DPUs** make the plan untimeable — the caller must degrade
     ///   the schedule first (`resilience`).
     ///
-    /// With an inactive injector this is exactly [`Timeline::build`] —
-    /// the fault-free path costs nothing and changes nothing.
+    /// With an inactive injector this is the fault-free timeline.
+    ///
+    /// On success, `probe` receives the `barrier` span, one `transfer`
+    /// span per window, per-tier wire-byte and link-busy counters, the
+    /// completion watermark, one `straggler` instant per delayed
+    /// participant and one `retry` instant per serialized re-send (at the
+    /// stretched window's start). Nothing is recorded on the error path.
     ///
     /// # Errors
     ///
     /// * [`PimnetError::DeadDpu`] if a participant is hard-dead;
     /// * [`PimnetError::TransferFailed`] if a transfer's retry budget is
     ///   exhausted at the configured error rate.
-    pub fn build_with_faults(
-        schedule: &CommSchedule,
+    pub fn build_with_faults<S: ScheduleView>(
+        schedule: &S,
         timing: &TimingModel,
         injector: &FaultInjector,
+        probe: &Probe,
     ) -> Result<Timeline, PimnetError> {
-        if !injector.is_active() {
-            return Ok(Timeline::build(schedule, timing));
-        }
-        if let Some(dead) = schedule.participants().find(|id| injector.is_dead(id.0)) {
-            return Err(PimnetError::DeadDpu { dpu: dead.0 });
-        }
-        let straggle_ns = schedule
-            .participants()
-            .map(|id| injector.straggler_delay_ns(id.0, 0))
-            .max()
-            .unwrap_or(0);
-        let sync = SyncModel::from_fabric(&timing.fabric)
-            .barrier(timing.scope_of(schedule), SimTime::from_ns(straggle_ns));
-        let mut cursor = sync;
-        let mut windows = Vec::with_capacity(schedule.transfer_count());
-        for (pi, phase) in schedule.phases.iter().enumerate() {
-            for (si, step) in phase.steps.iter().enumerate() {
-                let base = timing.step_time(schedule, step);
-                // The step ends when its slowest retry chain does.
-                let mut stretch = SimTime::ZERO;
-                for (ti, t) in step.transfers.iter().enumerate() {
-                    if t.is_local() {
-                        continue;
-                    }
-                    let corrupted = injector
-                        .attempts_before_success(pi as u64, si as u64, ti as u64)
-                        .ok_or(PimnetError::TransferFailed {
-                            phase: pi,
-                            step: si,
-                            transfer: ti,
-                            attempts: injector.config().max_retries + 1,
-                        })?;
-                    let bytes = t.bytes(schedule.elem_bytes);
-                    let dur = t
-                        .resources
-                        .iter()
-                        .map(|r| r.bandwidth(&timing.fabric).transfer_time(bytes))
-                        .max()
-                        .unwrap_or(SimTime::ZERO);
-                    let backoff = SimTime::from_ns(injector.total_backoff_ns(corrupted));
-                    let extra = dur * u64::from(corrupted) + backoff;
-                    stretch = stretch.max(extra);
-                    let step_end_bound = cursor + base + extra;
-                    windows.push(TransferWindow {
-                        phase: pi,
-                        label: phase.label,
-                        step: si,
-                        src: t.src,
-                        dsts: t.dsts.clone(),
-                        bytes: bytes.as_u64(),
-                        start: cursor,
-                        end: (cursor + dur * u64::from(corrupted + 1) + backoff)
-                            .min(step_end_bound),
-                    });
-                }
-                cursor += base + stretch;
-            }
-        }
-        Ok(Timeline {
-            sync,
-            windows,
-            end: cursor,
-        })
+        Timeline::walk(schedule, timing, injector, SimTime::ZERO, probe)
     }
 
     /// Repairs `schedule` around a permanent-fault scenario, then builds
@@ -200,6 +109,9 @@ impl Timeline {
     /// one-way per serialization step the repair inserted).
     ///
     /// With an empty fault set this is exactly [`Timeline::build`].
+    /// `probe` receives one `repair-overhead` instant when the repair
+    /// changed anything, then everything [`Timeline::build_with_faults`]
+    /// records, over the repaired schedule.
     ///
     /// # Errors
     ///
@@ -210,100 +122,11 @@ impl Timeline {
         schedule: &CommSchedule,
         timing: &TimingModel,
         faults: &pim_faults::permanent::PermanentFaultSet,
-    ) -> Result<(Timeline, crate::schedule::repair::RepairReport), PimnetError> {
-        let repaired = crate::schedule::repair::repair(schedule, faults)?;
-        let mut t = Timeline::build(&repaired.schedule, timing);
-        let overhead =
-            SyncModel::from_fabric(&timing.fabric).repair_overhead(repaired.report.extra_steps);
-        if overhead > SimTime::ZERO {
-            t.sync += overhead;
-            for w in &mut t.windows {
-                w.start += overhead;
-                w.end += overhead;
-            }
-            t.end += overhead;
-        }
-        Ok((t, repaired.report))
-    }
-
-    /// [`Timeline::build`] plus observation: emits the `barrier` span,
-    /// one `transfer` span per window, per-tier wire-byte and link-busy
-    /// counters, and the completion watermark. The timeline itself is
-    /// bit-identical to the un-probed build.
-    #[must_use]
-    pub fn build_probed(schedule: &CommSchedule, timing: &TimingModel, probe: &Probe) -> Timeline {
-        let t = Timeline::build(schedule, timing);
-        if probe.is_active() {
-            t.record(schedule, timing, SimTime::ZERO, probe);
-        }
-        t
-    }
-
-    /// [`Timeline::build_with_faults`] plus observation: everything
-    /// [`Timeline::build_probed`] records, plus one `straggler` instant
-    /// per delayed participant and one `retry` instant per serialized
-    /// re-send (at the stretched window's start). Nothing is recorded on
-    /// the error path.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`Timeline::build_with_faults`].
-    pub fn build_with_faults_probed(
-        schedule: &CommSchedule,
-        timing: &TimingModel,
-        injector: &FaultInjector,
-        probe: &Probe,
-    ) -> Result<Timeline, PimnetError> {
-        if !probe.is_active() {
-            return Timeline::build_with_faults(schedule, timing, injector);
-        }
-        let t = Timeline::build_with_faults(schedule, timing, injector)?;
-        let skew_ns = if injector.is_active() {
-            schedule
-                .participants()
-                .map(|id| injector.straggler_delay_ns(id.0, 0))
-                .max()
-                .unwrap_or(0)
-        } else {
-            0
-        };
-        t.record(schedule, timing, SimTime::from_ns(skew_ns), probe);
-        if injector.is_active() {
-            t.record_fault_events(schedule, injector, probe);
-        }
-        Ok(t)
-    }
-
-    /// [`Timeline::build_repaired`] plus observation: everything
-    /// [`Timeline::build_probed`] records (over the *repaired* schedule),
-    /// plus one `repair-overhead` instant when the repair inserted steps.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`Timeline::build_repaired`].
-    pub fn build_repaired_probed(
-        schedule: &CommSchedule,
-        timing: &TimingModel,
-        faults: &pim_faults::permanent::PermanentFaultSet,
         probe: &Probe,
     ) -> Result<(Timeline, crate::schedule::repair::RepairReport), PimnetError> {
-        if !probe.is_active() {
-            return Timeline::build_repaired(schedule, timing, faults);
-        }
-        // Mirror of `build_repaired`, keeping the repaired schedule in
-        // scope so the recording pass can attribute link-busy time to it.
         let repaired = crate::schedule::repair::repair(schedule, faults)?;
-        let mut t = Timeline::build(&repaired.schedule, timing);
         let overhead =
             SyncModel::from_fabric(&timing.fabric).repair_overhead(repaired.report.extra_steps);
-        if overhead > SimTime::ZERO {
-            t.sync += overhead;
-            for w in &mut t.windows {
-                w.start += overhead;
-                w.end += overhead;
-            }
-            t.end += overhead;
-        }
         if overhead > SimTime::ZERO || !repaired.report.is_identity() {
             probe.trace.instant(
                 SimTime::ZERO,
@@ -311,20 +134,126 @@ impl Timeline {
                 [repaired.report.extra_steps as u64, overhead.as_ps(), 0, 0],
             );
         }
-        t.record(&repaired.schedule, timing, SimTime::ZERO, probe);
+        let t = Timeline::walk(
+            &repaired.schedule,
+            timing,
+            &FaultInjector::none(),
+            overhead,
+            probe,
+        )?;
         Ok((t, repaired.report))
     }
 
-    /// Records this built timeline into `probe`: barrier, transfer
-    /// windows, per-tier byte/busy counters, completion watermark.
-    fn record(&self, schedule: &CommSchedule, timing: &TimingModel, skew: SimTime, probe: &Probe) {
-        SyncModel::from_fabric(&timing.fabric).record_barrier(
-            timing.scope_of(schedule),
-            self.sync,
-            skew,
-            probe,
-        );
-        for w in &self.windows {
+    /// The window loop behind every builder: walks the schedule once,
+    /// pricing each transfer under `injector`, with `lead` of
+    /// control-plane time charged ahead of the first step. What `probe`
+    /// needs beyond the windows (per-link busy time, delayed
+    /// participants, retried transfers) is gathered in the same walk and
+    /// recorded only once the build has succeeded.
+    fn walk<S: ScheduleView>(
+        schedule: &S,
+        timing: &TimingModel,
+        injector: &FaultInjector,
+        lead: SimTime,
+        probe: &Probe,
+    ) -> Result<Timeline, PimnetError> {
+        let hdr = schedule.header();
+        let faulty = injector.is_active();
+        let observe = probe.is_active();
+        let mut straggle_ns = 0u64;
+        let mut stragglers: Vec<(u32, u64)> = Vec::new();
+        if faulty {
+            if let Some(dead) = hdr.geometry.dpus().find(|id| injector.is_dead(id.0)) {
+                return Err(PimnetError::DeadDpu { dpu: dead.0 });
+            }
+            for id in hdr.geometry.dpus() {
+                let delay_ns = injector.straggler_delay_ns(id.0, 0);
+                straggle_ns = straggle_ns.max(delay_ns);
+                if delay_ns > 0 && observe {
+                    stragglers.push((id.0, delay_ns));
+                }
+            }
+        }
+        let skew = SimTime::from_ns(straggle_ns);
+        let scope = SyncScope::of_geometry(hdr.geometry);
+        let sync_model = SyncModel::from_fabric(&timing.fabric);
+        let sync = sync_model.barrier(scope, skew) + lead;
+
+        // Fault-free serialization occupancy per link. Each step lasts at
+        // least its busiest link's occupancy, so every per-link sum is ≤
+        // end-to-end wall time (`tests/metrics_invariants.rs`).
+        let mut busy: HashMap<Resource, u64> = HashMap::new();
+        // `(phase, step, transfer, re-sends, window start)` per retried
+        // transfer, in schedule order.
+        let mut retries: Vec<(usize, usize, usize, u32, SimTime)> = Vec::new();
+        let mut cursor = sync;
+        let mut windows = Vec::with_capacity(schedule.view_transfer_count());
+        for pi in 0..schedule.phase_count() {
+            let label = schedule.phase_label(pi);
+            for si in 0..schedule.steps_in(pi) {
+                let step = schedule.step(pi, si);
+                let base = timing.step_time_of(hdr.elem_bytes, step);
+                // The step ends when its slowest retry chain does.
+                let mut stretch = SimTime::ZERO;
+                for (ti, t) in step.transfers().enumerate() {
+                    if t.is_local() {
+                        continue;
+                    }
+                    let bytes = t.bytes(hdr.elem_bytes);
+                    // Stand-alone serialization through the slowest hop.
+                    let mut dur = SimTime::ZERO;
+                    for r in t.resources {
+                        let ser = r.bandwidth(&timing.fabric).transfer_time(bytes);
+                        dur = dur.max(ser);
+                        if observe {
+                            *busy.entry(*r).or_insert(0) += ser.as_ps();
+                        }
+                    }
+                    let (corrupted, backoff) = if faulty {
+                        let corrupted = injector
+                            .attempts_before_success(pi as u64, si as u64, ti as u64)
+                            .ok_or(PimnetError::TransferFailed {
+                                phase: pi,
+                                step: si,
+                                transfer: ti,
+                                attempts: injector.config().max_retries + 1,
+                            })?;
+                        let backoff = SimTime::from_ns(injector.total_backoff_ns(corrupted));
+                        (corrupted, backoff)
+                    } else {
+                        (0, SimTime::ZERO)
+                    };
+                    let extra = dur * u64::from(corrupted) + backoff;
+                    stretch = stretch.max(extra);
+                    if corrupted > 0 && observe {
+                        retries.push((pi, si, ti, corrupted, cursor));
+                    }
+                    windows.push(TransferWindow {
+                        phase: pi,
+                        label,
+                        step: si,
+                        src: t.src,
+                        dsts: t.dsts.to_vec(),
+                        bytes: bytes.as_u64(),
+                        start: cursor,
+                        end: (cursor + dur * u64::from(corrupted + 1) + backoff)
+                            .min(cursor + base + extra),
+                    });
+                }
+                cursor += base + stretch;
+            }
+        }
+        let t = Timeline {
+            sync,
+            windows,
+            end: cursor,
+        };
+        if !observe {
+            return Ok(t);
+        }
+
+        sync_model.record_barrier(scope, t.sync, skew, probe);
+        for w in &t.windows {
             let tier = w.label.tier_index();
             probe.trace.span(
                 w.start,
@@ -339,84 +268,37 @@ impl Timeline {
             );
             probe.metrics.wire_transfer(tier, w.bytes);
         }
-        if probe.metrics.is_enabled() {
-            // Fault-free serialization occupancy per link. Each step lasts
-            // at least its busiest link's occupancy, so every per-link sum
-            // is ≤ end-to-end wall time (`tests/metrics_invariants.rs`).
-            let mut busy: HashMap<Resource, u64> = HashMap::new();
-            for phase in &schedule.phases {
-                for step in &phase.steps {
-                    for t in &step.transfers {
-                        if t.is_local() {
-                            continue;
-                        }
-                        let bytes = t.bytes(schedule.elem_bytes);
-                        for r in &t.resources {
-                            *busy.entry(*r).or_insert(0) +=
-                                r.bandwidth(&timing.fabric).transfer_time(bytes).as_ps();
-                        }
-                    }
-                }
-            }
-            let mut by_tier = [0u64; pim_sim::metrics::TIERS];
-            let mut max_busy = 0u64;
-            for (r, ps) in &busy {
-                by_tier[r.tier_index()] += ps;
-                max_busy = max_busy.max(*ps);
-            }
-            for (tier, ps) in by_tier.iter().enumerate() {
-                if *ps > 0 {
-                    probe.metrics.link_busy(tier, *ps);
-                }
-            }
-            probe.metrics.max_link_busy(max_busy);
+        let mut by_tier = [0u64; pim_sim::metrics::TIERS];
+        let mut max_busy = 0u64;
+        for (r, ps) in &busy {
+            by_tier[r.tier_index()] += ps;
+            max_busy = max_busy.max(*ps);
         }
-        probe.metrics.wall(self.end.as_ps());
-    }
-
-    /// Emits `straggler` and `retry` instants for an already-built faulty
-    /// timeline by re-querying the injector's pure decision functions.
-    fn record_fault_events(
-        &self,
-        schedule: &CommSchedule,
-        injector: &FaultInjector,
-        probe: &Probe,
-    ) {
-        for id in schedule.participants() {
-            let delay_ns = injector.straggler_delay_ns(id.0, 0);
-            if delay_ns > 0 {
+        for (tier, ps) in by_tier.iter().enumerate() {
+            if *ps > 0 {
+                probe.metrics.link_busy(tier, *ps);
+            }
+        }
+        probe.metrics.max_link_busy(max_busy);
+        probe.metrics.wall(t.end.as_ps());
+        for (dpu, delay_ns) in stragglers {
+            probe.trace.instant(
+                SimTime::ZERO,
+                codes::STRAGGLER,
+                [u64::from(dpu), delay_ns, 0, 0],
+            );
+            probe.metrics.straggler(delay_ns);
+        }
+        for (pi, si, ti, corrupted, start) in retries {
+            for attempt in 1..=u64::from(corrupted) {
                 probe.trace.instant(
-                    SimTime::ZERO,
-                    codes::STRAGGLER,
-                    [u64::from(id.0), delay_ns, 0, 0],
+                    start,
+                    codes::RETRY,
+                    [pi as u64, si as u64, ti as u64, attempt],
                 );
-                probe.metrics.straggler(delay_ns);
             }
         }
-        let mut wi = 0usize;
-        for (pi, phase) in schedule.phases.iter().enumerate() {
-            for (si, step) in phase.steps.iter().enumerate() {
-                for (ti, t) in step.transfers.iter().enumerate() {
-                    if t.is_local() {
-                        continue;
-                    }
-                    let start = self.windows[wi].start;
-                    wi += 1;
-                    // The build succeeded, so every transfer has a finite
-                    // attempt count.
-                    let corrupted = injector
-                        .attempts_before_success(pi as u64, si as u64, ti as u64)
-                        .unwrap_or(0);
-                    for attempt in 1..=u64::from(corrupted) {
-                        probe.trace.instant(
-                            start,
-                            codes::RETRY,
-                            [pi as u64, si as u64, ti as u64, attempt],
-                        );
-                    }
-                }
-            }
-        }
+        Ok(t)
     }
 
     /// Renders a CSV (one row per window) for plotting.
@@ -492,8 +374,13 @@ mod tests {
     fn inactive_faults_reproduce_the_plain_timeline_exactly() {
         use pim_faults::FaultInjector;
         let (s, plain) = timeline(CollectiveKind::AllReduce, 32, 512);
-        let faulty =
-            Timeline::build_with_faults(&s, &TimingModel::paper(), &FaultInjector::none()).unwrap();
+        let faulty = Timeline::build_with_faults(
+            &s,
+            &TimingModel::paper(),
+            &FaultInjector::none(),
+            Probe::disabled(),
+        )
+        .unwrap();
         assert_eq!(faulty, plain);
     }
 
@@ -510,8 +397,8 @@ mod tests {
             .with_seed(21),
         );
         let m = TimingModel::paper();
-        let a = Timeline::build_with_faults(&s, &m, &inj).unwrap();
-        let b = Timeline::build_with_faults(&s, &m, &inj).unwrap();
+        let a = Timeline::build_with_faults(&s, &m, &inj, Probe::disabled()).unwrap();
+        let b = Timeline::build_with_faults(&s, &m, &inj, Probe::disabled()).unwrap();
         assert_eq!(a, b, "same seed must give the same timeline");
         assert!(a.end > plain.end, "retries must cost time");
         assert_eq!(a.windows.len(), plain.windows.len());
@@ -532,7 +419,8 @@ mod tests {
             }
             .with_seed(8),
         );
-        let t = Timeline::build_with_faults(&s, &TimingModel::paper(), &inj).unwrap();
+        let t = Timeline::build_with_faults(&s, &TimingModel::paper(), &inj, Probe::disabled())
+            .unwrap();
         assert!(t.sync > plain.sync);
         assert_eq!(t.end - t.sync, plain.end - plain.sync);
     }
@@ -546,7 +434,7 @@ mod tests {
             ..FaultConfig::none()
         });
         assert_eq!(
-            Timeline::build_with_faults(&s, &TimingModel::paper(), &inj),
+            Timeline::build_with_faults(&s, &TimingModel::paper(), &inj, Probe::disabled()),
             Err(PimnetError::DeadDpu { dpu: 1 })
         );
     }
@@ -557,13 +445,15 @@ mod tests {
         let (s, plain) = timeline(CollectiveKind::AllReduce, 8, 1024);
         let m = TimingModel::paper();
         // Identity repair reproduces the plain timeline exactly.
-        let (t, report) = Timeline::build_repaired(&s, &m, &PermanentFaultSet::none()).unwrap();
+        let (t, report) =
+            Timeline::build_repaired(&s, &m, &PermanentFaultSet::none(), Probe::disabled())
+                .unwrap();
         assert_eq!(t, plain);
         assert!(report.is_identity());
         // A dead segment costs: reroute hops, serialization, and (when
         // steps were inserted) the control-plane overhead on the barrier.
         let f = PermanentFaultSet::parse_tokens("r0c0b1E").unwrap();
-        let (t, report) = Timeline::build_repaired(&s, &m, &f).unwrap();
+        let (t, report) = Timeline::build_repaired(&s, &m, &f, Probe::disabled()).unwrap();
         assert!(t.end > plain.end);
         if report.extra_steps > 0 {
             assert!(t.sync > plain.sync);
@@ -572,7 +462,7 @@ mod tests {
             assert!(w.start >= t.sync && w.end <= t.end);
         }
         // Deterministic.
-        let (u, _) = Timeline::build_repaired(&s, &m, &f).unwrap();
+        let (u, _) = Timeline::build_repaired(&s, &m, &f, Probe::disabled()).unwrap();
         assert_eq!(t, u);
     }
 

@@ -38,44 +38,8 @@ struct LinkState {
 }
 
 /// Runs the credit-based simulation of `schedule`'s traffic, with
-/// `ready[i]` the time DPU `i` finishes compute and may start injecting.
-///
-/// # Panics
-///
-/// Panics if `ready` is shorter than the DPU count, or if the simulation
-/// exceeds `cfg.max_cycles` (deadlock guard).
-#[must_use]
-pub fn simulate_credit(schedule: &CommSchedule, ready: &[SimTime], cfg: &NocConfig) -> NocReport {
-    simulate_credit_probed(schedule, ready, cfg, Probe::disabled())
-}
-
-/// [`simulate_credit`] with observability: every packet delivery lands in
-/// `probe` as a `noc-deliver` instant (at its simulated delivery time),
-/// and the report's byte/stall/busy totals land in the metrics sink. With
-/// a disabled probe this is exactly [`simulate_credit`].
-///
-/// # Panics
-///
-/// Same as [`simulate_credit`].
-#[must_use]
-pub fn simulate_credit_probed(
-    schedule: &CommSchedule,
-    ready: &[SimTime],
-    cfg: &NocConfig,
-    probe: &Probe,
-) -> NocReport {
-    let packets = packets_from_schedule(schedule);
-    let nodes = schedule.geometry.total_dpus() as usize;
-    assert!(
-        ready.len() >= nodes,
-        "ready times: got {}, need {nodes}",
-        ready.len()
-    );
-    simulate_credit_packets_probed(&packets, ready, cfg, probe)
-}
-
-/// Runs the credit-based simulation of `schedule`'s traffic under a fault
-/// scenario.
+/// `ready[i]` the time DPU `i` finishes compute and may start injecting,
+/// under a fault scenario.
 ///
 /// Faults enter the cycle model in two ways:
 ///
@@ -87,84 +51,44 @@ pub fn simulate_credit_probed(
 ///   links via [`crate::packet::inject_retransmissions`], consuming real
 ///   wire time and back-pressuring everything queued behind it.
 ///
-/// With an inactive injector this is exactly [`simulate_credit`]. The
-/// simulation stays fully deterministic for a seed.
+/// With an inactive injector this is the fault-free simulation. The
+/// simulation stays fully deterministic for a seed. Stragglers and CRC
+/// retransmissions land in `probe` as `straggler` / `noc-retransmit`
+/// instants (and metrics counters) on top of everything
+/// [`simulate_credit_packets`] records.
 ///
 /// # Errors
 ///
-/// * [`pimnet::PimnetError::DeadDpu`] if a participant is hard-dead;
-/// * [`pimnet::PimnetError::TransferFailed`] if a packet exhausts its
-///   retry budget;
-/// * [`pimnet::PimnetError::SimulationStalled`] if the scenario wedges
-///   the flow control past the `cfg.max_cycles` deadlock guard (typed,
-///   not a panic: chaos harnesses count it).
+/// * [`PimnetError::DeadDpu`] if a participant is hard-dead;
+/// * [`PimnetError::TransferFailed`] if a packet exhausts its retry
+///   budget;
+/// * whatever [`simulate_credit_packets`] returns, e.g.
+///   [`PimnetError::SimulationStalled`] if the scenario wedges the flow
+///   control past the `cfg.max_cycles` deadlock guard (typed, not a
+///   panic: chaos harnesses count it).
 ///
 /// # Panics
 ///
 /// Panics if `ready` is shorter than the DPU count.
-pub fn simulate_credit_faulty(
-    schedule: &CommSchedule,
-    ready: &[SimTime],
-    cfg: &NocConfig,
-    injector: &pim_faults::FaultInjector,
-) -> Result<NocReport, pimnet::PimnetError> {
-    if !injector.is_active() {
-        return Ok(simulate_credit(schedule, ready, cfg));
-    }
-    let nodes = schedule.geometry.total_dpus() as usize;
-    assert!(
-        ready.len() >= nodes,
-        "ready times: got {}, need {nodes}",
-        ready.len()
-    );
-    if let Some(dead) = schedule.participants().find(|id| injector.is_dead(id.0)) {
-        return Err(pimnet::PimnetError::DeadDpu { dpu: dead.0 });
-    }
-    let stretched: Vec<SimTime> = ready
-        .iter()
-        .enumerate()
-        .map(|(i, &t)| t + SimTime::from_ns(injector.straggler_delay_ns(i as u32, 0)))
-        .collect();
-    let packets =
-        crate::packet::inject_retransmissions(&packets_from_schedule(schedule), injector)?;
-    try_simulate_credit_packets_probed(&packets, &stretched, cfg, Probe::disabled())
-}
-
-/// [`simulate_credit_faulty`] with observability: stragglers and CRC
-/// retransmissions land in `probe` as `straggler` / `noc-retransmit`
-/// instants (and metrics counters) on top of everything
-/// [`simulate_credit_probed`] records. With a disabled probe this is
-/// exactly [`simulate_credit_faulty`].
-///
-/// # Errors
-///
-/// Same as [`simulate_credit_faulty`] (nothing from the failed simulation
-/// is recorded on the error path).
-///
-/// # Panics
-///
-/// Same as [`simulate_credit_faulty`].
-pub fn simulate_credit_faulty_probed(
+pub fn simulate_credit(
     schedule: &CommSchedule,
     ready: &[SimTime],
     cfg: &NocConfig,
     injector: &pim_faults::FaultInjector,
     probe: &Probe,
-) -> Result<NocReport, pimnet::PimnetError> {
-    if !probe.is_active() {
-        return simulate_credit_faulty(schedule, ready, cfg, injector);
-    }
-    if !injector.is_active() {
-        return Ok(simulate_credit_probed(schedule, ready, cfg, probe));
-    }
+) -> Result<NocReport, PimnetError> {
     let nodes = schedule.geometry.total_dpus() as usize;
     assert!(
         ready.len() >= nodes,
         "ready times: got {}, need {nodes}",
         ready.len()
     );
+    let base = packets_from_schedule(schedule);
+    if !injector.is_active() {
+        return simulate_credit_packets(&base, ready, cfg, probe);
+    }
     if let Some(dead) = schedule.participants().find(|id| injector.is_dead(id.0)) {
-        return Err(pimnet::PimnetError::DeadDpu { dpu: dead.0 });
+        return Err(PimnetError::DeadDpu { dpu: dead.0 });
     }
     let mut stretched: Vec<SimTime> = Vec::with_capacity(ready.len());
     for (i, &t) in ready.iter().enumerate() {
@@ -177,67 +101,29 @@ pub fn simulate_credit_faulty_probed(
         }
         stretched.push(t + SimTime::from_ns(delay_ns));
     }
-    let base = packets_from_schedule(schedule);
     let packets = crate::packet::inject_retransmissions(&base, injector)?;
     probe
         .metrics
         .retransmissions((packets.len() - base.len()) as u64);
-    // Retry attempts re-derived per *base* packet (the expansion already
-    // proved each has a clean final attempt), so event order is the stable
-    // base-packet order rather than the expanded interleaving.
-    for p in &base {
-        let corrupted = injector
-            .attempts_before_success(p.stage.0 as u64, p.stage.1 as u64, p.id as u64)
-            .unwrap_or(0);
-        for attempt in 1..=u64::from(corrupted) {
-            probe.trace.instant(
-                SimTime::ZERO,
-                codes::NOC_RETRANSMIT,
-                [u64::from(p.src.0), u64::from(p.dst.0), p.bytes, attempt],
-            );
+    if probe.trace.is_enabled() {
+        // Retry attempts re-derived per *base* packet (the expansion
+        // already proved each has a clean final attempt), so event order
+        // is the stable base-packet order rather than the expanded
+        // interleaving.
+        for p in &base {
+            let corrupted = injector
+                .attempts_before_success(p.stage.0 as u64, p.stage.1 as u64, p.id as u64)
+                .unwrap_or(0);
+            for attempt in 1..=u64::from(corrupted) {
+                probe.trace.instant(
+                    SimTime::ZERO,
+                    codes::NOC_RETRANSMIT,
+                    [u64::from(p.src.0), u64::from(p.dst.0), p.bytes, attempt],
+                );
+            }
         }
     }
-    try_simulate_credit_packets_probed(&packets, &stretched, cfg, probe)
-}
-
-/// Runs the credit-based simulation on an explicit packet list (used both
-/// by [`simulate_credit`] and by the synthetic traffic patterns of
-/// [`crate::traffic`]).
-///
-/// # Panics
-///
-/// Panics if a packet's source index exceeds `ready.len()`, or if the
-/// simulation exceeds `cfg.max_cycles` (deadlock guard).
-#[must_use]
-pub fn simulate_credit_packets(
-    packets: &[crate::packet::Packet],
-    ready: &[SimTime],
-    cfg: &NocConfig,
-) -> NocReport {
-    simulate_credit_packets_probed(packets, ready, cfg, Probe::disabled())
-}
-
-/// [`simulate_credit_packets`] with observability (the probed core the
-/// plain entry points delegate to). With an active probe, each delivery
-/// becomes a `noc-deliver` instant at its simulated delivery time (in
-/// packet-id order, so traces are independent of the cycle interleaving),
-/// and per-tier link-busy time, stall cycles, and byte conservation
-/// land in the metrics sink.
-///
-/// # Panics
-///
-/// Same as [`simulate_credit_packets`].
-#[must_use]
-pub fn simulate_credit_packets_probed(
-    packets: &[crate::packet::Packet],
-    ready: &[SimTime],
-    cfg: &NocConfig,
-    probe: &Probe,
-) -> NocReport {
-    match try_simulate_credit_packets_probed(packets, ready, cfg, probe) {
-        Ok(report) => report,
-        Err(e) => panic!("credit simulation failed on a fault-free packet list: {e}"),
-    }
+    simulate_credit_packets(&packets, &stretched, cfg, probe)
 }
 
 /// The mutable per-link flow-control state keyed by the resource the link
@@ -253,12 +139,13 @@ fn link_mut<'a>(
     })
 }
 
-/// The fallible core of the credit simulation: exactly
-/// [`simulate_credit_packets_probed`], but every run-time failure mode —
-/// a malformed packet list, the `cfg.max_cycles` deadlock guard firing —
-/// comes back as a typed [`PimnetError`] instead of a panic. The fault
-/// paths ([`simulate_credit_faulty`], [`simulate_credit_faulty_probed`])
-/// route through this so chaos scenarios end in typed error trails.
+/// Runs the credit-based simulation on an explicit packet list (used both
+/// by [`simulate_credit`] and by the synthetic traffic patterns of
+/// [`crate::traffic`]). With an active probe, each delivery becomes a
+/// `noc-deliver` instant at its simulated delivery time (in packet-id
+/// order, so traces are independent of the cycle interleaving), and
+/// per-tier link-busy time, stall cycles, and byte conservation land in
+/// the metrics sink.
 ///
 /// # Errors
 ///
@@ -270,7 +157,7 @@ fn link_mut<'a>(
 /// # Panics
 ///
 /// Panics if a packet's source index exceeds `ready.len()`.
-pub fn try_simulate_credit_packets_probed(
+pub fn simulate_credit_packets(
     packets: &[crate::packet::Packet],
     ready: &[SimTime],
     cfg: &NocConfig,
@@ -528,6 +415,7 @@ pub fn try_simulate_credit_packets_probed(
 mod tests {
     use super::*;
     use pim_arch::geometry::PimGeometry;
+    use pim_faults::{FaultConfig, FaultInjector};
     use pimnet::collective::CollectiveKind;
 
     fn schedule(kind: CollectiveKind, n: u32, elems: usize) -> CommSchedule {
@@ -538,10 +426,15 @@ mod tests {
         vec![SimTime::ZERO; n as usize]
     }
 
+    /// The fault-free, unobserved simulation.
+    fn fault_free(s: &CommSchedule, ready: &[SimTime], cfg: &NocConfig) -> NocReport {
+        simulate_credit(s, ready, cfg, &FaultInjector::none(), Probe::disabled()).unwrap()
+    }
+
     #[test]
     fn single_chip_allreduce_completes_with_full_ring_utilization() {
         let s = schedule(CollectiveKind::AllReduce, 8, 512);
-        let r = simulate_credit(&s, &zeros(8), &NocConfig::paper());
+        let r = fault_free(&s, &zeros(8), &NocConfig::paper());
         // 8 banks x 2 directions x 7 steps, for ReduceScatter + AllGather.
         assert_eq!(r.packets, 8 * 2 * 7 * 2);
         assert!(r.cycles > 0);
@@ -553,12 +446,12 @@ mod tests {
     #[test]
     fn completion_scales_with_message_size() {
         let cfg = NocConfig::paper();
-        let small = simulate_credit(
+        let small = fault_free(
             &schedule(CollectiveKind::AllReduce, 8, 256),
             &zeros(8),
             &cfg,
         );
-        let large = simulate_credit(
+        let large = fault_free(
             &schedule(CollectiveKind::AllReduce, 8, 2048),
             &zeros(8),
             &cfg,
@@ -574,10 +467,10 @@ mod tests {
     fn ready_skew_delays_completion() {
         let s = schedule(CollectiveKind::AllReduce, 8, 512);
         let cfg = NocConfig::paper();
-        let base = simulate_credit(&s, &zeros(8), &cfg);
+        let base = fault_free(&s, &zeros(8), &cfg);
         let mut ready = zeros(8);
         ready[3] = SimTime::from_us(50);
-        let skewed = simulate_credit(&s, &ready, &cfg);
+        let skewed = fault_free(&s, &ready, &cfg);
         assert!(skewed.completion > base.completion);
         assert!(skewed.completion >= SimTime::from_us(50));
     }
@@ -585,7 +478,7 @@ mod tests {
     #[test]
     fn cross_rank_traffic_flows() {
         let s = schedule(CollectiveKind::AllReduce, 32, 256);
-        let r = simulate_credit(&s, &zeros(32), &NocConfig::paper());
+        let r = fault_free(&s, &zeros(32), &NocConfig::paper());
         assert!(r.cycles > 0);
         assert!(r.injected_bytes > 0);
     }
@@ -596,12 +489,12 @@ mod tests {
         // traffic produces head-of-line stalls; AR's neighbor traffic does
         // not (much).
         let cfg = NocConfig::paper();
-        let ar = simulate_credit(
+        let ar = fault_free(
             &schedule(CollectiveKind::AllReduce, 64, 1024),
             &zeros(64),
             &cfg,
         );
-        let a2a = simulate_credit(
+        let a2a = fault_free(
             &schedule(CollectiveKind::AllToAll, 64, 1024),
             &zeros(64),
             &cfg,
@@ -618,27 +511,16 @@ mod tests {
     fn deterministic_across_runs() {
         let s = schedule(CollectiveKind::AllToAll, 16, 256);
         let cfg = NocConfig::paper();
-        let a = simulate_credit(&s, &zeros(16), &cfg);
-        let b = simulate_credit(&s, &zeros(16), &cfg);
+        let a = fault_free(&s, &zeros(16), &cfg);
+        let b = fault_free(&s, &zeros(16), &cfg);
         assert_eq!(a, b);
     }
 
     #[test]
-    fn inactive_injector_reproduces_the_fault_free_report() {
-        use pim_faults::FaultInjector;
-        let s = schedule(CollectiveKind::AllReduce, 8, 512);
-        let cfg = NocConfig::paper();
-        let clean = simulate_credit(&s, &zeros(8), &cfg);
-        let faulty = simulate_credit_faulty(&s, &zeros(8), &cfg, &FaultInjector::none()).unwrap();
-        assert_eq!(clean, faulty);
-    }
-
-    #[test]
     fn retransmissions_cost_cycles_and_bytes_deterministically() {
-        use pim_faults::{FaultConfig, FaultInjector};
         let s = schedule(CollectiveKind::AllReduce, 8, 512);
         let cfg = NocConfig::paper();
-        let clean = simulate_credit(&s, &zeros(8), &cfg);
+        let clean = fault_free(&s, &zeros(8), &cfg);
         let inj = FaultInjector::new(
             FaultConfig {
                 transient_ber: 0.2,
@@ -647,8 +529,8 @@ mod tests {
             }
             .with_seed(9),
         );
-        let a = simulate_credit_faulty(&s, &zeros(8), &cfg, &inj).unwrap();
-        let b = simulate_credit_faulty(&s, &zeros(8), &cfg, &inj).unwrap();
+        let a = simulate_credit(&s, &zeros(8), &cfg, &inj, Probe::disabled()).unwrap();
+        let b = simulate_credit(&s, &zeros(8), &cfg, &inj, Probe::disabled()).unwrap();
         assert_eq!(a, b, "same seed must simulate identically");
         assert!(
             a.injected_bytes > clean.injected_bytes,
@@ -662,7 +544,6 @@ mod tests {
 
     #[test]
     fn an_undeliverable_scenario_stalls_typed_instead_of_panicking() {
-        use pim_faults::{FaultConfig, FaultInjector};
         let s = schedule(CollectiveKind::AllReduce, 8, 512);
         // A deadlock guard far too tight for the traffic: the fault path
         // must report SimulationStalled, not assert.
@@ -678,7 +559,7 @@ mod tests {
             }
             .with_seed(3),
         );
-        let err = simulate_credit_faulty(&s, &zeros(8), &cfg, &inj).unwrap_err();
+        let err = simulate_credit(&s, &zeros(8), &cfg, &inj, Probe::disabled()).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -690,10 +571,9 @@ mod tests {
 
     #[test]
     fn a_straggler_delays_only_its_dependents() {
-        use pim_faults::{FaultConfig, FaultInjector};
         let s = schedule(CollectiveKind::AllReduce, 8, 512);
         let cfg = NocConfig::paper();
-        let clean = simulate_credit(&s, &zeros(8), &cfg);
+        let clean = fault_free(&s, &zeros(8), &cfg);
         let inj = FaultInjector::new(
             FaultConfig {
                 straggler_prob: 0.5,
@@ -702,7 +582,7 @@ mod tests {
             }
             .with_seed(11),
         );
-        let slow = simulate_credit_faulty(&s, &zeros(8), &cfg, &inj).unwrap();
+        let slow = simulate_credit(&s, &zeros(8), &cfg, &inj, Probe::disabled()).unwrap();
         // Same traffic, later finish: stragglers delay injection, not bytes.
         assert_eq!(slow.injected_bytes, clean.injected_bytes);
         assert!(slow.completion > clean.completion);
@@ -710,14 +590,13 @@ mod tests {
 
     #[test]
     fn dead_participants_are_refused_up_front() {
-        use pim_faults::{FaultConfig, FaultInjector};
         let s = schedule(CollectiveKind::AllReduce, 8, 512);
         let inj = FaultInjector::new(FaultConfig {
             dead_dpus: vec![3],
             ..FaultConfig::none()
         });
         assert!(matches!(
-            simulate_credit_faulty(&s, &zeros(8), &NocConfig::paper(), &inj),
+            simulate_credit(&s, &zeros(8), &NocConfig::paper(), &inj, Probe::disabled()),
             Err(pimnet::PimnetError::DeadDpu { dpu: 3 })
         ));
     }

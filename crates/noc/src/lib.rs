@@ -33,14 +33,7 @@ pub mod scheduled;
 pub mod traffic;
 
 pub use config::NocConfig;
-pub use credit::{
-    simulate_credit, simulate_credit_faulty, simulate_credit_faulty_probed,
-    simulate_credit_packets, simulate_credit_packets_probed, simulate_credit_probed,
-    try_simulate_credit_packets_probed,
-};
+pub use credit::{simulate_credit, simulate_credit_packets};
 pub use packet::inject_retransmissions;
 pub use report::NocReport;
-pub use scheduled::{
-    simulate_scheduled, simulate_scheduled_probed, simulate_scheduled_repaired,
-    simulate_scheduled_repaired_probed,
-};
+pub use scheduled::{simulate_scheduled, simulate_scheduled_repaired};

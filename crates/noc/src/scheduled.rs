@@ -24,6 +24,11 @@ use crate::report::NocReport;
 /// `ready[i]` the time DPU `i` finishes compute. Communication starts only
 /// after the last DPU is ready (plus READY/START propagation).
 ///
+/// The READY/START barrier lands in `probe` as a `barrier` span, and
+/// completion / injected bytes / packet count land in the metrics sink
+/// (scheduled playback has no per-packet delivery times — per-transfer
+/// wire accounting belongs to [`pimnet::timeline::Timeline`]).
+///
 /// # Panics
 ///
 /// Panics if `ready` is shorter than the DPU count.
@@ -32,6 +37,7 @@ pub fn simulate_scheduled(
     schedule: &CommSchedule,
     ready: &[SimTime],
     cfg: &NocConfig,
+    probe: &Probe,
 ) -> NocReport {
     let nodes = schedule.geometry.total_dpus() as usize;
     assert!(
@@ -42,9 +48,11 @@ pub fn simulate_scheduled(
     let fabric = cfg.fabric();
     let timing = TimingModel::new(fabric, SystemConfig::paper());
     let sync = SyncModel::from_fabric(&fabric);
+    let scope = timing.scope_of(schedule);
+    let barrier = sync.barrier(scope, SimTime::ZERO);
+    sync.record_barrier(scope, barrier, SimTime::ZERO, probe);
 
-    let barrier_at = ready.iter().copied().max().unwrap_or(SimTime::ZERO)
-        + sync.barrier(timing.scope_of(schedule), SimTime::ZERO);
+    let barrier_at = ready.iter().copied().max().unwrap_or(SimTime::ZERO) + barrier;
     let network: SimTime = schedule
         .phases
         .iter()
@@ -53,7 +61,7 @@ pub fn simulate_scheduled(
     let completion = barrier_at + network;
 
     let packets = packets_from_schedule(schedule);
-    NocReport {
+    let report = NocReport {
         completion,
         cycles: cfg.time_to_cycles(completion),
         packets: packets.len(),
@@ -62,35 +70,8 @@ pub fn simulate_scheduled(
         p50_latency: SimTime::ZERO,
         p99_latency: SimTime::ZERO,
         max_link_utilization: 0.0,
-    }
-}
-
-/// [`simulate_scheduled`] with observability: the READY/START barrier
-/// lands in `probe` as a `barrier` span, and completion / injected bytes /
-/// packet count land in the metrics sink (scheduled playback has no
-/// per-packet delivery times — per-transfer wire accounting belongs to
-/// [`pimnet::timeline::Timeline::build_probed`]). With a disabled probe
-/// this is exactly [`simulate_scheduled`].
-///
-/// # Panics
-///
-/// Same as [`simulate_scheduled`].
-#[must_use]
-pub fn simulate_scheduled_probed(
-    schedule: &CommSchedule,
-    ready: &[SimTime],
-    cfg: &NocConfig,
-    probe: &Probe,
-) -> NocReport {
-    let report = simulate_scheduled(schedule, ready, cfg);
+    };
     if probe.is_active() {
-        let fabric = cfg.fabric();
-        let timing = TimingModel::new(fabric, SystemConfig::paper());
-        let _ = SyncModel::from_fabric(&fabric).barrier_probed(
-            timing.scope_of(schedule),
-            SimTime::ZERO,
-            probe,
-        );
         probe.metrics.wall(report.completion.as_ps());
         probe.metrics.noc(
             report.injected_bytes,
@@ -107,12 +88,15 @@ pub fn simulate_scheduled_probed(
 /// ports borrowed, contending steps serialized — see
 /// [`pimnet::schedule::repair`]), then played back like
 /// [`simulate_scheduled`], with the repair's control-plane overhead
-/// ([`SyncModel::repair_overhead`]) added to the barrier.
+/// ([`SyncModel::repair_overhead`]) added to the barrier. The overhead
+/// lands in `probe` as a `repair-overhead` instant on top of everything
+/// [`simulate_scheduled`] records.
 ///
 /// # Errors
 ///
 /// Whatever repair returns when the fault set defeats it
-/// (`PimnetError::DeadRank`, `PimnetError::Unroutable`).
+/// (`PimnetError::DeadRank`, `PimnetError::Unroutable`); nothing is
+/// recorded on the error path.
 ///
 /// # Panics
 ///
@@ -122,41 +106,10 @@ pub fn simulate_scheduled_repaired(
     ready: &[SimTime],
     cfg: &NocConfig,
     faults: &pim_faults::permanent::PermanentFaultSet,
-) -> Result<NocReport, pimnet::PimnetError> {
-    let repaired = pimnet::schedule::repair::repair(schedule, faults)?;
-    let mut report = simulate_scheduled(&repaired.schedule, ready, cfg);
-    let overhead =
-        SyncModel::from_fabric(&cfg.fabric()).repair_overhead(repaired.report.extra_steps);
-    report.completion += overhead;
-    report.cycles = cfg.time_to_cycles(report.completion);
-    Ok(report)
-}
-
-/// [`simulate_scheduled_repaired`] with observability: the repair's
-/// control-plane cost lands in `probe` as a `repair-overhead` instant on
-/// top of everything [`simulate_scheduled_probed`] records. With a
-/// disabled probe this is exactly [`simulate_scheduled_repaired`].
-///
-/// # Errors
-///
-/// Same as [`simulate_scheduled_repaired`] (nothing is recorded on the
-/// error path).
-///
-/// # Panics
-///
-/// Same as [`simulate_scheduled_repaired`].
-pub fn simulate_scheduled_repaired_probed(
-    schedule: &CommSchedule,
-    ready: &[SimTime],
-    cfg: &NocConfig,
-    faults: &pim_faults::permanent::PermanentFaultSet,
     probe: &Probe,
 ) -> Result<NocReport, pimnet::PimnetError> {
-    if !probe.is_active() {
-        return simulate_scheduled_repaired(schedule, ready, cfg, faults);
-    }
     let repaired = pimnet::schedule::repair::repair(schedule, faults)?;
-    let mut report = simulate_scheduled_probed(&repaired.schedule, ready, cfg, probe);
+    let mut report = simulate_scheduled(&repaired.schedule, ready, cfg, probe);
     let overhead =
         SyncModel::from_fabric(&cfg.fabric()).repair_overhead(repaired.report.extra_steps);
     if overhead > SimTime::ZERO || !repaired.report.is_identity() {
@@ -175,8 +128,8 @@ pub fn simulate_scheduled_repaired_probed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::credit::simulate_credit;
     use pim_arch::geometry::PimGeometry;
+    use pim_faults::FaultInjector;
     use pimnet::collective::CollectiveKind;
 
     fn schedule(kind: CollectiveKind, n: u32, elems: usize) -> CommSchedule {
@@ -187,10 +140,14 @@ mod tests {
         vec![SimTime::ZERO; n as usize]
     }
 
+    fn credit(s: &CommSchedule, ready: &[SimTime], cfg: &NocConfig) -> NocReport {
+        crate::simulate_credit(s, ready, cfg, &FaultInjector::none(), Probe::disabled()).unwrap()
+    }
+
     #[test]
     fn scheduled_has_no_stalls_by_construction() {
         let s = schedule(CollectiveKind::AllToAll, 64, 512);
-        let r = simulate_scheduled(&s, &zeros(64), &NocConfig::paper());
+        let r = simulate_scheduled(&s, &zeros(64), &NocConfig::paper(), Probe::disabled());
         assert_eq!(r.stall_cycles, 0);
         assert!(r.completion > SimTime::ZERO);
     }
@@ -199,10 +156,10 @@ mod tests {
     fn scheduled_waits_for_the_slowest_dpu() {
         let s = schedule(CollectiveKind::AllReduce, 8, 256);
         let cfg = NocConfig::paper();
-        let base = simulate_scheduled(&s, &zeros(8), &cfg);
+        let base = simulate_scheduled(&s, &zeros(8), &cfg, Probe::disabled());
         let mut ready = zeros(8);
         ready[0] = SimTime::from_us(100);
-        let skewed = simulate_scheduled(&s, &ready, &cfg);
+        let skewed = simulate_scheduled(&s, &ready, &cfg, Probe::disabled());
         assert_eq!(
             skewed.completion,
             base.completion + SimTime::from_us(100),
@@ -217,8 +174,8 @@ mod tests {
         let s = schedule(CollectiveKind::AllReduce, 64, 1024);
         let cfg = NocConfig::paper();
         let ready = zeros(64);
-        let credit = simulate_credit(&s, &ready, &cfg);
-        let sched = simulate_scheduled(&s, &ready, &cfg);
+        let credit = credit(&s, &ready, &cfg);
+        let sched = simulate_scheduled(&s, &ready, &cfg, Probe::disabled());
         let ratio = credit.completion.ratio(sched.completion);
         assert!(
             (0.7..1.4).contains(&ratio),
@@ -235,8 +192,8 @@ mod tests {
         let s = schedule(CollectiveKind::AllToAll, 64, 2048);
         let cfg = NocConfig::paper();
         let ready = zeros(64);
-        let credit = simulate_credit(&s, &ready, &cfg);
-        let sched = simulate_scheduled(&s, &ready, &cfg);
+        let credit = credit(&s, &ready, &cfg);
+        let sched = simulate_scheduled(&s, &ready, &cfg, Probe::disabled());
         assert!(
             sched.completion < credit.completion,
             "scheduled ({sched}) should beat credit-based ({credit}) on A2A"
@@ -248,28 +205,38 @@ mod tests {
         use pim_faults::permanent::PermanentFaultSet;
         let s = schedule(CollectiveKind::AllReduce, 64, 512);
         let cfg = NocConfig::paper();
-        let clean = simulate_scheduled(&s, &zeros(64), &cfg);
+        let clean = simulate_scheduled(&s, &zeros(64), &cfg, Probe::disabled());
         // Identity fault set reproduces the clean report.
-        let same =
-            simulate_scheduled_repaired(&s, &zeros(64), &cfg, &PermanentFaultSet::none()).unwrap();
+        let same = simulate_scheduled_repaired(
+            &s,
+            &zeros(64),
+            &cfg,
+            &PermanentFaultSet::none(),
+            Probe::disabled(),
+        )
+        .unwrap();
         assert_eq!(same, clean);
         // A dead segment and a dead port both cost completion time.
         let f = PermanentFaultSet::parse_tokens("r0c0b2E, r0c3tx").unwrap();
-        let broken = simulate_scheduled_repaired(&s, &zeros(64), &cfg, &f).unwrap();
+        let broken =
+            simulate_scheduled_repaired(&s, &zeros(64), &cfg, &f, Probe::disabled()).unwrap();
         assert!(broken.completion > clean.completion);
         assert_eq!(broken.injected_bytes, clean.injected_bytes);
         // A dead rank is a typed refusal, not a panic.
         let s256 = schedule(CollectiveKind::AllReduce, 256, 256);
         let dead = PermanentFaultSet::parse_tokens("rank2").unwrap();
-        assert!(simulate_scheduled_repaired(&s256, &zeros(256), &cfg, &dead).is_err());
+        assert!(
+            simulate_scheduled_repaired(&s256, &zeros(256), &cfg, &dead, Probe::disabled())
+                .is_err()
+        );
     }
 
     #[test]
     fn both_modes_move_identical_bytes() {
         let s = schedule(CollectiveKind::AllReduce, 32, 512);
         let cfg = NocConfig::paper();
-        let credit = simulate_credit(&s, &zeros(32), &cfg);
-        let sched = simulate_scheduled(&s, &zeros(32), &cfg);
+        let credit = credit(&s, &zeros(32), &cfg);
+        let sched = simulate_scheduled(&s, &zeros(32), &cfg, Probe::disabled());
         assert_eq!(credit.injected_bytes, sched.injected_bytes);
         assert_eq!(credit.packets, sched.packets);
     }

@@ -131,13 +131,13 @@ mod tests {
     use super::*;
     use crate::config::NocConfig;
     use crate::credit::simulate_credit_packets;
-    use pim_sim::SimTime;
+    use pim_sim::{Probe, SimTime};
 
     fn run(pattern: Pattern, n: u32) -> crate::report::NocReport {
         let g = PimGeometry::paper_scaled(n);
         let packets = synthetic_packets(&g, pattern, 4, 256, 99);
         let ready = vec![SimTime::ZERO; n as usize];
-        simulate_credit_packets(&packets, &ready, &NocConfig::paper())
+        simulate_credit_packets(&packets, &ready, &NocConfig::paper(), Probe::disabled()).unwrap()
     }
 
     #[test]

@@ -148,11 +148,6 @@ pub struct MetricsReport {
     /// Times a caller waited on another worker's in-flight build.
     pub cache_dedup_waits: u64,
 
-    /// `par` fan-out batches observed.
-    pub par_batches: u64,
-    /// `par` work items observed.
-    pub par_tasks: u64,
-
     /// Modeled communication time per tier from workload programs (ps).
     pub comm_time_ps_by_tier: [u64; TIERS],
     /// Modeled synchronization time from workload programs (ps).
@@ -240,8 +235,6 @@ impl MetricsReport {
             cache_hits: 0,
             cache_misses: 0,
             cache_dedup_waits: 0,
-            par_batches: 0,
-            par_tasks: 0,
             comm_time_ps_by_tier: [0; TIERS],
             sync_time_ps: 0,
             mem_time_ps: 0,
@@ -313,8 +306,6 @@ impl MetricsReport {
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.cache_dedup_waits += other.cache_dedup_waits;
-        self.par_batches += other.par_batches;
-        self.par_tasks += other.par_tasks;
         self.sync_time_ps += other.sync_time_ps;
         self.mem_time_ps += other.mem_time_ps;
         self.host_time_ps += other.host_time_ps;
@@ -400,8 +391,6 @@ impl MetricsReport {
         kv("cache_hits", self.cache_hits);
         kv("cache_misses", self.cache_misses);
         kv("cache_dedup_waits", self.cache_dedup_waits);
-        kv("par_batches", self.par_batches);
-        kv("par_tasks", self.par_tasks);
         for i in 0..TIERS {
             kv(
                 &format!("comm_time_ps.{}", tier_name(i)),
@@ -612,14 +601,6 @@ impl Metrics {
     /// One wait on another worker's in-flight build.
     pub fn cache_dedup_wait(&self) {
         self.with(|r| r.cache_dedup_waits += 1);
-    }
-
-    /// One `par` fan-out of `tasks` items.
-    pub fn par_batch(&self, tasks: u64) {
-        self.with(|r| {
-            r.par_batches += 1;
-            r.par_tasks += tasks;
-        });
     }
 
     /// Adds modeled per-tier communication time (ps) from a workload.

@@ -24,10 +24,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::probe::Probe;
-use crate::trace::codes;
-use crate::SimTime;
-
 /// The worker count sweeps use by default: `PIMNET_THREADS` if set to a
 /// positive integer, otherwise the machine's available parallelism
 /// (falling back to 1 when that cannot be determined).
@@ -122,38 +118,6 @@ where
         .collect()
 }
 
-/// [`map_ordered_with`] plus observability: records one `par-batch`
-/// event and per-item `par-task` events into `probe`.
-///
-/// Determinism note: task events carry the item's **logical index** as
-/// their timestamp and are emitted by the *calling* thread after every
-/// worker has joined. Worker identity and claim order are intentionally
-/// unobservable — they vary run to run, and recording them would break
-/// the byte-identical-trace guarantee that `tests/trace_golden.rs` pins
-/// across worker counts.
-pub fn map_ordered_probed<T, R, F>(workers: usize, items: Vec<T>, probe: &Probe, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    if !probe.is_active() {
-        return map_ordered_with(workers, items, f);
-    }
-    let n = items.len() as u64;
-    let out = map_ordered_with(workers, items, f);
-    probe.metrics.par_batch(n);
-    probe
-        .trace
-        .instant(SimTime::ZERO, codes::PAR_BATCH, [n, 0, 0, 0]);
-    for i in 0..n {
-        probe
-            .trace
-            .instant(SimTime::from_ps(i), codes::PAR_TASK, [i, 0, 0, 0]);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,32 +166,5 @@ mod tests {
     #[test]
     fn thread_count_is_at_least_one() {
         assert!(thread_count() >= 1);
-    }
-
-    #[test]
-    fn probed_fanout_is_deterministic_across_worker_counts() {
-        let run = |workers: usize| {
-            let probe = Probe::enabled();
-            let out = map_ordered_probed(workers, (0u64..17).collect(), &probe, |x| x * 3);
-            (out, probe.trace.drain().to_csv(), probe.metrics.snapshot())
-        };
-        let (out1, trace1, m1) = run(1);
-        assert_eq!(m1.par_batches, 1);
-        assert_eq!(m1.par_tasks, 17);
-        assert_eq!(trace1.matches("par-task").count(), 17);
-        for workers in [2, 8] {
-            let (out, trace, m) = run(workers);
-            assert_eq!(out, out1, "workers={workers}");
-            assert_eq!(trace, trace1, "workers={workers}: trace not byte-identical");
-            assert_eq!(m.par_tasks, m1.par_tasks);
-        }
-    }
-
-    #[test]
-    fn probed_fanout_with_disabled_probe_records_nothing() {
-        let probe = Probe::disabled();
-        let out = map_ordered_probed(4, vec![1, 2, 3], probe, |x| x + 1);
-        assert_eq!(out, vec![2, 3, 4]);
-        assert!(probe.trace.is_empty());
     }
 }

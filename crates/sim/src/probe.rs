@@ -1,15 +1,14 @@
 //! The [`Probe`]: one handle bundling an event [`Tracer`] and a
 //! [`Metrics`] sink.
 //!
-//! Instrumented code paths take `&Probe` and are published as `*_probed`
-//! siblings of the plain functions. The contract every probed function
-//! follows:
+//! Each instrumented layer has one entry point that takes `probe: &Probe`
+//! as its last argument; callers with nothing to observe pass
+//! [`Probe::disabled`]. The contract every instrumented body follows:
 //!
-//! * `f_probed(.., Probe::disabled())` returns **bit-identical** results
-//!   to `f(..)` — observation never perturbs the simulation;
-//! * a probed call with an inactive probe short-circuits to the plain
-//!   body, so the disabled-path cost is one branch (`perf_gate` pins the
-//!   overhead under 1 %);
+//! * the result is **bit-identical** whatever the probe — observation
+//!   never perturbs the simulation;
+//! * with an inactive probe, recording costs one [`Probe::is_active`]
+//!   branch per record site inside the same loop;
 //! * recorded events and counters are deterministic functions of the
 //!   simulated inputs (no wall-clock, no worker identity, no addresses).
 
@@ -32,9 +31,8 @@ static DISABLED: Probe = Probe {
 };
 
 impl Probe {
-    /// The shared no-op probe: both sinks disabled. Plain (un-probed)
-    /// entry points pass this to their instrumented bodies, making the
-    /// observation cost a single branch.
+    /// The shared no-op probe: both sinks disabled. Callers with nothing
+    /// to observe pass this, making the observation cost a single branch.
     #[must_use]
     pub fn disabled() -> &'static Probe {
         &DISABLED
@@ -68,8 +66,8 @@ impl Probe {
         }
     }
 
-    /// Whether any sink records: probed code short-circuits to the plain
-    /// body when this is `false`.
+    /// Whether any sink records: instrumented code skips its recording
+    /// work when this is `false`.
     #[inline]
     #[must_use]
     pub const fn is_active(&self) -> bool {

@@ -2,7 +2,8 @@
 //!
 //! Every layer of the simulator — the timing engine, the READY/START sync
 //! tree, the functional executor, the schedule cache, the NoC cycle loop,
-//! the `par` thread pool — can emit [`TraceEvent`]s into a [`Tracer`]. The
+//! the degradation planner, the recovery manager and the serving engine —
+//! can emit [`TraceEvent`]s into a [`Tracer`]. The
 //! design constraints, in order:
 //!
 //! 1. **Determinism.** Events carry [`SimTime`] (or logical-ordinal)
@@ -13,8 +14,7 @@
 //! 2. **Zero cost when disabled.** A disabled tracer is a single `bool`
 //!    load per event site; the event struct is built only after that check
 //!    passes, and [`Tracer::disabled`] is `const` so a `static` no-op sink
-//!    exists for un-instrumented callers (`perf_gate` asserts the overhead
-//!    stays under 1 %).
+//!    exists for un-instrumented callers.
 //! 3. **Zero dependencies.** Ring buffer, CSV and Chrome `trace_event`
 //!    JSON export are all plain `std`.
 //!
@@ -73,13 +73,8 @@ pub mod codes {
     /// Args: `[src, dst, bytes, attempt]`.
     pub const NOC_RETRANSMIT: u16 = 0x0502;
 
-    /// One work item of a `par` fan-out (instant at the item's index —
-    /// logical order, never worker identity). Args: `[index, 0, 0, 0]`.
-    pub const PAR_TASK: u16 = 0x0601;
-    /// One `par` fan-out batch. Args: `[items, 0, 0, 0]` — the worker
-    /// count is deliberately *not* recorded: traces must stay
-    /// byte-identical across worker counts.
-    pub const PAR_BATCH: u16 = 0x0602;
+    // Group 0x06 (the `par` pool's task/batch events) is retired; its
+    // codes stay unassigned.
 
     /// The degradation ladder picked a tier.
     /// Args: `[tier (0=full,1=repaired,2=shrunk,3=host), excluded_dpus, 0, 0]`.
@@ -157,8 +152,6 @@ pub mod group {
     pub const CACHE: u8 = 0x04;
     /// NoC cycle simulation (`pim_noc`).
     pub const NOC: u8 = 0x05;
-    /// Deterministic thread pool (`pim_sim::par`).
-    pub const PAR: u8 = 0x06;
     /// Degradation ladder (`pimnet::resilience`).
     pub const PLAN: u8 = 0x07;
     /// Runtime recovery manager (`pimnet::recovery`).
@@ -194,8 +187,6 @@ pub const fn code_name(code: u16) -> &'static str {
         codes::CACHE_DEDUP_WAIT => "cache-dedup-wait",
         codes::NOC_DELIVER => "noc-deliver",
         codes::NOC_RETRANSMIT => "noc-retransmit",
-        codes::PAR_TASK => "par-task",
-        codes::PAR_BATCH => "par-batch",
         codes::PLAN_TIER => "plan-tier",
         codes::RECOV_STEP => "recov-step",
         codes::RECOV_RETRY => "recov-retry",
@@ -220,9 +211,8 @@ pub const fn code_name(code: u16) -> &'static str {
 
 /// One structured event: a point (or span, when `dur_ps > 0`) in simulated
 /// time. Timestamps are integer picoseconds of [`SimTime`] — except in
-/// subsystems with no simulated clock (the functional executor, the
-/// thread pool), which use *logical ordinals* as picoseconds so ordering
-/// stays deterministic.
+/// subsystems with no simulated clock (the functional executor), which use
+/// *logical ordinals* as picoseconds so ordering stays deterministic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceEvent {
     /// Start time in picoseconds (or a logical ordinal).
@@ -617,8 +607,6 @@ mod tests {
             codes::CACHE_DEDUP_WAIT,
             codes::NOC_DELIVER,
             codes::NOC_RETRANSMIT,
-            codes::PAR_TASK,
-            codes::PAR_BATCH,
             codes::PLAN_TIER,
             codes::RECOV_STEP,
             codes::RECOV_RETRY,

@@ -97,13 +97,25 @@ mod tests {
         // Fig 10: AllReduce is up to ~80% of baseline BFS/CC time.
         let sys = SystemConfig::paper();
         let prog = Bfs::log_gowalla().program(&sys);
-        let base = run_program(&prog, &sys, &BaselineHostBackend::new(sys)).unwrap();
+        let base = run_program(
+            &prog,
+            &sys,
+            &BaselineHostBackend::new(sys),
+            pim_sim::Probe::disabled(),
+        )
+        .unwrap();
         assert!(
             base.comm_fraction() > 0.5,
             "baseline BFS comm fraction {:.2}",
             base.comm_fraction()
         );
-        let pim = run_program(&prog, &sys, &PimnetBackend::paper()).unwrap();
+        let pim = run_program(
+            &prog,
+            &sys,
+            &PimnetBackend::paper(),
+            pim_sim::Probe::disabled(),
+        )
+        .unwrap();
         assert!(
             pim.comm_fraction() < base.comm_fraction(),
             "PIMnet must shrink the communication share"

@@ -92,8 +92,20 @@ mod tests {
         // percent and gains ~5.6x end to end.
         let sys = SystemConfig::paper();
         let prog = Cc::log_gowalla().program(&sys);
-        let base = run_program(&prog, &sys, &BaselineHostBackend::new(sys)).unwrap();
-        let pim = run_program(&prog, &sys, &PimnetBackend::paper()).unwrap();
+        let base = run_program(
+            &prog,
+            &sys,
+            &BaselineHostBackend::new(sys),
+            pim_sim::Probe::disabled(),
+        )
+        .unwrap();
+        let pim = run_program(
+            &prog,
+            &sys,
+            &PimnetBackend::paper(),
+            pim_sim::Probe::disabled(),
+        )
+        .unwrap();
         assert!(
             base.comm_fraction() > 0.7,
             "baseline CC comm fraction {:.2}",
@@ -114,8 +126,20 @@ mod tests {
         // higher performance improvement [than BFS]".
         let sys = SystemConfig::paper();
         let speedup = |prog: &crate::Program| {
-            let b = run_program(prog, &sys, &BaselineHostBackend::new(sys)).unwrap();
-            let p = run_program(prog, &sys, &PimnetBackend::paper()).unwrap();
+            let b = run_program(
+                prog,
+                &sys,
+                &BaselineHostBackend::new(sys),
+                pim_sim::Probe::disabled(),
+            )
+            .unwrap();
+            let p = run_program(
+                prog,
+                &sys,
+                &PimnetBackend::paper(),
+                pim_sim::Probe::disabled(),
+            )
+            .unwrap();
             b.total().ratio(p.total())
         };
         let cc = speedup(&Cc::log_gowalla().program(&sys));

@@ -160,7 +160,9 @@ mod tests {
         let sys = SystemConfig::paper();
         let backend = PimnetBackend::paper();
         let program = Mlp::new(1024).program(&sys);
-        let analytic = run_program(&program, &sys, &backend).unwrap().total();
+        let analytic = run_program(&program, &sys, &backend, pim_sim::Probe::disabled())
+            .unwrap()
+            .total();
         let des = run_program_des(&program, &sys, &backend, 7).unwrap();
         let ratio = des.end.ratio(analytic);
         // The analytic model charges the *max* of the imbalance band; a

@@ -254,8 +254,20 @@ mod tests {
     fn speedup(w: &Emb) -> f64 {
         let sys = SystemConfig::paper();
         let prog = w.program(&sys);
-        let b = run_program(&prog, &sys, &BaselineHostBackend::new(sys)).unwrap();
-        let p = run_program(&prog, &sys, &PimnetBackend::paper()).unwrap();
+        let b = run_program(
+            &prog,
+            &sys,
+            &BaselineHostBackend::new(sys),
+            pim_sim::Probe::disabled(),
+        )
+        .unwrap();
+        let p = run_program(
+            &prog,
+            &sys,
+            &PimnetBackend::paper(),
+            pim_sim::Probe::disabled(),
+        )
+        .unwrap();
         b.total().ratio(p.total())
     }
 

@@ -81,12 +81,14 @@ mod tests {
             &Gemv::new(1024, 64).program(&sys),
             &sys,
             &pimnet::backends::PimnetBackend::paper(),
+            pim_sim::Probe::disabled(),
         )
         .unwrap();
         let large = crate::program::run_program(
             &Gemv::new(2048, 64).program(&sys),
             &sys,
             &pimnet::backends::PimnetBackend::paper(),
+            pim_sim::Probe::disabled(),
         )
         .unwrap();
         assert!(large.compute.as_ps() >= small.compute.as_ps() * 3);

@@ -156,8 +156,20 @@ mod tests {
         // compared to the baseline."
         let sys = SystemConfig::paper();
         let prog = HashJoin::paper().program(&sys);
-        let base = run_program(&prog, &sys, &BaselineHostBackend::new(sys)).unwrap();
-        let pim = run_program(&prog, &sys, &PimnetBackend::paper()).unwrap();
+        let base = run_program(
+            &prog,
+            &sys,
+            &BaselineHostBackend::new(sys),
+            pim_sim::Probe::disabled(),
+        )
+        .unwrap();
+        let pim = run_program(
+            &prog,
+            &sys,
+            &PimnetBackend::paper(),
+            pim_sim::Probe::disabled(),
+        )
+        .unwrap();
         let speedup = base.total().ratio(pim.total());
         assert!(
             (1.05..3.5).contains(&speedup),

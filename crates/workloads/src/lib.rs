@@ -43,7 +43,7 @@ pub mod program;
 pub mod spmv;
 
 pub use error::WorkloadError;
-pub use program::{run_program, run_program_probed, ExecutionReport, Phase, Program, Workload};
+pub use program::{run_program, ExecutionReport, Phase, Program, Workload};
 
 use pim_arch::SystemConfig;
 
@@ -88,7 +88,7 @@ pub fn run_suite(
             out.push((w.name().to_string(), None));
             continue;
         }
-        let report = program::run_program(&program, system, backend)?;
+        let report = program::run_program(&program, system, backend, pim_sim::Probe::disabled())?;
         out.push((w.name().to_string(), Some(report)));
     }
     Ok(out)

@@ -80,8 +80,20 @@ mod tests {
         // PIMnet speedup is modest (the paper reports ~1.3x).
         let sys = SystemConfig::paper();
         let prog = Mlp::new(1024).program(&sys);
-        let pim = run_program(&prog, &sys, &PimnetBackend::paper()).unwrap();
-        let base = run_program(&prog, &sys, &BaselineHostBackend::new(sys)).unwrap();
+        let pim = run_program(
+            &prog,
+            &sys,
+            &PimnetBackend::paper(),
+            pim_sim::Probe::disabled(),
+        )
+        .unwrap();
+        let base = run_program(
+            &prog,
+            &sys,
+            &BaselineHostBackend::new(sys),
+            pim_sim::Probe::disabled(),
+        )
+        .unwrap();
         assert!(
             pim.comm_fraction() < 0.3,
             "MLP on PIMnet should be compute-dominated: {:.2}",

@@ -152,30 +152,16 @@ impl fmt::Display for ExecutionReport {
 /// Times a program on a system with one collective backend.
 ///
 /// Compute phases go through the DPU model; each collective inherits the
-/// preceding compute phase's imbalance as synchronization skew.
+/// preceding compute phase's imbalance as synchronization skew. Each
+/// collective phase's [`CommBreakdown`] lands in `probe`'s metrics sink —
+/// per-tier communication time plus the sync / memory-staging / host
+/// buckets — so figure generators can source their columns from one
+/// [`pim_sim::MetricsReport`] instead of hand-rolled accumulators.
 ///
 /// # Errors
 ///
 /// Propagates backend errors (e.g., unsupported collectives).
 pub fn run_program(
-    program: &Program,
-    system: &SystemConfig,
-    backend: &dyn CollectiveBackend,
-) -> Result<ExecutionReport, PimnetError> {
-    run_program_probed(program, system, backend, Probe::disabled())
-}
-
-/// [`run_program`] with observability: each collective phase's
-/// [`CommBreakdown`] lands in `probe`'s metrics sink — per-tier
-/// communication time plus the sync / memory-staging / host buckets — so
-/// figure generators can source their columns from one
-/// [`pim_sim::MetricsReport`] instead of hand-rolled accumulators. With a
-/// disabled probe this is exactly [`run_program`].
-///
-/// # Errors
-///
-/// Same as [`run_program`].
-pub fn run_program_probed(
     program: &Program,
     system: &SystemConfig,
     backend: &dyn CollectiveBackend,
@@ -245,8 +231,8 @@ mod tests {
     fn compute_is_backend_invariant() {
         let sys = SystemConfig::paper();
         let p = toy_program();
-        let a = run_program(&p, &sys, &PimnetBackend::paper()).unwrap();
-        let b = run_program(&p, &sys, &BaselineHostBackend::new(sys)).unwrap();
+        let a = run_program(&p, &sys, &PimnetBackend::paper(), Probe::disabled()).unwrap();
+        let b = run_program(&p, &sys, &BaselineHostBackend::new(sys), Probe::disabled()).unwrap();
         assert_eq!(a.compute, b.compute);
         assert!(a.comm.total() < b.comm.total());
     }
@@ -268,8 +254,8 @@ mod tests {
             },
             Phase::collective(CollectiveKind::AllReduce, Bytes::kib(1)),
         ]);
-        let h = run_program(&heavy, &sys, &PimnetBackend::paper()).unwrap();
-        let l = run_program(&light, &sys, &PimnetBackend::paper()).unwrap();
+        let h = run_program(&heavy, &sys, &PimnetBackend::paper(), Probe::disabled()).unwrap();
+        let l = run_program(&light, &sys, &PimnetBackend::paper(), Probe::disabled()).unwrap();
         // Residual jitter feeds the barrier; the straggler tail itself is
         // accounted as compute (every backend waits for the slowest DPU).
         assert!(h.comm.sync > l.comm.sync);
@@ -279,7 +265,13 @@ mod tests {
     #[test]
     fn report_accounting() {
         let sys = SystemConfig::paper();
-        let r = run_program(&toy_program(), &sys, &PimnetBackend::paper()).unwrap();
+        let r = run_program(
+            &toy_program(),
+            &sys,
+            &PimnetBackend::paper(),
+            Probe::disabled(),
+        )
+        .unwrap();
         assert_eq!(r.phases, 4);
         assert!(r.total() >= r.compute);
         assert!((0.0..=1.0).contains(&r.comm_fraction()));

@@ -213,8 +213,20 @@ mod tests {
         // sum Reduce-Scatter.
         let sys = SystemConfig::paper();
         let prog = Spmv::paper().program(&sys);
-        let base = run_program(&prog, &sys, &BaselineHostBackend::new(sys)).unwrap();
-        let pim = run_program(&prog, &sys, &PimnetBackend::paper()).unwrap();
+        let base = run_program(
+            &prog,
+            &sys,
+            &BaselineHostBackend::new(sys),
+            pim_sim::Probe::disabled(),
+        )
+        .unwrap();
+        let pim = run_program(
+            &prog,
+            &sys,
+            &PimnetBackend::paper(),
+            pim_sim::Probe::disabled(),
+        )
+        .unwrap();
         let speedup = base.total().ratio(pim.total());
         assert!(
             (1.3..8.0).contains(&speedup),

@@ -10,6 +10,7 @@ use pimnet_suite::arch::SystemConfig;
 use pimnet_suite::net::api::PimnetSystem;
 use pimnet_suite::net::backends::{multi_channel_collective, BackendKind};
 use pimnet_suite::net::collective::CollectiveSpec;
+use pimnet_suite::sim::Probe;
 use pimnet_suite::workloads::emb::Emb;
 use pimnet_suite::workloads::program::run_program;
 use pimnet_suite::workloads::Workload;
@@ -25,10 +26,16 @@ fn main() {
             &program,
             &sys,
             pimnet.backend(BackendKind::Baseline).as_ref(),
+            Probe::disabled(),
         )
         .expect("baseline");
-        let pim = run_program(&program, &sys, pimnet.backend(BackendKind::Pimnet).as_ref())
-            .expect("pimnet");
+        let pim = run_program(
+            &program,
+            &sys,
+            pimnet.backend(BackendKind::Pimnet).as_ref(),
+            Probe::disabled(),
+        )
+        .expect("pimnet");
         println!(
             "  {:<10} baseline {:>12}  pimnet {:>12}  -> {:>6.1}x",
             profile.name(),

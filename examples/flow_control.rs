@@ -6,8 +6,9 @@
 //! ```
 
 use pim_sim::rng::SimRng;
-use pim_sim::SimTime;
+use pim_sim::{Probe, SimTime};
 use pimnet_suite::arch::PimGeometry;
+use pimnet_suite::faults::FaultInjector;
 use pimnet_suite::net::collective::CollectiveKind;
 use pimnet_suite::net::schedule::CommSchedule;
 use pimnet_suite::noc::{simulate_credit, simulate_scheduled, NocConfig};
@@ -25,8 +26,15 @@ fn main() {
 
     for kind in [CollectiveKind::AllReduce, CollectiveKind::AllToAll] {
         let schedule = CommSchedule::build(kind, &geometry, 4096, 4).expect("schedule");
-        let credit = simulate_credit(&schedule, &ready, &cfg);
-        let sched = simulate_scheduled(&schedule, &ready, &cfg);
+        let credit = simulate_credit(
+            &schedule,
+            &ready,
+            &cfg,
+            &FaultInjector::none(),
+            Probe::disabled(),
+        )
+        .unwrap();
+        let sched = simulate_scheduled(&schedule, &ready, &cfg, Probe::disabled());
         println!("{kind} over {n} DPUs (16 KiB per DPU):");
         println!("  credit-based flow control : {credit}");
         println!("  PIM-controlled scheduling : {sched}");

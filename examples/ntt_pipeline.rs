@@ -13,6 +13,7 @@
 use pimnet_suite::arch::SystemConfig;
 use pimnet_suite::net::api::PimnetSystem;
 use pimnet_suite::net::backends::BackendKind;
+use pimnet_suite::sim::Probe;
 use pimnet_suite::workloads::ntt::{self, NttWorkload};
 use pimnet_suite::workloads::program::run_program;
 use pimnet_suite::workloads::Workload;
@@ -46,7 +47,7 @@ fn main() {
         {
             continue;
         }
-        let r = run_program(&program, &sys, backend.as_ref()).expect("run");
+        let r = run_program(&program, &sys, backend.as_ref(), Probe::disabled()).expect("run");
         println!(
             "  {:<18} total {:>12}   (comm {:>5.1}%)",
             kind.to_string(),

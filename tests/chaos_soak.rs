@@ -23,6 +23,7 @@ use pimnet_suite::net::schedule::{validate::validate, CommSchedule};
 use pimnet_suite::net::timeline::Timeline;
 use pimnet_suite::net::timing::TimingModel;
 use pimnet_suite::net::PimnetError;
+use pimnet_suite::sim::Probe;
 
 const ELEMS: usize = 64;
 
@@ -175,8 +176,8 @@ fn identical_seeds_are_byte_identical() {
         if let Some(s) = a.as_ref().and_then(|p| p.schedule()) {
             let inj = FaultInjector::new(chaos_config(seed));
             let timing = TimingModel::paper();
-            let ta = Timeline::build_with_faults(s, &timing, &inj).unwrap();
-            let tb = Timeline::build_with_faults(s, &timing, &inj).unwrap();
+            let ta = Timeline::build_with_faults(s, &timing, &inj, Probe::disabled()).unwrap();
+            let tb = Timeline::build_with_faults(s, &timing, &inj, Probe::disabled()).unwrap();
             assert_eq!(ta, tb, "seed {seed}: timelines diverged");
         }
     }

@@ -12,23 +12,30 @@
 //!    `Timeline::end`.
 //! 4. **Byte conservation (NoC)** — a completed credit-simulation run
 //!    delivers every injected byte.
-//! 5. **Zero when disabled** — the disabled sink stays all-zero and the
-//!    probed entry points are bit-identical to their plain twins.
+//! 5. **Zero when disabled** — the disabled sink stays all-zero, and
+//!    observation never changes a result: every instrumented entry point
+//!    returns the same value under an enabled and a disabled probe, with
+//!    and without faults.
 //! 6. **Worker-count invariance** — the same captures produce the same
 //!    reports at 1, 2 and 8 workers.
 
 use pimnet_suite::arch::geometry::{DpuId, PimGeometry};
 use pimnet_suite::arch::{OpCounts, SystemConfig};
+use pimnet_suite::faults::{FaultConfig, FaultInjector, PermanentFaultSet};
 use pimnet_suite::net::backends::PimnetBackend;
 use pimnet_suite::net::collective::CollectiveKind;
 use pimnet_suite::net::exec::{ExecMachine, ReduceOp};
+use pimnet_suite::net::recovery::{run_recovered, RecoveryConfig, RecoveryRequest};
 use pimnet_suite::net::schedule::CommSchedule;
+use pimnet_suite::net::sync::{SyncModel, SyncScope};
 use pimnet_suite::net::timeline::Timeline;
 use pimnet_suite::net::timing::TimingModel;
 use pimnet_suite::net::FabricConfig;
-use pimnet_suite::noc::{simulate_credit, simulate_credit_probed, NocConfig};
+use pimnet_suite::noc::{
+    simulate_credit, simulate_scheduled, simulate_scheduled_repaired, NocConfig,
+};
 use pimnet_suite::sim::{par, Bytes, MetricsReport, Probe, SimTime};
-use pimnet_suite::workloads::{run_program, run_program_probed, Phase, Program};
+use pimnet_suite::workloads::{run_program, Phase, Program};
 
 const KINDS: [CollectiveKind; 5] = [
     CollectiveKind::AllReduce,
@@ -48,14 +55,20 @@ fn input(id: DpuId, elems: usize) -> Vec<u64> {
         .collect()
 }
 
+/// The fault-free timeline of `s`, observed by `probe`.
+fn timeline(s: &CommSchedule, probe: &Probe) -> Timeline {
+    Timeline::build_with_faults(s, &TimingModel::paper(), &FaultInjector::none(), probe).unwrap()
+}
+
 /// Full observed pipeline (timeline + executor) for one kind; returns the
 /// metrics snapshot the invariants below inspect.
 fn observe(kind: CollectiveKind, n: u32, elems: usize) -> (Timeline, MetricsReport) {
     let s = schedule(kind, n, elems);
     let probe = Probe::enabled();
-    let t = Timeline::build_probed(&s, &TimingModel::paper(), &probe);
+    let t = timeline(&s, &probe);
     let mut m = ExecMachine::init(&s, |id| input(id, elems));
-    m.run_probed(&s, ReduceOp::Sum, &probe);
+    m.run_with_faults_probed(&s, ReduceOp::Sum, &FaultInjector::none(), &probe)
+        .unwrap();
     (t, probe.metrics.snapshot())
 }
 
@@ -99,7 +112,7 @@ fn barrier_and_wire_counters_match_the_timeline() {
     for kind in KINDS {
         let s = schedule(kind, 16, 96);
         let probe = Probe::enabled();
-        let t = Timeline::build_probed(&s, &TimingModel::paper(), &probe);
+        let t = timeline(&s, &probe);
         let r = probe.metrics.snapshot();
         assert_eq!(r.barriers, 1, "{kind}: one READY/START barrier per build");
         assert_eq!(
@@ -133,7 +146,7 @@ fn noc_delivers_every_injected_byte() {
         let s = schedule(kind, 8, 256);
         let ready = vec![SimTime::ZERO; 8];
         let probe = Probe::enabled();
-        let report = simulate_credit_probed(&s, &ready, &cfg, &probe);
+        let report = simulate_credit(&s, &ready, &cfg, &FaultInjector::none(), &probe).unwrap();
         let r = probe.metrics.snapshot();
         assert_eq!(
             r.noc_injected_bytes, r.noc_delivered_bytes,
@@ -165,7 +178,7 @@ fn program_metrics_reconstruct_the_comm_breakdown() {
         Phase::collective(CollectiveKind::ReduceScatter, Bytes::kib(4)),
     ]);
     let probe = Probe::enabled();
-    let report = run_program_probed(&program, &sys, &backend, &probe).unwrap();
+    let report = run_program(&program, &sys, &backend, &probe).unwrap();
     let r = probe.metrics.snapshot();
     let comm_ps: u64 = r.comm_time_ps_by_tier.iter().sum::<u64>()
         + r.sync_time_ps
@@ -177,36 +190,142 @@ fn program_metrics_reconstruct_the_comm_breakdown() {
         "per-tier + sync/mem/host buckets must reassemble the comm total"
     );
     assert_eq!(r.wall_ps, report.total().as_ps());
+}
+
+/// A lossy, straggling fault scenario every folded entry point survives:
+/// CRC retries well inside the budget, a few delayed READYs.
+fn lossy() -> FaultInjector {
+    FaultInjector::new(
+        FaultConfig {
+            transient_ber: 0.1,
+            straggler_prob: 0.3,
+            straggler_max_ns: 400,
+            max_retries: 16,
+            ..FaultConfig::none()
+        }
+        .with_seed(0x0B5E),
+    )
+}
+
+/// Runs `f` under the disabled probe and under an enabled one: the two
+/// results must agree, and the enabled probe must have recorded
+/// something (so the comparison really covered an observed run).
+fn assert_unobservable<R: PartialEq + std::fmt::Debug>(what: &str, f: impl Fn(&Probe) -> R) {
+    let probe = Probe::enabled();
+    let observed = f(&probe);
     assert_eq!(
-        report,
-        run_program(&program, &sys, &backend).unwrap(),
-        "probing changed the report"
+        f(Probe::disabled()),
+        observed,
+        "{what}: observation changed the result"
     );
+    assert!(
+        !probe.trace.is_empty() || probe.metrics.snapshot() != MetricsReport::new(),
+        "{what}: the enabled probe recorded nothing"
+    );
+}
+
+#[test]
+fn observation_never_changes_a_result() {
+    const DPUS: u32 = 16;
+    const ELEMS: usize = 96;
+    let g = PimGeometry::paper_scaled(DPUS);
+    let sys = SystemConfig::paper_scaled(DPUS);
+    let timing = TimingModel::paper();
+    let cfg = NocConfig::paper();
+    let sync = SyncModel::from_fabric(&FabricConfig::paper());
+    let faults = PermanentFaultSet::parse_tokens("r0c0b2E").unwrap();
+    let ready: Vec<SimTime> = (0..u64::from(DPUS))
+        .map(|i| SimTime::from_ns(i * 7))
+        .collect();
+    let init = |id: DpuId| input(id, ELEMS);
+    for injector in [FaultInjector::none(), lossy()] {
+        let scenario = if injector.is_active() {
+            "lossy"
+        } else {
+            "clean"
+        };
+        for kind in KINDS {
+            let s = schedule(kind, DPUS, ELEMS);
+            let at = |what: &str| format!("{kind} {scenario} {what}");
+            assert_unobservable(&at("timeline"), |p| {
+                Timeline::build_with_faults(&s, &timing, &injector, p)
+            });
+            assert_unobservable(&at("exec"), |p| {
+                let mut m = ExecMachine::init(&s, init);
+                let stats = m.run_with_faults_probed(&s, ReduceOp::Sum, &injector, p);
+                (m, stats)
+            });
+            assert_unobservable(&at("credit NoC"), |p| {
+                simulate_credit(&s, &ready, &cfg, &injector, p)
+            });
+            assert_unobservable(&at("recovery"), |p| {
+                let req = RecoveryRequest {
+                    kind,
+                    geometry: &g,
+                    elems_per_node: ELEMS,
+                    elem_bytes: 8,
+                    op: ReduceOp::Sum,
+                    injector: &injector,
+                    system: &sys,
+                    timing: &timing,
+                    config: RecoveryConfig::default(),
+                };
+                run_recovered(&req, init, p).map(|out| {
+                    (
+                        out.machine,
+                        out.plan_tier,
+                        out.logical_to_physical,
+                        out.stats,
+                        out.error_trail,
+                        out.end_ps,
+                    )
+                })
+            });
+        }
+        assert_unobservable(&format!("{scenario} barrier"), |p| {
+            sync.barrier_with_faults(SyncScope::Channel, SimTime::ZERO, g.dpus(), &injector, 0, p)
+        });
+    }
+    // The layers below take no transient scenario: permanent faults (or
+    // none) are their only fault input.
+    for kind in KINDS {
+        let s = schedule(kind, DPUS, ELEMS);
+        for set in [PermanentFaultSet::none(), faults.clone()] {
+            let at = |what: &str| format!("{kind} {set} {what}");
+            assert_unobservable(&at("repaired timeline"), |p| {
+                Timeline::build_repaired(&s, &timing, &set, p)
+            });
+            assert_unobservable(&at("repaired scheduled NoC"), |p| {
+                simulate_scheduled_repaired(&s, &ready, &cfg, &set, p)
+            });
+        }
+        assert_unobservable(&format!("{kind} scheduled NoC"), |p| {
+            simulate_scheduled(&s, &ready, &cfg, p)
+        });
+    }
+    let backend = PimnetBackend::new(SystemConfig::paper(), FabricConfig::paper());
+    let program = Program::new(vec![
+        Phase::compute(OpCounts::new().with_adds(100_000)),
+        Phase::collective(CollectiveKind::AllReduce, Bytes::kib(8)),
+        Phase::collective(CollectiveKind::AllToAll, Bytes::kib(4)),
+    ]);
+    assert_unobservable("program", |p| {
+        run_program(&program, &SystemConfig::paper(), &backend, p)
+    });
 }
 
 #[test]
 fn disabled_sink_is_zero_cost_and_zero_valued() {
     let off = Probe::disabled();
+    let inj = lossy();
     for kind in KINDS {
         let s = schedule(kind, 8, 64);
-        let timing = TimingModel::paper();
-        assert_eq!(
-            Timeline::build_probed(&s, &timing, off),
-            Timeline::build(&s, &timing),
-            "{kind}: probing changed the timeline"
-        );
-        let mut plain = ExecMachine::init(&s, |id| input(id, 64));
-        plain.run(&s, ReduceOp::Sum);
-        let mut probed = ExecMachine::init(&s, |id| input(id, 64));
-        probed.run_probed(&s, ReduceOp::Sum, off);
-        assert_eq!(plain, probed, "{kind}: probing changed the buffers");
+        let _ = Timeline::build_with_faults(&s, &TimingModel::paper(), &inj, off);
+        let mut m = ExecMachine::init(&s, |id| input(id, 64));
+        let _ = m.run_with_faults_probed(&s, ReduceOp::Sum, &inj, off);
         let ready = vec![SimTime::ZERO; 8];
-        let cfg = NocConfig::paper();
-        assert_eq!(
-            simulate_credit_probed(&s, &ready, &cfg, off),
-            simulate_credit(&s, &ready, &cfg),
-            "{kind}: probing changed the NoC report"
-        );
+        let _ = simulate_credit(&s, &ready, &NocConfig::paper(), &inj, off);
+        let _ = simulate_scheduled(&s, &ready, &NocConfig::paper(), off);
     }
     assert!(!off.is_active());
     assert_eq!(

@@ -4,7 +4,8 @@
 //! contention-free analytic bound by more than pipelining effects allow.
 
 use pim_arch::geometry::PimGeometry;
-use pim_sim::SimTime;
+use pim_sim::{Probe, SimTime};
+use pimnet_suite::faults::FaultInjector;
 use pimnet_suite::net::collective::CollectiveKind;
 use pimnet_suite::net::schedule::CommSchedule;
 use pimnet_suite::noc::{simulate_credit, simulate_scheduled, NocConfig};
@@ -22,8 +23,10 @@ fn credit_sim_tracks_the_analytic_model_for_allreduce() {
     for (n, elems) in [(8u32, 1024usize), (32, 1024), (64, 2048)] {
         let s = build(CollectiveKind::AllReduce, n, elems);
         let ready = vec![SimTime::ZERO; n as usize];
-        let credit = simulate_credit(&s, &ready, &cfg).completion;
-        let sched = simulate_scheduled(&s, &ready, &cfg).completion;
+        let credit = simulate_credit(&s, &ready, &cfg, &FaultInjector::none(), Probe::disabled())
+            .unwrap()
+            .completion;
+        let sched = simulate_scheduled(&s, &ready, &cfg, Probe::disabled()).completion;
         let ratio = credit.ratio(sched);
         assert!(
             (0.6..1.35).contains(&ratio),
@@ -36,8 +39,22 @@ fn credit_sim_tracks_the_analytic_model_for_allreduce() {
 fn cycle_counts_scale_linearly_with_payload() {
     let cfg = NocConfig::paper();
     let ready = vec![SimTime::ZERO; 16];
-    let small = simulate_credit(&build(CollectiveKind::AllToAll, 16, 512), &ready, &cfg);
-    let large = simulate_credit(&build(CollectiveKind::AllToAll, 16, 2048), &ready, &cfg);
+    let small = simulate_credit(
+        &build(CollectiveKind::AllToAll, 16, 512),
+        &ready,
+        &cfg,
+        &FaultInjector::none(),
+        Probe::disabled(),
+    )
+    .unwrap();
+    let large = simulate_credit(
+        &build(CollectiveKind::AllToAll, 16, 2048),
+        &ready,
+        &cfg,
+        &FaultInjector::none(),
+        Probe::disabled(),
+    )
+    .unwrap();
     let ratio = large.cycles as f64 / small.cycles as f64;
     assert!((3.0..6.0).contains(&ratio), "ratio {ratio:.2}");
 }
@@ -48,7 +65,7 @@ fn scheduled_mode_reports_the_barrier() {
     let s = build(CollectiveKind::AllReduce, 8, 256);
     let mut ready = vec![SimTime::ZERO; 8];
     ready[7] = SimTime::from_ms(1);
-    let r = simulate_scheduled(&s, &ready, &cfg);
+    let r = simulate_scheduled(&s, &ready, &cfg, Probe::disabled());
     assert!(r.completion > SimTime::from_ms(1));
     assert_eq!(r.stall_cycles, 0);
 }
@@ -67,7 +84,8 @@ fn deadlock_free_across_collectives_and_sizes() {
         for n in [8u32, 32] {
             let s = build(kind, n, 768);
             let ready = vec![SimTime::ZERO; n as usize];
-            let r = simulate_credit(&s, &ready, &cfg);
+            let r = simulate_credit(&s, &ready, &cfg, &FaultInjector::none(), Probe::disabled())
+                .unwrap();
             assert!(r.cycles > 0, "{kind} n={n}");
         }
     }

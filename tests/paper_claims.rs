@@ -3,7 +3,8 @@
 //! records the exact measured values.
 
 use pim_arch::{ComputePreset, PimGeometry, SystemConfig};
-use pim_sim::{Bandwidth, Bytes, SimTime};
+use pim_sim::{Bandwidth, Bytes, Probe, SimTime};
+use pimnet_suite::faults::FaultInjector;
 use pimnet_suite::net::backends::{
     BaselineHostBackend, CollectiveBackend, DimmLinkBackend, PimnetBackend, SoftwareIdealBackend,
 };
@@ -82,8 +83,14 @@ fn fig3_scalability_shapes() {
 fn fig10_cc_shape() {
     let sys = SystemConfig::paper();
     let prog = Cc::log_gowalla().program(&sys);
-    let b = run_program(&prog, &sys, &BaselineHostBackend::new(sys)).unwrap();
-    let p = run_program(&prog, &sys, &PimnetBackend::paper()).unwrap();
+    let b = run_program(
+        &prog,
+        &sys,
+        &BaselineHostBackend::new(sys),
+        Probe::disabled(),
+    )
+    .unwrap();
+    let p = run_program(&prog, &sys, &PimnetBackend::paper(), Probe::disabled()).unwrap();
     assert!(b.comm_fraction() > 0.7, "{}", b.comm_fraction());
     assert!(p.comm_fraction() < 0.5, "{}", p.comm_fraction());
     let speedup = b.total().ratio(p.total());
@@ -108,16 +115,25 @@ fn fig13_flow_control_direction() {
     let ar =
         pimnet_suite::net::schedule::CommSchedule::build(CollectiveKind::AllReduce, &g, 4096, 4)
             .unwrap();
-    let ar_ratio = simulate_credit(&ar, &ready, &cfg)
+    let ar_ratio = simulate_credit(&ar, &ready, &cfg, &FaultInjector::none(), Probe::disabled())
+        .unwrap()
         .completion
-        .ratio(simulate_scheduled(&ar, &ready, &cfg).completion);
+        .ratio(simulate_scheduled(&ar, &ready, &cfg, Probe::disabled()).completion);
     assert!((0.85..1.15).contains(&ar_ratio), "AR ratio {ar_ratio:.3}");
 
     let a2a =
         pimnet_suite::net::schedule::CommSchedule::build(CollectiveKind::AllToAll, &g, 8192, 4)
             .unwrap();
-    let credit = simulate_credit(&a2a, &ready, &cfg).completion;
-    let sched = simulate_scheduled(&a2a, &ready, &cfg).completion;
+    let credit = simulate_credit(
+        &a2a,
+        &ready,
+        &cfg,
+        &FaultInjector::none(),
+        Probe::disabled(),
+    )
+    .unwrap()
+    .completion;
+    let sched = simulate_scheduled(&a2a, &ready, &cfg, Probe::disabled()).completion;
     let gain = 1.0 - sched.as_secs_f64() / credit.as_secs_f64();
     assert!(
         (0.03..0.40).contains(&gain),
@@ -154,8 +170,20 @@ fn fig15_compute_scaling_amplifies_pimnet() {
     let speedup = |preset: ComputePreset| {
         let sys = SystemConfig::paper().with_compute(preset);
         let prog = Mlp::new(1024).program(&sys);
-        let b = run_program(&prog, &sys, &BaselineHostBackend::new(sys)).unwrap();
-        let p = run_program(&prog, &sys, &PimnetBackend::new(sys, FabricConfig::paper())).unwrap();
+        let b = run_program(
+            &prog,
+            &sys,
+            &BaselineHostBackend::new(sys),
+            Probe::disabled(),
+        )
+        .unwrap();
+        let p = run_program(
+            &prog,
+            &sys,
+            &PimnetBackend::new(sys, FabricConfig::paper()),
+            Probe::disabled(),
+        )
+        .unwrap();
         b.total().ratio(p.total())
     };
     let upmem = speedup(ComputePreset::UpmemDpu);

@@ -27,7 +27,7 @@ use pimnet_suite::net::recovery::{
 use pimnet_suite::net::schedule::CommSchedule;
 use pimnet_suite::net::timing::TimingModel;
 use pimnet_suite::net::PimnetError;
-use pimnet_suite::sim::par;
+use pimnet_suite::sim::{par, Probe};
 
 const N: u32 = 16;
 const ELEMS: usize = 16;
@@ -98,7 +98,7 @@ fn run_one(kind: CollectiveKind, seed: u64) -> Result<RecoveryOutcome<u64>, Pimn
         timing: &timing,
         config: RecoveryConfig::default(),
     };
-    run_recovered::<u64>(&req, input)
+    run_recovered::<u64>(&req, input, Probe::disabled())
 }
 
 /// Asserts one outcome against the soundness contract and returns the
@@ -222,7 +222,7 @@ fn finite_burst_windows_recover_bit_identically_for_every_kind() {
             timing: &timing,
             config: RecoveryConfig::default(),
         };
-        let out = run_recovered::<u64>(&req, input).unwrap();
+        let out = run_recovered::<u64>(&req, input, Probe::disabled()).unwrap();
         assert_eq!(out.plan_tier, 0, "{kind}: trail {:?}", out.error_trail);
         assert!(out.stats.step_retries >= 1, "{kind}: burst never bit");
         assert_eq!(assert_sound(kind, 0, &Ok(out)), 0);
@@ -257,7 +257,7 @@ fn mid_run_arrivals_stay_sound_for_every_kind() {
             timing: &timing,
             config: RecoveryConfig::default(),
         };
-        let out = run_recovered::<u64>(&req, input).unwrap();
+        let out = run_recovered::<u64>(&req, input, Probe::disabled()).unwrap();
         assert!(
             out.machine.is_some(),
             "{kind}: one dead segment must stay survivable (tier {}, trail {:?})",
@@ -298,7 +298,7 @@ fn declared_dead_rank_from_launch_still_plans_and_recovers() {
         timing: &timing,
         config: RecoveryConfig::default(),
     };
-    let out = run_recovered::<u64>(&req, input).unwrap();
+    let out = run_recovered::<u64>(&req, input, Probe::disabled()).unwrap();
     assert!(out.machine.is_some(), "trail: {:?}", out.error_trail);
     assert_sound(CollectiveKind::AllReduce, 0, &Ok(out));
 }

@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use pimnet_suite::sim::trace::{code_group, code_name, codes};
 
 /// Every code constant the trace exports.
-const IMPLEMENTED: [u16; 34] = [
+const IMPLEMENTED: [u16; 32] = [
     codes::BARRIER,
     codes::STRAGGLER,
     codes::REPAIR_OVERHEAD,
@@ -24,8 +24,6 @@ const IMPLEMENTED: [u16; 34] = [
     codes::CACHE_DEDUP_WAIT,
     codes::NOC_DELIVER,
     codes::NOC_RETRANSMIT,
-    codes::PAR_TASK,
-    codes::PAR_BATCH,
     codes::PLAN_TIER,
     codes::RECOV_STEP,
     codes::RECOV_RETRY,

@@ -17,6 +17,7 @@ use std::path::PathBuf;
 
 use pimnet_suite::arch::geometry::{DpuId, PimGeometry};
 use pimnet_suite::faults::permanent::PermanentFaultSet;
+use pimnet_suite::faults::FaultInjector;
 use pimnet_suite::net::collective::CollectiveKind;
 use pimnet_suite::net::exec::{ExecMachine, ReduceOp};
 use pimnet_suite::net::schedule::autotune::TunedChoice;
@@ -52,9 +53,11 @@ fn capture(kind: CollectiveKind, elems: usize) -> (Trace, MetricsReport) {
     let g = PimGeometry::paper_scaled(DPUS);
     let req = ScheduleRequest::new(kind, &g, elems, 4);
     let s = cache::get::<CommSchedule>(&req, &probe).expect("schedule build");
-    let _timeline = Timeline::build_probed(&s, &TimingModel::paper(), &probe);
+    let clean = FaultInjector::none();
+    Timeline::build_with_faults(&s, &TimingModel::paper(), &clean, &probe).expect("timeline");
     let mut m = ExecMachine::init(&s, |id: DpuId| vec![u64::from(id.0) + 1; elems]);
-    m.run_probed(&s, ReduceOp::Sum, &probe);
+    m.run_with_faults_probed(&s, ReduceOp::Sum, &clean, &probe)
+        .expect("execution");
     (probe.trace.drain(), probe.metrics.snapshot())
 }
 

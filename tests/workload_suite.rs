@@ -3,6 +3,7 @@
 use pim_arch::SystemConfig;
 use pimnet_suite::net::backends::{all_backends, BackendKind};
 use pimnet_suite::net::FabricConfig;
+use pimnet_suite::sim::Probe;
 use pimnet_suite::workloads::program::run_program;
 use pimnet_suite::workloads::{paper_suite, run_suite};
 
@@ -45,8 +46,12 @@ fn pimnet_never_loses_to_the_baseline() {
         .unwrap();
     for w in paper_suite() {
         let program = w.program(&sys);
-        let tb = run_program(&program, &sys, base.as_ref()).unwrap().total();
-        let tp = run_program(&program, &sys, pim.as_ref()).unwrap().total();
+        let tb = run_program(&program, &sys, base.as_ref(), Probe::disabled())
+            .unwrap()
+            .total();
+        let tp = run_program(&program, &sys, pim.as_ref(), Probe::disabled())
+            .unwrap()
+            .total();
         assert!(tp < tb, "{}: PIMnet {tp} vs baseline {tb}", w.name());
     }
 }
@@ -61,7 +66,11 @@ fn compute_time_is_identical_across_backends() {
         let mut computes = Vec::new();
         for b in &backends {
             if program.collective_kinds().iter().all(|&k| b.supports(k)) {
-                computes.push(run_program(&program, &sys, b.as_ref()).unwrap().compute);
+                computes.push(
+                    run_program(&program, &sys, b.as_ref(), Probe::disabled())
+                        .unwrap()
+                        .compute,
+                );
             }
         }
         assert!(computes.windows(2).all(|w| w[0] == w[1]), "{}", w.name());
@@ -77,7 +86,7 @@ fn communication_fractions_are_sane() {
         .find(|b| b.kind() == BackendKind::Pimnet)
         .unwrap();
     for w in paper_suite() {
-        let r = run_program(&w.program(&sys), &sys, pim.as_ref()).unwrap();
+        let r = run_program(&w.program(&sys), &sys, pim.as_ref(), Probe::disabled()).unwrap();
         let f = r.comm_fraction();
         assert!((0.0..=1.0).contains(&f), "{}: {f}", w.name());
         // PIMnet never leaves a workload >90% communication-bound.
