@@ -1,4 +1,5 @@
-//! Ablation study of PIMnet's AllReduce design choices (DESIGN.md):
+//! Ablation study of PIMnet's AllReduce design choices (DESIGN.md), each
+//! variant a composition of the per-tier algorithm library:
 //!
 //! * **bidirectional bank ring** — uses all four Table IV channels; the
 //!   ablated unidirectional ring halves inter-bank bandwidth;
@@ -7,7 +8,8 @@
 
 use pim_arch::geometry::PimGeometry;
 use pim_sim::SimTime;
-use pimnet::schedule::{AllReduceOptions, CommSchedule};
+use pimnet::collective::CollectiveKind;
+use pimnet::schedule::{build_composed, Composition};
 use pimnet::timing::TimingModel;
 use pimnet_bench::{us, Table};
 
@@ -15,27 +17,25 @@ fn main() {
     let g = PimGeometry::paper();
     let m = TimingModel::paper();
     let variants = [
-        ("paper (bidir + broadcast)", AllReduceOptions::default()),
+        (
+            "paper (bidir + broadcast)",
+            Composition::paper_allreduce(true, true),
+        ),
         (
             "unidirectional ring",
-            AllReduceOptions {
-                bidirectional_ring: false,
-                ..AllReduceOptions::default()
-            },
+            Composition::paper_allreduce(false, true),
         ),
         (
             "scatter+AG inter-rank",
-            AllReduceOptions {
-                rank_broadcast: false,
-                ..AllReduceOptions::default()
-            },
+            Composition::paper_allreduce(true, false),
         ),
+        ("both ablated", Composition::paper_allreduce(false, false)),
+        // A different *algorithm* entirely: textbook recursive
+        // halving-doubling (2 log N steps) on every tier — fast on fat
+        // networks, wrong for this fabric.
         (
-            "both ablated",
-            AllReduceOptions {
-                bidirectional_ring: false,
-                rank_broadcast: false,
-            },
+            "halving-doubling (16 steps)",
+            Composition::parse("rabenseifner_rabenseifner_rabenseifner").expect("spec"),
         ),
     ];
 
@@ -50,14 +50,14 @@ fn main() {
             "vs paper",
         ],
     );
-    let baseline = {
-        let s = CommSchedule::build_allreduce_with(&g, 8192, 4, variants[0].1).unwrap();
-        m.time_schedule(&s, SimTime::ZERO).total()
-    };
-    for (name, opts) in variants {
-        let s = CommSchedule::build_allreduce_with(&g, 8192, 4, opts).unwrap();
+    let time = |comp| {
+        let s = build_composed(CollectiveKind::AllReduce, &g, 8192, 4, comp).expect("builds");
         pimnet::schedule::validate::validate(&s).expect("valid");
-        let b = m.time_schedule(&s, SimTime::ZERO);
+        m.time_schedule(&s, SimTime::ZERO)
+    };
+    let baseline = time(variants[0].1).total();
+    for (name, comp) in variants {
+        let b = time(comp);
         t.row([
             name.to_string(),
             us(b.inter_bank),
@@ -67,18 +67,5 @@ fn main() {
             format!("{:.2}x", b.total().ratio(baseline)),
         ]);
     }
-    // A different *algorithm* entirely: textbook recursive halving-doubling
-    // (2 log N steps) — fast on fat networks, wrong for this fabric.
-    let hd = pimnet::schedule::halving::build_halving_doubling(&g, 8192, 4).unwrap();
-    pimnet::schedule::validate::validate(&hd).expect("valid");
-    let b = m.time_schedule(&hd, SimTime::ZERO);
-    t.row([
-        "halving-doubling (16 steps)".to_string(),
-        us(b.inter_bank),
-        us(b.inter_chip),
-        us(b.inter_rank),
-        us(b.total()),
-        format!("{:.2}x", b.total().ratio(baseline)),
-    ]);
     t.emit("ablation_allreduce");
 }

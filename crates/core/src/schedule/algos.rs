@@ -1,10 +1,11 @@
-//! Per-tier collective algorithm library and hierarchical composition.
+//! Per-tier collective algorithm library and hierarchical composition —
+//! the one builder family behind every ReduceScatter, AllGather,
+//! AllReduce, Broadcast and All-to-All schedule, the paper's included.
 //!
-//! The paper fixes one hand-crafted schedule per collective (Table V).
-//! Real communication stacks instead compose an algorithm *per topology
+//! Real communication stacks compose an algorithm *per topology
 //! dimension* and pick the winner per (geometry, payload) — ASTRA-sim's
-//! `ring_doubleBinaryTree` spellings are the exemplar. This module adds
-//! that layer: four per-tier builders —
+//! `ring_doubleBinaryTree` spellings are the exemplar. This module has
+//! four per-tier builders —
 //!
 //! * [`TierAlgo::Ring`] — the paper's logical ring (k-1 steps, exclusive
 //!   adjacent hops),
@@ -21,6 +22,23 @@
 //! schedules: the SoA layout, executor, timeline, boost planner and all
 //! four analysis passes consume them unchanged.
 //!
+//! The paper's Table V is a point in this space ([`Composition::paper`]):
+//! ring inter-bank and inter-chip with the bus inter-rank for
+//! ReduceScatter, AllGather and AllReduce, `direct_ring_direct` for
+//! Broadcast and the pairwise `direct_direct_direct` exchange for
+//! All-to-All. Two Table V tier behaviours have no spelling in the spec
+//! grammar, so only [`Composition::paper`] and
+//! [`Composition::paper_allreduce`] switch them on:
+//!
+//! * **two bank lanes** — the bank tier splits its payload into two
+//!   halves on counter-rotating East/West rings (all four Table IV bank
+//!   channels), and the halves stay separate through every later tier;
+//! * **bus slots** — every source rank sends in its own inter-rank step
+//!   (ReduceScatter: unicast quarters to their owners; AllGather: one
+//!   broadcast per source); AllReduce's broadcast-reduce reads only
+//!   pre-phase partials, so its slots fuse into one snapshot step,
+//!   source-major.
+//!
 //! Not every algorithm applies to every collective: double binary tree
 //! does not scatter (its result would not partition the vector), so it
 //! is an AllReduce/Broadcast device; Rabenseifner needs power-of-two
@@ -34,10 +52,9 @@ use pim_arch::geometry::{DpuCoord, DpuId, PimGeometry};
 
 use crate::collective::CollectiveKind;
 use crate::error::PimnetError;
-use crate::topology::{chip_path, rank_path, ring_path, shorter_direction, Resource};
+use crate::topology::{chip_path, rank_path, ring_path, shorter_direction, Direction, Resource};
 
-use super::ring::{ring_all_gather, ring_reduce_scatter};
-use super::{alltoall, CommSchedule, CommStep, Phase, PhaseLabel, Span, Transfer};
+use super::{CommSchedule, CommStep, Phase, PhaseLabel, Span, Transfer};
 
 /// One per-tier collective algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -99,8 +116,24 @@ impl fmt::Display for TierAlgo {
     }
 }
 
+/// Table V's inter-rank bus slots: every source rank sends in its own
+/// step. Off for every parsed or tuned composition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub(super) enum BusSlots {
+    /// The rank algorithm as spelled.
+    Off,
+    /// AllReduce broadcasts every partial and each twin reduces in place;
+    /// the slots fuse into one snapshot step, source-major.
+    Broadcast,
+    /// AllReduce unicasts each quarter to its owner, one slot per source,
+    /// then broadcasts the reduced quarters in one fused step (the
+    /// scatter+AllGather ablation, which pays the bus twice).
+    Scatter,
+}
+
 /// One algorithm per hierarchy dimension, spelled `bank_chip_rank`
-/// (e.g. `ring_direct_dbtree`).
+/// (e.g. `ring_direct_dbtree`), plus the two Table V tier behaviours the
+/// spelling leaves out (see [`Composition::paper`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Composition {
     /// Inter-bank (intra-chip ring) tier algorithm.
@@ -109,15 +142,78 @@ pub struct Composition {
     pub chip: TierAlgo,
     /// Inter-rank (bus) tier algorithm.
     pub rank: TierAlgo,
+    /// Table V's two bank lanes: the payload halved onto counter-rotating
+    /// East/West rings, the halves kept apart through every later tier.
+    pub(super) bidirectional_ring: bool,
+    /// Table V's inter-rank bus slots.
+    pub(super) bus: BusSlots,
 }
 
 impl Composition {
-    /// The all-ring composition (closest to the paper's Table V).
+    /// The all-ring composition, as spelled by `ring_ring_ring`.
     pub const RING: Composition = Composition {
         bank: TierAlgo::Ring,
         chip: TierAlgo::Ring,
         rank: TierAlgo::Ring,
+        bidirectional_ring: false,
+        bus: BusSlots::Off,
     };
+
+    /// The paper's Table V schedule for `kind`, or `None` for Reduce and
+    /// Gather (not in Table V; they have no composed form):
+    ///
+    /// | kind | bank | chip | rank |
+    /// |------|------|------|------|
+    /// | ReduceScatter, AllGather, AllReduce | ring, two lanes | ring | direct, bus slots |
+    /// | Broadcast | direct | ring | direct |
+    /// | All-to-All | direct | direct | direct |
+    ///
+    /// [`spec`](Self::spec) spells only the tier algorithms, so the
+    /// paper's AllReduce renders as `ring_ring_direct` while parsing that
+    /// spec gives the composition without lanes or slots.
+    #[must_use]
+    pub const fn paper(kind: CollectiveKind) -> Option<Composition> {
+        use TierAlgo::{Direct, Ring};
+        match kind {
+            CollectiveKind::ReduceScatter
+            | CollectiveKind::AllGather
+            | CollectiveKind::AllReduce => Some(Composition::paper_allreduce(true, true)),
+            CollectiveKind::Broadcast => Some(Composition {
+                bank: Direct,
+                chip: Ring,
+                rank: Direct,
+                ..Composition::RING
+            }),
+            CollectiveKind::AllToAll => Some(Composition {
+                bank: Direct,
+                chip: Direct,
+                rank: Direct,
+                ..Composition::RING
+            }),
+            CollectiveKind::Reduce | CollectiveKind::Gather => None,
+        }
+    }
+
+    /// The paper's AllReduce composition with its two design choices
+    /// switched one by one (the `ablation_allreduce` study):
+    /// `bidirectional_ring: false` keeps one East ring lane, half the
+    /// bank-tier bandwidth; `rank_broadcast: false` reduces across ranks by
+    /// unicasting quarters to their owners and broadcasting the reduced
+    /// quarters back, which costs more bus time than one broadcast pass.
+    #[must_use]
+    pub const fn paper_allreduce(bidirectional_ring: bool, rank_broadcast: bool) -> Composition {
+        Composition {
+            bank: TierAlgo::Ring,
+            chip: TierAlgo::Ring,
+            rank: TierAlgo::Direct,
+            bidirectional_ring,
+            bus: if rank_broadcast {
+                BusSlots::Broadcast
+            } else {
+                BusSlots::Scatter
+            },
+        }
+    }
 
     /// Parses a `bank_chip_rank` spec, e.g. `ring_direct_rabenseifner`.
     ///
@@ -136,6 +232,7 @@ impl Composition {
             bank: TierAlgo::parse(parts[0])?,
             chip: TierAlgo::parse(parts[1])?,
             rank: TierAlgo::parse(parts[2])?,
+            ..Composition::RING
         })
     }
 
@@ -180,6 +277,56 @@ impl Composition {
             CollectiveKind::Reduce | CollectiveKind::Gather => false,
         }
     }
+
+    /// Each lane's fixed bank-ring direction: Table V's East and West
+    /// lanes, or one lane on the shorter direction per pair.
+    fn lane_dirs(&self) -> &'static [Option<Direction>] {
+        if self.bidirectional_ring {
+            &[Some(Direction::East), Some(Direction::West)]
+        } else {
+            &[None]
+        }
+    }
+
+    /// Each lane's share of `root`: its halves on Table V's two lanes.
+    fn lanes(&self, root: Span) -> Vec<Span> {
+        if self.bidirectional_ring {
+            root.split(2)
+        } else {
+            vec![root]
+        }
+    }
+
+    /// Each lane's share of a piece set: Table V cuts the set, in DPU-id
+    /// (buffer) order, after `max(len/2, 1)` pieces.
+    fn lane_pieces(&self, set: &[Span]) -> Vec<Vec<Span>> {
+        if !self.bidirectional_ring {
+            return vec![set.to_vec()];
+        }
+        let mut east = set.to_vec();
+        east.sort_by_key(|s| s.start);
+        let west = east.split_off((east.len() / 2).max(1));
+        vec![east, west]
+    }
+
+    /// One group's steps on `wire`, split into one step per source
+    /// position when Table V's bus slots apply (a group's slot order is
+    /// its member order; the order within one source is kept).
+    fn on_bus(&self, wire: Wire, steps: Vec<Vec<Transfer>>, nodes: &[DpuId]) -> Vec<Vec<Transfer>> {
+        if wire != Wire::RankBus || self.bus == BusSlots::Off {
+            return steps;
+        }
+        let per_slot = steps.iter().map(Vec::len).sum::<usize>() / nodes.len();
+        let mut slots = vec![Vec::with_capacity(per_slot); nodes.len()];
+        for t in steps.into_iter().flatten() {
+            let i = nodes
+                .iter()
+                .position(|&n| n == t.src)
+                .expect("a group sends from its own members");
+            slots[i].push(t);
+        }
+        slots
+    }
 }
 
 impl fmt::Display for Composition {
@@ -192,8 +339,9 @@ impl fmt::Display for Composition {
 /// whether multi-destination (broadcast) transfers exist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Wire {
-    /// Intra-chip ring segments, shorter direction per pair.
-    BankRing,
+    /// Intra-chip ring segments: a Table V lane's fixed direction, or the
+    /// shorter direction per pair.
+    BankRing(Option<Direction>),
     /// Buffer-chip crossbar DQ channels.
     ChipXbar,
     /// The multi-drop inter-rank bus (broadcast-capable).
@@ -209,48 +357,53 @@ struct TierCtx<'g> {
 
 impl TierCtx<'_> {
     /// Unicast path between two group members.
-    fn path(&self, src: DpuId, dst: DpuId) -> Vec<Resource> {
+    fn path(self, src: DpuId, dst: DpuId) -> Vec<Resource> {
         match self.wire {
-            Wire::BankRing => {
-                let (a, b) = (self.g.coord(src).bank, self.g.coord(dst).bank);
-                ring_path(
-                    self.g,
-                    src,
-                    dst,
-                    shorter_direction(self.g.banks_per_chip, a, b),
-                )
+            Wire::BankRing(dir) => {
+                let dir = dir.unwrap_or_else(|| {
+                    let (a, b) = (self.g.coord(src).bank, self.g.coord(dst).bank);
+                    shorter_direction(self.g.banks_per_chip, a, b)
+                });
+                ring_path(self.g, src, dst, dir)
             }
             Wire::ChipXbar => chip_path(self.g, src, dst),
             Wire::RankBus => rank_path(self.g, src, &[dst]),
         }
     }
 
-    /// One transfer of `span` from `src` to `dsts`: a single broadcast on
-    /// the bus, one unicast per destination elsewhere.
-    fn sends(&self, src: DpuId, dsts: &[DpuId], span: Span, combine: bool) -> Vec<Transfer> {
-        if dsts.is_empty() || span.is_empty() {
+    /// One unicast of `span` from `src` to `dst` ([`CommStep::new`] drops
+    /// it if the span is empty).
+    fn send(self, src: DpuId, dst: DpuId, span: Span, combine: bool) -> Transfer {
+        Transfer {
+            src,
+            dsts: vec![dst],
+            src_span: span,
+            dst_span: span,
+            combine,
+            resources: self.path(src, dst),
+        }
+    }
+
+    /// `span` from `src` to every one of `dsts`: a single broadcast on the
+    /// bus, one unicast per destination elsewhere.
+    fn sends(self, src: DpuId, dsts: &[DpuId], span: Span, combine: bool) -> Vec<Transfer> {
+        if self.wire != Wire::RankBus {
+            return dsts
+                .iter()
+                .map(|&dst| self.send(src, dst, span, combine))
+                .collect();
+        }
+        if dsts.is_empty() {
             return Vec::new();
         }
-        if self.wire == Wire::RankBus {
-            return vec![Transfer {
-                src,
-                dsts: dsts.to_vec(),
-                src_span: span,
-                dst_span: span,
-                combine,
-                resources: rank_path(self.g, src, dsts),
-            }];
-        }
-        dsts.iter()
-            .map(|&dst| Transfer {
-                src,
-                dsts: vec![dst],
-                src_span: span,
-                dst_span: span,
-                combine,
-                resources: self.path(src, dst),
-            })
-            .collect()
+        vec![Transfer {
+            src,
+            dsts: dsts.to_vec(),
+            src_span: span,
+            dst_span: span,
+            combine,
+            resources: rank_path(self.g, src, dsts),
+        }]
     }
 }
 
@@ -270,19 +423,29 @@ fn tier_reduce_scatter(
     }
     match algo {
         TierAlgo::Ring => {
+            // Step s: position i passes chunk (i - s) mod k on to i + 1,
+            // which reduces it; after k - 1 steps position i owns chunk
+            // (i + 1) mod k.
             let chunks = parent.split(k);
-            let (steps, owners) =
-                ring_reduce_scatter(nodes, &chunks, |src, dst| ctx.path(src, dst));
-            let owned = owners.iter().map(|&o| chunks[o]).collect();
-            Ok((steps, owned))
+            let steps = (0..k - 1)
+                .map(|s| {
+                    (0..k)
+                        .map(|i| {
+                            let chunk = chunks[(i + k - s) % k];
+                            ctx.send(nodes[i], nodes[(i + 1) % k], chunk, true)
+                        })
+                        .collect()
+                })
+                .collect();
+            Ok((steps, (0..k).map(|i| chunks[(i + 1) % k]).collect()))
         }
         TierAlgo::Direct => {
             let chunks = parent.split(k);
-            let mut transfers = Vec::new();
+            let mut transfers = Vec::with_capacity(k * (k - 1));
             for (i, &src) in nodes.iter().enumerate() {
                 for (j, &dst) in nodes.iter().enumerate() {
                     if i != j {
-                        transfers.extend(ctx.sends(src, &[dst], chunks[j], true));
+                        transfers.push(ctx.send(src, dst, chunks[j], true));
                     }
                 }
             }
@@ -311,27 +474,41 @@ fn tier_all_gather(
     }
     match algo {
         TierAlgo::Ring => {
+            // Position i starts with chunk (i + 1) mod k and forwards, at
+            // step s, the chunk it received at step s - 1.
             let chunks = parent.split(k);
-            let owners: Vec<usize> = (0..k).map(|i| (i + 1) % k).collect();
-            ring_all_gather(nodes, &chunks, &owners, |src, dst| ctx.path(src, dst))
+            (0..k - 1)
+                .map(|s| {
+                    (0..k)
+                        .map(|i| {
+                            let chunk = chunks[(i + 1 + k - s) % k];
+                            ctx.send(nodes[i], nodes[(i + 1) % k], chunk, false)
+                        })
+                        .collect()
+                })
+                .collect()
         }
         TierAlgo::Direct => {
             let chunks = parent.split(k);
-            let mut transfers = Vec::new();
-            for (i, &src) in nodes.iter().enumerate() {
-                let dsts: Vec<DpuId> = nodes
-                    .iter()
-                    .copied()
-                    .enumerate()
-                    .filter_map(|(j, n)| (j != i).then_some(n))
-                    .collect();
-                transfers.extend(ctx.sends(src, &dsts, chunks[i], false));
-            }
+            let transfers = nodes
+                .iter()
+                .enumerate()
+                .flat_map(|(i, &src)| ctx.sends(src, &others(nodes, i), chunks[i], false))
+                .collect();
             vec![transfers]
         }
         TierAlgo::Rabenseifner => doubling_all_gather(ctx, nodes, parent),
         TierAlgo::DoubleBinaryTree => Vec::new(),
     }
+}
+
+/// Every member of `nodes` but position `i`, in group order.
+fn others(nodes: &[DpuId], i: usize) -> Vec<DpuId> {
+    nodes
+        .iter()
+        .enumerate()
+        .filter_map(|(j, &n)| (j != i).then_some(n))
+        .collect()
 }
 
 /// Recursive-halving reduce-scatter among a power-of-two group: round
@@ -354,7 +531,7 @@ fn halving_reduce_scatter(
             let p = i ^ d;
             let halves = s.split(2);
             let send = if i & d == 0 { halves[1] } else { halves[0] };
-            transfers.extend(ctx.sends(nodes[i], &[nodes[p]], send, true));
+            transfers.push(ctx.send(nodes[i], nodes[p], send, true));
         }
         for (i, s) in span.iter_mut().enumerate() {
             let halves = s.split(2);
@@ -403,7 +580,7 @@ fn doubling_all_gather(ctx: TierCtx<'_>, nodes: &[DpuId], parent: Span) -> Vec<V
         let mut transfers = Vec::with_capacity(k);
         for (i, &s) in span.iter().enumerate() {
             let p = i ^ d;
-            transfers.extend(ctx.sends(nodes[i], &[nodes[p]], s, false));
+            transfers.push(ctx.send(nodes[i], nodes[p], s, false));
         }
         let before = span.clone();
         for (i, s) in span.iter_mut().enumerate() {
@@ -448,7 +625,7 @@ fn dbtree_allreduce(ctx: TierCtx<'_>, nodes: &[DpuId], parent: Span) -> Vec<Vec<
                 let q = tree_pos(t, p);
                 if q & ((d << 1) - 1) == d {
                     let parent_p = tree_pos(t, q - d);
-                    transfers.extend(ctx.sends(nodes[p], &[nodes[parent_p]], half, true));
+                    transfers.push(ctx.send(nodes[p], nodes[parent_p], half, true));
                 }
             }
         }
@@ -464,7 +641,7 @@ fn dbtree_allreduce(ctx: TierCtx<'_>, nodes: &[DpuId], parent: Span) -> Vec<Vec<
                 let q = tree_pos(t, p);
                 if q & ((d << 1) - 1) == d {
                     let parent_p = tree_pos(t, q - d);
-                    transfers.extend(ctx.sends(nodes[parent_p], &[nodes[p]], half, false));
+                    transfers.push(ctx.send(nodes[parent_p], nodes[p], half, false));
                 }
             }
         }
@@ -486,7 +663,7 @@ fn fan_out(algo: TierAlgo, ctx: TierCtx<'_>, nodes: &[DpuId], span: Span) -> Vec
         TierAlgo::Ring => {
             // Store-and-forward pipeline along the group order.
             (0..k - 1)
-                .map(|s| ctx.sends(nodes[s], &[nodes[s + 1]], span, false))
+                .map(|s| vec![ctx.send(nodes[s], nodes[s + 1], span, false)])
                 .collect()
         }
         TierAlgo::Direct => {
@@ -506,7 +683,7 @@ fn fan_out(algo: TierAlgo, ctx: TierCtx<'_>, nodes: &[DpuId], span: Span) -> Vec
                     for q in 0..k {
                         if q & ((d << 1) - 1) == d {
                             let (src, dst) = (tree_pos(t, q - d), tree_pos(t, q));
-                            transfers.extend(ctx.sends(nodes[src], &[nodes[dst]], half, false));
+                            transfers.push(ctx.send(nodes[src], nodes[dst], half, false));
                         }
                     }
                 }
@@ -520,74 +697,59 @@ fn fan_out(algo: TierAlgo, ctx: TierCtx<'_>, nodes: &[DpuId], span: Span) -> Vec
     }
 }
 
-/// Per-step transfer lists plus every group position's owned-piece set
-/// afterwards — the working state circulated by the set-based tiers.
-type StepsAndSets = (Vec<Vec<Transfer>>, Vec<Vec<Span>>);
-
 /// Group-local allgather over per-position piece *sets* (AllGather-style
-/// buffers hold many owner-indexed pieces). Returns the steps and every
-/// position's set afterwards, in canonical (group-order) concatenation.
+/// buffers hold many owner-indexed pieces). Returns the steps and the set
+/// every position holds afterwards: the canonical (group-order)
+/// concatenation.
 fn tier_all_gather_sets(
     algo: TierAlgo,
     ctx: TierCtx<'_>,
     nodes: &[DpuId],
-    sets: &[Vec<Span>],
-) -> Result<StepsAndSets, PimnetError> {
+    sets: &[&[Span]],
+) -> Result<(Vec<Vec<Transfer>>, Vec<Span>), PimnetError> {
     let k = nodes.len();
-    let union: Vec<Span> = sets.iter().flatten().copied().collect();
+    let union = sets.concat();
     if k <= 1 {
-        return Ok((Vec::new(), vec![union; k]));
+        return Ok((Vec::new(), union));
     }
     match algo {
         TierAlgo::Ring => {
-            // Circulate original sets: position i forwards the set it
-            // received last step (starting with its own), like the
-            // paper's piece-set rings.
-            let mut cur: Vec<usize> = (0..k).collect();
-            let mut steps = Vec::new();
-            for _ in 0..k - 1 {
-                let mut transfers = Vec::new();
-                let mut next = cur.clone();
-                for (i, &src) in nodes.iter().enumerate() {
-                    let dst_i = (i + 1) % k;
-                    for &span in &sets[cur[i]] {
-                        transfers.extend(ctx.sends(src, &[nodes[dst_i]], span, false));
-                    }
-                    next[dst_i] = cur[i];
-                }
-                cur = next;
-                steps.push(transfers);
-            }
-            Ok((steps, vec![union; k]))
+            // Circulate original sets: at step s position i forwards the
+            // set of position (i - s) mod k, like the paper's piece-set
+            // rings, so every step forwards each set once.
+            let steps = (0..k - 1)
+                .map(|s| {
+                    let mut step = Vec::with_capacity(union.len());
+                    step.extend((0..k).flat_map(|i| {
+                        send_set(ctx, nodes[i], nodes[(i + 1) % k], sets[(i + k - s) % k])
+                    }));
+                    step
+                })
+                .collect();
+            Ok((steps, union))
         }
         TierAlgo::Direct => {
-            let mut transfers = Vec::new();
-            for (i, &src) in nodes.iter().enumerate() {
-                let dsts: Vec<DpuId> = nodes
-                    .iter()
-                    .copied()
-                    .enumerate()
-                    .filter_map(|(j, n)| (j != i).then_some(n))
-                    .collect();
-                for &span in &sets[i] {
-                    transfers.extend(ctx.sends(src, &dsts, span, false));
-                }
-            }
-            Ok((vec![transfers], vec![union; k]))
+            let transfers = (0..k)
+                .flat_map(|i| {
+                    let dsts = others(nodes, i);
+                    sets[i]
+                        .iter()
+                        .flat_map(move |&span| ctx.sends(nodes[i], &dsts, span, false))
+                })
+                .collect();
+            Ok((vec![transfers], union))
         }
         TierAlgo::Rabenseifner => {
             require_pow2(ctx.g, k, "recursive-doubling allgather")?;
-            let mut acc: Vec<Vec<Span>> = sets.to_vec();
+            let mut acc: Vec<Vec<Span>> = sets.iter().map(|set| set.to_vec()).collect();
             let mut steps = Vec::new();
             let mut d = 1usize;
             while d < k {
-                let mut transfers = Vec::new();
-                for (i, &src) in nodes.iter().enumerate() {
-                    let p = i ^ d;
-                    for &span in &acc[i] {
-                        transfers.extend(ctx.sends(src, &[nodes[p]], span, false));
-                    }
-                }
+                steps.push(
+                    (0..k)
+                        .flat_map(|i| send_set(ctx, nodes[i], nodes[i ^ d], &acc[i]))
+                        .collect(),
+                );
                 let before = acc.clone();
                 for (i, set) in acc.iter_mut().enumerate() {
                     let p = i ^ d;
@@ -600,15 +762,25 @@ fn tier_all_gather_sets(
                         *set = merged;
                     }
                 }
-                steps.push(transfers);
                 d <<= 1;
             }
-            Ok((steps, acc))
+            debug_assert!(acc.iter().all(|set| *set == union));
+            Ok((steps, union))
         }
         TierAlgo::DoubleBinaryTree => Err(PimnetError::ScheduleInvalid {
             reason: "double binary tree does not apply to allgather tiers".into(),
         }),
     }
+}
+
+/// Every span of `set`, in set order, from `src` to `dst`.
+fn send_set<'a>(
+    ctx: TierCtx<'a>,
+    src: DpuId,
+    dst: DpuId,
+    set: &'a [Span],
+) -> impl Iterator<Item = Transfer> + 'a {
+    set.iter().map(move |&span| ctx.send(src, dst, span, false))
 }
 
 fn require_pow2(g: &PimGeometry, k: usize, what: &str) -> Result<(), PimnetError> {
@@ -631,34 +803,69 @@ fn at(g: &PimGeometry, rank: u32, chip: u32, bank: u32) -> DpuId {
     })
 }
 
-/// Banks of one chip, in ring order.
-fn bank_group(g: &PimGeometry, rank: u32, chip: u32) -> Vec<DpuId> {
-    (0..g.banks_per_chip)
-        .map(|b| at(g, rank, chip, b))
+/// Every group of one tier, in build order: each chip's banks in ring
+/// order (rank-major), each bank position's chips (the logical crossbar
+/// ring, rank-major), each (chip, bank) position's rank twins. None when
+/// the groups have one member: a lone member has nothing to exchange.
+fn groups(g: &PimGeometry, wire: Wire) -> Vec<Vec<DpuId>> {
+    let (banks, chips, ranks) = (g.banks_per_chip, g.chips_per_rank, g.ranks_per_channel);
+    let (outer, inner, members) = match wire {
+        Wire::BankRing(_) => (ranks, chips, banks),
+        Wire::ChipXbar => (ranks, banks, chips),
+        Wire::RankBus => (chips, banks, ranks),
+    };
+    if members <= 1 {
+        return Vec::new();
+    }
+    let member = |o: u32, i: u32, m: u32| match wire {
+        Wire::BankRing(_) => at(g, o, i, m),
+        Wire::ChipXbar => at(g, o, m, i),
+        Wire::RankBus => at(g, m, o, i),
+    };
+    (0..outer)
+        .flat_map(|o| (0..inner).map(move |i| (o, i)))
+        .map(|(o, i)| (0..members).map(|m| member(o, i, m)).collect())
         .collect()
 }
 
-/// Bank `bank` of every chip of one rank (the logical crossbar ring).
-fn chip_group(g: &PimGeometry, rank: u32, bank: u32) -> Vec<DpuId> {
-    (0..g.chips_per_rank)
-        .map(|c| at(g, rank, c, bank))
-        .collect()
-}
-
-/// The rank twins of one (chip, bank) position.
-fn rank_group(g: &PimGeometry, chip: u32, bank: u32) -> Vec<DpuId> {
-    (0..g.ranks_per_channel)
-        .map(|r| at(g, r, chip, bank))
-        .collect()
+/// Runs one tier over every group in build order and, inside each group,
+/// every lane (one fixed bank direction per Table V lane, or `[None]`),
+/// merging the groups' steps index-wise. `op(lane, nodes, ctx)` returns
+/// one group's steps; on the bank tier a West lane's banks come in its
+/// travel (reverse) order and `ctx` pins the lane's direction.
+fn run_tier(
+    g: &PimGeometry,
+    wire: Wire,
+    lanes: &[Option<Direction>],
+    mut op: impl FnMut(usize, &[DpuId], TierCtx<'_>) -> Result<Vec<Vec<Transfer>>, PimnetError>,
+) -> Result<Vec<Vec<Transfer>>, PimnetError> {
+    let mut acc = Vec::new();
+    for group in groups(g, wire) {
+        for (lane, &dir) in lanes.iter().enumerate() {
+            let wire = match wire {
+                Wire::BankRing(_) => Wire::BankRing(dir),
+                other => other,
+            };
+            let ctx = TierCtx { g, wire };
+            let steps = if wire == Wire::BankRing(Some(Direction::West)) {
+                let travel: Vec<DpuId> = group.iter().rev().copied().collect();
+                op(lane, &travel, ctx)?
+            } else {
+                op(lane, &group, ctx)?
+            };
+            merge_steps(&mut acc, steps);
+        }
+    }
+    Ok(acc)
 }
 
 /// Extends `acc` step-wise with `steps` (parallel groups share steps).
 fn merge_steps(acc: &mut Vec<Vec<Transfer>>, steps: Vec<Vec<Transfer>>) {
     for (s, transfers) in steps.into_iter().enumerate() {
-        if acc.len() <= s {
-            acc.resize_with(s + 1, Vec::new);
+        match acc.get_mut(s) {
+            Some(step) => step.extend(transfers),
+            None => acc.push(transfers),
         }
-        acc[s].extend(transfers);
     }
 }
 
@@ -696,7 +903,8 @@ pub fn build_composed(
 /// Compiles `kind` on `geometry` under a per-tier algorithm
 /// [`Composition`], optionally pipelined over `chunks` payload splits
 /// (AllReduce only: the full hierarchy runs once per chunk, phases
-/// spliced in chunk order).
+/// spliced in chunk order). [`CommSchedule::build`] calls it with
+/// [`Composition::paper`] for every Table V collective.
 ///
 /// The output is a standard [`CommSchedule`]: it passes
 /// [`validate`](super::validate::validate), executes bit-identical to
@@ -705,10 +913,12 @@ pub fn build_composed(
 ///
 /// # Errors
 ///
-/// * [`PimnetError::InvalidGeometry`] — multi-channel geometry, or a
-///   Rabenseifner tier whose group size is not a power of two.
-/// * [`PimnetError::InvalidMessage`] — zero-sized elements, or
-///   `chunks > 1` for a collective other than AllReduce.
+/// * [`PimnetError::InvalidGeometry`] — multi-channel geometry, a
+///   Rabenseifner tier whose group size is not a power of two, or an
+///   All-to-All on non-power-of-two dimensions.
+/// * [`PimnetError::InvalidMessage`] — zero-sized elements, `chunks > 1`
+///   for a collective other than AllReduce, or a payload whose buffer or
+///   byte size overflows.
 /// * [`PimnetError::ScheduleInvalid`] — the composition does not apply
 ///   to `kind` (see [`Composition::applies_to`]).
 pub fn build_composed_chunked(
@@ -745,468 +955,390 @@ pub fn build_composed_chunked(
             reason: format!("composition '{comp}' does not apply to {kind}"),
         });
     }
-    match kind {
-        CollectiveKind::AllReduce => build_allreduce(geometry, elems, elem_bytes, comp, chunks),
-        CollectiveKind::ReduceScatter => build_reduce_scatter(geometry, elems, elem_bytes, comp),
-        CollectiveKind::AllGather => build_all_gather(geometry, elems, elem_bytes, comp),
-        CollectiveKind::Broadcast => build_broadcast(geometry, elems, elem_bytes, comp),
-        // applies_to admits only the all-direct composition, which is
-        // exactly the paper's pairwise exchange.
-        CollectiveKind::AllToAll => alltoall::build(geometry, elems, elem_bytes),
+    let buffer_len = super::checked_buffer_len(kind, geometry, elems, elem_bytes)?;
+    let full = || vec![vec![Span::new(0, buffer_len)]; geometry.total_dpus() as usize];
+    let (phases, result_spans) = match kind {
+        CollectiveKind::AllReduce => (allreduce_phases(geometry, elems, comp, chunks)?, full()),
+        CollectiveKind::ReduceScatter => reduce_scatter_phases(geometry, elems, comp)?,
+        CollectiveKind::AllGather => (all_gather_phases(geometry, elems, comp)?, full()),
+        CollectiveKind::Broadcast => (broadcast_phases(geometry, elems, comp)?, full()),
+        // applies_to admits only the all-direct composition: the paper's
+        // pairwise exchange.
+        CollectiveKind::AllToAll => return build_all_to_all(geometry, elems, elem_bytes),
         CollectiveKind::Reduce | CollectiveKind::Gather => unreachable!("applies_to rejected"),
-    }
-}
-
-/// The reduce-scatter half of the hierarchy (bank then chip tiers),
-/// shared by AllReduce and ReduceScatter. Mutates `owned` (the current
-/// span per node) and returns the two phases plus the snapshot of
-/// bank-tier ownership (the chip tier's parent spans, needed by the
-/// mirror allgather).
-fn up_phases(
-    g: &PimGeometry,
-    comp: Composition,
-    owned: &mut [Span],
-) -> Result<(Vec<Phase>, Vec<Span>), PimnetError> {
-    let bank_ctx = TierCtx {
-        g,
-        wire: Wire::BankRing,
     };
-    let chip_ctx = TierCtx {
-        g,
-        wire: Wire::ChipXbar,
-    };
-    let mut phases = Vec::new();
-
-    let mut bank_steps = Vec::new();
-    for rank in 0..g.ranks_per_channel {
-        for chip in 0..g.chips_per_rank {
-            let nodes = bank_group(g, rank, chip);
-            let parent = owned[nodes[0].index()];
-            let (steps, new_owned) = tier_reduce_scatter(comp.bank, bank_ctx, &nodes, parent)?;
-            merge_steps(&mut bank_steps, steps);
-            for (pos, n) in nodes.iter().enumerate() {
-                owned[n.index()] = new_owned[pos];
-            }
-        }
-    }
-    phases.push(into_phase(
-        PhaseLabel::InterBank,
-        bank_steps,
-        bank_multiplexed(comp.bank),
-    ));
-
-    let bank_owned = owned.to_vec();
-    let mut chip_steps = Vec::new();
-    for rank in 0..g.ranks_per_channel {
-        for bank in 0..g.banks_per_chip {
-            let nodes = chip_group(g, rank, bank);
-            let parent = owned[nodes[0].index()];
-            let (steps, new_owned) = tier_reduce_scatter(comp.chip, chip_ctx, &nodes, parent)?;
-            merge_steps(&mut chip_steps, steps);
-            for (pos, n) in nodes.iter().enumerate() {
-                owned[n.index()] = new_owned[pos];
-            }
-        }
-    }
-    phases.push(into_phase(PhaseLabel::InterChip, chip_steps, true));
-    Ok((phases, bank_owned))
-}
-
-/// The mirror allgather phases (chip then bank tiers) restoring every
-/// node's span from `bank_owned` back up to `root` (the tier parent).
-fn down_phases(g: &PimGeometry, comp: Composition, bank_owned: &[Span], root: Span) -> Vec<Phase> {
-    let bank_ctx = TierCtx {
-        g,
-        wire: Wire::BankRing,
-    };
-    let chip_ctx = TierCtx {
-        g,
-        wire: Wire::ChipXbar,
-    };
-    let mut phases = Vec::new();
-
-    let mut chip_steps = Vec::new();
-    for rank in 0..g.ranks_per_channel {
-        for bank in 0..g.banks_per_chip {
-            let nodes = chip_group(g, rank, bank);
-            let parent = bank_owned[nodes[0].index()];
-            merge_steps(
-                &mut chip_steps,
-                tier_all_gather(comp.chip, chip_ctx, &nodes, parent),
-            );
-        }
-    }
-    phases.push(into_phase(PhaseLabel::InterChip, chip_steps, true));
-
-    let mut bank_steps = Vec::new();
-    for rank in 0..g.ranks_per_channel {
-        for chip in 0..g.chips_per_rank {
-            let nodes = bank_group(g, rank, chip);
-            merge_steps(
-                &mut bank_steps,
-                tier_all_gather(comp.bank, bank_ctx, &nodes, root),
-            );
-        }
-    }
-    phases.push(into_phase(
-        PhaseLabel::InterBank,
-        bank_steps,
-        bank_multiplexed(comp.bank),
-    ));
-    phases
-}
-
-/// The inter-rank middle of a composed AllReduce: reduce (and
-/// re-distribute) every node's chip-tier span across its rank twins.
-/// Direct uses the paper's one-pass broadcast-reduce; ring and
-/// Rabenseifner run an explicit reduce-scatter + allgather on the bus;
-/// double binary tree reduces up and broadcasts down. All leave `owned`
-/// unchanged (each node ends holding its full chip-tier span, reduced
-/// across ranks).
-fn rank_mid_phase(
-    g: &PimGeometry,
-    rank_algo: TierAlgo,
-    owned: &[Span],
-) -> Result<Option<Phase>, PimnetError> {
-    let ranks = g.ranks_per_channel;
-    if ranks <= 1 {
-        return Ok(None);
-    }
-    let ctx = TierCtx {
-        g,
-        wire: Wire::RankBus,
-    };
-    let mut steps: Vec<Vec<Transfer>> = Vec::new();
-    match rank_algo {
-        TierAlgo::Direct => {
-            // The paper's scheme: every rank broadcasts its partial, every
-            // twin reduces in place. All broadcasts read the *pre-phase*
-            // partials, so they share one step's snapshot semantics (the
-            // bus still serializes them; occupancy accounts for it).
-            let mut transfers = Vec::new();
-            for chip in 0..g.chips_per_rank {
-                for bank in 0..g.banks_per_chip {
-                    let nodes = rank_group(g, chip, bank);
-                    for (i, &src) in nodes.iter().enumerate() {
-                        let dsts: Vec<DpuId> = nodes
-                            .iter()
-                            .copied()
-                            .enumerate()
-                            .filter_map(|(j, n)| (j != i).then_some(n))
-                            .collect();
-                        transfers.extend(ctx.sends(src, &dsts, owned[src.index()], true));
-                    }
-                }
-            }
-            steps.push(transfers);
-        }
-        TierAlgo::Ring | TierAlgo::Rabenseifner => {
-            for chip in 0..g.chips_per_rank {
-                for bank in 0..g.banks_per_chip {
-                    let nodes = rank_group(g, chip, bank);
-                    let parent = owned[nodes[0].index()];
-                    let (rs, _) = tier_reduce_scatter(rank_algo, ctx, &nodes, parent)?;
-                    merge_steps(&mut steps, rs);
-                }
-            }
-            let rs_len = steps.len();
-            for chip in 0..g.chips_per_rank {
-                for bank in 0..g.banks_per_chip {
-                    let nodes = rank_group(g, chip, bank);
-                    let parent = owned[nodes[0].index()];
-                    let ag = tier_all_gather(rank_algo, ctx, &nodes, parent);
-                    for (s, transfers) in ag.into_iter().enumerate() {
-                        let idx = rs_len + s;
-                        if steps.len() <= idx {
-                            steps.resize_with(idx + 1, Vec::new);
-                        }
-                        steps[idx].extend(transfers);
-                    }
-                }
-            }
-        }
-        TierAlgo::DoubleBinaryTree => {
-            for chip in 0..g.chips_per_rank {
-                for bank in 0..g.banks_per_chip {
-                    let nodes = rank_group(g, chip, bank);
-                    let parent = owned[nodes[0].index()];
-                    merge_steps(&mut steps, dbtree_allreduce(ctx, &nodes, parent));
-                }
-            }
-        }
-    }
-    Ok(Some(into_phase(PhaseLabel::InterRank, steps, true)))
-}
-
-fn build_allreduce(
-    g: &PimGeometry,
-    elems: usize,
-    elem_bytes: u32,
-    comp: Composition,
-    chunks: usize,
-) -> Result<CommSchedule, PimnetError> {
-    let total = g.total_dpus() as usize;
-    let mut phases = Vec::new();
-    for chunk in Span::new(0, elems).split(chunks) {
-        let mut owned = vec![chunk; total];
-        let (up, bank_owned) = up_phases(g, comp, &mut owned)?;
-        phases.extend(up);
-        if let Some(mid) = rank_mid_phase(g, comp.rank, &owned)? {
-            phases.push(mid);
-        }
-        phases.extend(down_phases(g, comp, &bank_owned, chunk));
-    }
-    phases.retain(|p| !p.steps.is_empty());
-    let full = Span::new(0, elems);
     Ok(CommSchedule {
-        kind: CollectiveKind::AllReduce,
-        geometry: *g,
-        elems_per_node: elems,
-        elem_bytes,
-        buffer_len: elems,
-        result_spans: vec![vec![full]; total],
-        phases,
-    })
-}
-
-fn build_reduce_scatter(
-    g: &PimGeometry,
-    elems: usize,
-    elem_bytes: u32,
-    comp: Composition,
-) -> Result<CommSchedule, PimnetError> {
-    let total = g.total_dpus() as usize;
-    let mut owned = vec![Span::new(0, elems); total];
-    let (mut phases, _bank_owned) = up_phases(g, comp, &mut owned)?;
-
-    let ranks = g.ranks_per_channel;
-    if ranks > 1 {
-        let ctx = TierCtx {
-            g,
-            wire: Wire::RankBus,
-        };
-        let mut steps: Vec<Vec<Transfer>> = Vec::new();
-        for chip in 0..g.chips_per_rank {
-            for bank in 0..g.banks_per_chip {
-                let nodes = rank_group(g, chip, bank);
-                let parent = owned[nodes[0].index()];
-                let (rs, new_owned) = tier_reduce_scatter(comp.rank, ctx, &nodes, parent)?;
-                merge_steps(&mut steps, rs);
-                for (pos, n) in nodes.iter().enumerate() {
-                    owned[n.index()] = new_owned[pos];
-                }
-            }
-        }
-        phases.push(into_phase(PhaseLabel::InterRank, steps, true));
-    }
-
-    phases.retain(|p| !p.steps.is_empty());
-    let mut result_spans: Vec<Vec<Span>> = vec![Vec::new(); total];
-    for (i, span) in owned.iter().enumerate() {
-        if !span.is_empty() {
-            result_spans[i].push(*span);
-        }
-    }
-    Ok(CommSchedule {
-        kind: CollectiveKind::ReduceScatter,
-        geometry: *g,
-        elems_per_node: elems,
-        elem_bytes,
-        buffer_len: elems,
-        result_spans,
-        phases,
-    })
-}
-
-fn build_all_gather(
-    g: &PimGeometry,
-    elems: usize,
-    elem_bytes: u32,
-    comp: Composition,
-) -> Result<CommSchedule, PimnetError> {
-    let total = g.total_dpus() as usize;
-    let buffer_len = total * elems;
-    let piece = |id: DpuId| Span::new(id.index() * elems, elems);
-    let mut sets: Vec<Vec<Span>> = g.dpus().map(|id| vec![piece(id)]).collect();
-    let mut phases = Vec::new();
-
-    // Rank tier first (pieces are still one per node), then chip, then
-    // bank — the paper's AllGather order, with the tier algorithm free.
-    if g.ranks_per_channel > 1 {
-        let ctx = TierCtx {
-            g,
-            wire: Wire::RankBus,
-        };
-        let mut steps = Vec::new();
-        for chip in 0..g.chips_per_rank {
-            for bank in 0..g.banks_per_chip {
-                let nodes = rank_group(g, chip, bank);
-                let group_sets: Vec<Vec<Span>> =
-                    nodes.iter().map(|n| sets[n.index()].clone()).collect();
-                let (s, new_sets) = tier_all_gather_sets(comp.rank, ctx, &nodes, &group_sets)?;
-                merge_steps(&mut steps, s);
-                for (pos, n) in nodes.iter().enumerate() {
-                    sets[n.index()] = new_sets[pos].clone();
-                }
-            }
-        }
-        phases.push(into_phase(PhaseLabel::InterRank, steps, true));
-    }
-
-    if g.chips_per_rank > 1 {
-        let ctx = TierCtx {
-            g,
-            wire: Wire::ChipXbar,
-        };
-        let mut steps = Vec::new();
-        for rank in 0..g.ranks_per_channel {
-            for bank in 0..g.banks_per_chip {
-                let nodes = chip_group(g, rank, bank);
-                let group_sets: Vec<Vec<Span>> =
-                    nodes.iter().map(|n| sets[n.index()].clone()).collect();
-                let (s, new_sets) = tier_all_gather_sets(comp.chip, ctx, &nodes, &group_sets)?;
-                merge_steps(&mut steps, s);
-                for (pos, n) in nodes.iter().enumerate() {
-                    sets[n.index()] = new_sets[pos].clone();
-                }
-            }
-        }
-        phases.push(into_phase(PhaseLabel::InterChip, steps, true));
-    }
-
-    if g.banks_per_chip > 1 {
-        let ctx = TierCtx {
-            g,
-            wire: Wire::BankRing,
-        };
-        let mut steps = Vec::new();
-        for rank in 0..g.ranks_per_channel {
-            for chip in 0..g.chips_per_rank {
-                let nodes = bank_group(g, rank, chip);
-                let group_sets: Vec<Vec<Span>> =
-                    nodes.iter().map(|n| sets[n.index()].clone()).collect();
-                let (s, new_sets) = tier_all_gather_sets(comp.bank, ctx, &nodes, &group_sets)?;
-                merge_steps(&mut steps, s);
-                for (pos, n) in nodes.iter().enumerate() {
-                    sets[n.index()] = new_sets[pos].clone();
-                }
-            }
-        }
-        phases.push(into_phase(
-            PhaseLabel::InterBank,
-            steps,
-            bank_multiplexed(comp.bank),
-        ));
-    }
-
-    phases.retain(|p| !p.steps.is_empty());
-    let full = Span::new(0, buffer_len);
-    Ok(CommSchedule {
-        kind: CollectiveKind::AllGather,
-        geometry: *g,
+        kind,
+        geometry: *geometry,
         elems_per_node: elems,
         elem_bytes,
         buffer_len,
-        result_spans: vec![vec![full]; total],
-        phases,
+        result_spans,
+        phases: phases.into_iter().filter(|p| !p.steps.is_empty()).collect(),
     })
 }
 
-fn build_broadcast(
+/// Per lane, the span each node currently owns, starting at the lane's
+/// share of `root` everywhere.
+fn owned_lanes(g: &PimGeometry, comp: Composition, root: Span) -> Vec<Vec<Span>> {
+    let total = g.total_dpus() as usize;
+    comp.lanes(root)
+        .into_iter()
+        .map(|r| vec![r; total])
+        .collect()
+}
+
+/// One reduce-scatter tier over every group and lane: each group's
+/// parent is its first member's owned span, and every member's owned
+/// span narrows to its piece.
+fn scatter_tier(
+    g: &PimGeometry,
+    comp: Composition,
+    algo: TierAlgo,
+    wire: Wire,
+    owned: &mut [Vec<Span>],
+) -> Result<Vec<Vec<Transfer>>, PimnetError> {
+    run_tier(g, wire, comp.lane_dirs(), |lane, nodes, ctx| {
+        let parent = owned[lane][nodes[0].index()];
+        let (steps, pieces) = tier_reduce_scatter(algo, ctx, nodes, parent)?;
+        for (n, piece) in nodes.iter().zip(pieces) {
+            owned[lane][n.index()] = piece;
+        }
+        Ok(comp.on_bus(wire, steps, nodes))
+    })
+}
+
+/// The reduce-scatter half of the hierarchy (bank then chip tiers),
+/// shared by AllReduce and ReduceScatter: the two phases, with `owned`
+/// narrowed and the bank-tier ownership snapshot (the chip tier's parent
+/// spans, which the mirror allgather needs).
+fn up_phases(
+    g: &PimGeometry,
+    comp: Composition,
+    owned: &mut [Vec<Span>],
+) -> Result<(Vec<Phase>, Vec<Vec<Span>>), PimnetError> {
+    let bank = scatter_tier(g, comp, comp.bank, Wire::BankRing(None), owned)?;
+    let bank_owned = owned.to_vec();
+    let chip = scatter_tier(g, comp, comp.chip, Wire::ChipXbar, owned)?;
+    Ok((
+        vec![
+            into_phase(PhaseLabel::InterBank, bank, bank_multiplexed(comp.bank)),
+            into_phase(PhaseLabel::InterChip, chip, true),
+        ],
+        bank_owned,
+    ))
+}
+
+/// The inter-rank middle of a composed AllReduce: reduce (and
+/// re-distribute) every node's chip-tier span across its rank twins,
+/// leaving `owned` as it was. Direct is the paper's one-pass
+/// broadcast-reduce; ring and Rabenseifner (and Table V's scatter
+/// ablation) reduce-scatter then allgather on the bus; double binary
+/// tree reduces up and broadcasts down. Under Table V's bus slots every
+/// source sends in its own step, and the passes that read only pre-phase
+/// data (the broadcast-reduce, the allgather of reduced quarters) fuse
+/// their slots into one step, source-major.
+fn rank_mid_phase(
+    g: &PimGeometry,
+    comp: Composition,
+    owned: &[Vec<Span>],
+) -> Result<Phase, PimnetError> {
+    let lanes = comp.lane_dirs();
+    let wire = Wire::RankBus;
+    let fuse = |steps: Vec<Vec<Transfer>>| match comp.bus {
+        BusSlots::Off => steps,
+        _ => vec![steps.concat()],
+    };
+    let steps = match comp.rank {
+        TierAlgo::Direct if comp.bus != BusSlots::Scatter => {
+            fuse(run_tier(g, wire, lanes, |lane, nodes, ctx| {
+                // Every rank broadcasts its partial, every twin reduces in
+                // place; all read the pre-phase partials (one snapshot).
+                let transfers = (0..nodes.len())
+                    .flat_map(|i| {
+                        let src = nodes[i];
+                        ctx.sends(src, &others(nodes, i), owned[lane][src.index()], true)
+                    })
+                    .collect();
+                Ok(comp.on_bus(wire, vec![transfers], nodes))
+            })?)
+        }
+        TierAlgo::DoubleBinaryTree => run_tier(g, wire, lanes, |lane, nodes, ctx| {
+            Ok(dbtree_allreduce(ctx, nodes, owned[lane][nodes[0].index()]))
+        })?,
+        algo => {
+            let mut steps = run_tier(g, wire, lanes, |lane, nodes, ctx| {
+                let (rs, _) = tier_reduce_scatter(algo, ctx, nodes, owned[lane][nodes[0].index()])?;
+                Ok(comp.on_bus(wire, rs, nodes))
+            })?;
+            steps.extend(fuse(run_tier(g, wire, lanes, |lane, nodes, ctx| {
+                let ag = tier_all_gather(algo, ctx, nodes, owned[lane][nodes[0].index()]);
+                Ok(comp.on_bus(wire, ag, nodes))
+            })?));
+            steps
+        }
+    };
+    Ok(into_phase(PhaseLabel::InterRank, steps, true))
+}
+
+fn allreduce_phases(
     g: &PimGeometry,
     elems: usize,
-    elem_bytes: u32,
     comp: Composition,
-) -> Result<CommSchedule, PimnetError> {
-    let root = DpuId(0);
-    let root_coord = g.coord(root);
-    let total = g.total_dpus() as usize;
-    let chips = g.chips_per_rank;
-    let chunks = Span::new(0, elems).split(chips as usize);
+    chunks: usize,
+) -> Result<Vec<Phase>, PimnetError> {
     let mut phases = Vec::new();
-    let chip_ctx = TierCtx {
-        g,
-        wire: Wire::ChipXbar,
-    };
-    let bus_ctx = TierCtx {
-        g,
-        wire: Wire::RankBus,
-    };
-    let bank_ctx = TierCtx {
-        g,
-        wire: Wire::BankRing,
-    };
-
-    // ---- Phase 1 (fixed): root scatters one chunk per chip leader of
-    // its rank, exactly as in the paper's Table V broadcast.
-    if chips > 1 {
-        let mut transfers = Vec::new();
-        for c in 0..chips {
-            if c != root_coord.chip {
-                let dst = at(g, root_coord.rank, c, 0);
-                transfers.extend(chip_ctx.sends(root, &[dst], chunks[c as usize], false));
-            }
-        }
-        phases.push(into_phase(PhaseLabel::InterChip, vec![transfers], true));
-    }
-
-    // ---- Phase 2: each chip leader delivers its chunk to its rank
-    // twins (holder-first group order so ring pipelining starts at the
-    // leader that owns the chunk).
-    if g.ranks_per_channel > 1 {
-        let mut steps = Vec::new();
-        for c in 0..chips {
-            let nodes: Vec<DpuId> = (0..g.ranks_per_channel)
-                .map(|dr| at(g, (root_coord.rank + dr) % g.ranks_per_channel, c, 0))
-                .collect();
-            merge_steps(
-                &mut steps,
-                fan_out(comp.rank, bus_ctx, &nodes, chunks[c as usize]),
-            );
-        }
-        phases.push(into_phase(PhaseLabel::InterRank, steps, true));
-    }
-
-    // ---- Phase 3: chip-tier allgather completes every leader's copy.
-    if chips > 1 {
-        let mut steps = Vec::new();
-        for rank in 0..g.ranks_per_channel {
-            let nodes = chip_group(g, rank, 0);
-            let group_sets: Vec<Vec<Span>> = (0..chips as usize).map(|c| vec![chunks[c]]).collect();
-            let (s, _) = tier_all_gather_sets(comp.chip, chip_ctx, &nodes, &group_sets)?;
-            merge_steps(&mut steps, s);
-        }
-        phases.push(into_phase(PhaseLabel::InterChip, steps, true));
-    }
-
-    // ---- Phase 4: leaders fan the full message around their bank ring.
-    if g.banks_per_chip > 1 {
-        let mut steps = Vec::new();
-        for rank in 0..g.ranks_per_channel {
-            for chip in 0..chips {
-                let nodes = bank_group(g, rank, chip);
-                merge_steps(
-                    &mut steps,
-                    fan_out(comp.bank, bank_ctx, &nodes, Span::new(0, elems)),
-                );
-            }
-        }
+    for chunk in Span::new(0, elems).split(chunks) {
+        let mut owned = owned_lanes(g, comp, chunk);
+        let (up, bank_owned) = up_phases(g, comp, &mut owned)?;
+        phases.extend(up);
+        phases.push(rank_mid_phase(g, comp, &owned)?);
+        // Mirror allgather: the chip tier restores each bank-tier span,
+        // then the bank tier each lane's share of the chunk.
+        let chip = run_tier(g, Wire::ChipXbar, comp.lane_dirs(), |lane, nodes, ctx| {
+            let parent = bank_owned[lane][nodes[0].index()];
+            Ok(tier_all_gather(comp.chip, ctx, nodes, parent))
+        })?;
+        phases.push(into_phase(PhaseLabel::InterChip, chip, true));
+        let roots = comp.lanes(chunk);
+        let bank = run_tier(
+            g,
+            Wire::BankRing(None),
+            comp.lane_dirs(),
+            |lane, nodes, ctx| Ok(tier_all_gather(comp.bank, ctx, nodes, roots[lane])),
+        )?;
         phases.push(into_phase(
             PhaseLabel::InterBank,
-            steps,
+            bank,
             bank_multiplexed(comp.bank),
         ));
     }
+    Ok(phases)
+}
 
-    phases.retain(|p| !p.steps.is_empty());
+/// The ReduceScatter phases and each node's fully reduced pieces (one
+/// per lane that holds any data).
+fn reduce_scatter_phases(
+    g: &PimGeometry,
+    elems: usize,
+    comp: Composition,
+) -> Result<(Vec<Phase>, Vec<Vec<Span>>), PimnetError> {
+    let mut owned = owned_lanes(g, comp, Span::new(0, elems));
+    let (mut phases, _) = up_phases(g, comp, &mut owned)?;
+    let rank = scatter_tier(g, comp, comp.rank, Wire::RankBus, &mut owned)?;
+    phases.push(into_phase(PhaseLabel::InterRank, rank, true));
+    let result_spans = (0..g.total_dpus() as usize)
+        .map(|i| {
+            owned
+                .iter()
+                .map(|lane| lane[i])
+                .filter(|s| !s.is_empty())
+                .collect()
+        })
+        .collect();
+    Ok((phases, result_spans))
+}
+
+/// AllGather: rank tier first (pieces are still one per node), then
+/// chip, then bank — the paper's order, with the tier algorithm free.
+/// Node `i`'s piece sits at `i·n` of the `N·n` buffer.
+fn all_gather_phases(
+    g: &PimGeometry,
+    elems: usize,
+    comp: Composition,
+) -> Result<Vec<Phase>, PimnetError> {
+    let mut sets: Vec<Vec<Span>> = g
+        .dpus()
+        .map(|id| vec![Span::new(id.index() * elems, elems)])
+        .collect();
+    let mut phases = Vec::new();
+    for (label, algo, wire) in [
+        (PhaseLabel::InterRank, comp.rank, Wire::RankBus),
+        (PhaseLabel::InterChip, comp.chip, Wire::ChipXbar),
+    ] {
+        let steps = run_tier(g, wire, &[None], |_, nodes, ctx| {
+            let group: Vec<&[Span]> = nodes.iter().map(|n| &sets[n.index()][..]).collect();
+            let (steps, gathered) = tier_all_gather_sets(algo, ctx, nodes, &group)?;
+            for n in nodes {
+                sets[n.index()].clone_from(&gathered);
+            }
+            Ok(comp.on_bus(wire, steps, nodes))
+        })?;
+        phases.push(into_phase(label, steps, true));
+    }
+    // The bank tier splits every set across the lanes.
+    let lane_sets: Vec<Vec<Vec<Span>>> = sets.iter().map(|set| comp.lane_pieces(set)).collect();
+    let bank = run_tier(
+        g,
+        Wire::BankRing(None),
+        comp.lane_dirs(),
+        |lane, nodes, ctx| {
+            let group: Vec<&[Span]> = nodes
+                .iter()
+                .map(|n| &lane_sets[n.index()][lane][..])
+                .collect();
+            Ok(tier_all_gather_sets(comp.bank, ctx, nodes, &group)?.0)
+        },
+    )?;
+    phases.push(into_phase(
+        PhaseLabel::InterBank,
+        bank,
+        bank_multiplexed(comp.bank),
+    ));
+    Ok(phases)
+}
+
+/// Broadcast from DPU 0: the root scatters one chunk per chip leader of
+/// its rank (fixed, as in Table V), the leaders deliver their chunks to
+/// their rank twins, a chip-tier allgather completes every leader's copy
+/// and the leaders fan the full message around their bank ring.
+fn broadcast_phases(
+    g: &PimGeometry,
+    elems: usize,
+    comp: Composition,
+) -> Result<Vec<Phase>, PimnetError> {
+    let root = DpuId(0);
+    let home = g.coord(root);
+    let (chips, ranks) = (g.chips_per_rank, g.ranks_per_channel);
+    let chunks = Span::new(0, elems).split(chips as usize);
+    let xbar = TierCtx {
+        g,
+        wire: Wire::ChipXbar,
+    };
+    let bus = TierCtx {
+        g,
+        wire: Wire::RankBus,
+    };
+
+    let scatter = (0..chips)
+        .filter(|&c| c != home.chip)
+        .map(|c| xbar.send(root, at(g, home.rank, c, 0), chunks[c as usize], false))
+        .collect();
+    // Each leader's rank group starts at the holder, so ring pipelining
+    // starts at the leader that owns the chunk.
+    let mut deliver = Vec::new();
+    for c in 0..chips {
+        let nodes: Vec<DpuId> = (0..ranks)
+            .map(|dr| at(g, (home.rank + dr) % ranks, c, 0))
+            .collect();
+        merge_steps(
+            &mut deliver,
+            fan_out(comp.rank, bus, &nodes, chunks[c as usize]),
+        );
+    }
+    let mut gather = Vec::new();
+    let chunk_sets: Vec<&[Span]> = chunks.iter().map(std::slice::from_ref).collect();
+    for rank in 0..ranks {
+        let leaders: Vec<DpuId> = (0..chips).map(|c| at(g, rank, c, 0)).collect();
+        merge_steps(
+            &mut gather,
+            tier_all_gather_sets(comp.chip, xbar, &leaders, &chunk_sets)?.0,
+        );
+    }
+    let full = Span::new(0, elems);
+    let fan = run_tier(g, Wire::BankRing(None), &[None], |_, nodes, ctx| {
+        Ok(fan_out(comp.bank, ctx, nodes, full))
+    })?;
+    Ok(vec![
+        into_phase(PhaseLabel::InterChip, vec![scatter], true),
+        into_phase(PhaseLabel::InterRank, deliver, true),
+        into_phase(PhaseLabel::InterChip, gather, true),
+        into_phase(PhaseLabel::InterBank, fan, bank_multiplexed(comp.bank)),
+    ])
+}
+
+/// The paper's pairwise All-to-All (§V-D, Fig 8; Table V's
+/// `Ring(inter-bank) → Permutation(inter-chip) → Unicast(inter-rank)`):
+/// at step `d` node `i` swaps chunks with node `i ⊕ d`, so data never
+/// needs an intermediate staging location. XOR pairing partitions the
+/// steps cleanly by tier — `d < B` stays on the bank ring, `B ≤ d < B·C`
+/// crosses the inter-chip crossbar in a contention-free permutation
+/// (every chip talks to exactly one other chip), and `d ≥ B·C` crosses
+/// the rank bus as scheduled unicasts.
+///
+/// The per-node buffer is `2n` elements: the *in* region (`n` elements,
+/// chunk `j` destined to node `j`) followed by the *out* region (`n`
+/// elements, chunk `j` received from node `j`).
+fn build_all_to_all(
+    g: &PimGeometry,
+    elems: usize,
+    elem_bytes: u32,
+) -> Result<CommSchedule, PimnetError> {
+    let (banks, chips, ranks) = (g.banks_per_chip, g.chips_per_rank, g.ranks_per_channel);
+    if !(banks.is_power_of_two() && chips.is_power_of_two() && ranks.is_power_of_two()) {
+        return Err(PimnetError::InvalidGeometry {
+            geometry: *g,
+            reason: "All-to-All pairwise exchange needs power-of-two banks/chips/ranks".into(),
+        });
+    }
+    let total = g.total_dpus() as usize;
+    // Pairwise swaps need uniform chunks; round the per-peer chunk up and
+    // pad the buffer (the trailing padding elements are defaulted/ignored).
+    let chunk = elems.div_ceil(total).max(1);
+    let padded = chunk * total;
+    let in_chunk = |j: usize| Span::new(j * chunk, chunk);
+    let out_chunk = |j: usize| in_chunk(j).offset(padded);
+
+    // Local phase: every node keeps its own chunk.
+    let local = (0..total)
+        .map(|i| Transfer {
+            src: DpuId(i as u32),
+            dsts: vec![DpuId(i as u32)],
+            src_span: in_chunk(i),
+            dst_span: out_chunk(i),
+            combine: false,
+            resources: vec![],
+        })
+        .collect();
+    let step_for = |d: usize| -> Vec<Transfer> {
+        (0..total)
+            .map(|i| {
+                let (src, dst) = (DpuId(i as u32), DpuId((i ^ d) as u32));
+                let wire = if g.same_chip(src, dst) {
+                    Wire::BankRing(None)
+                } else if g.same_rank(src, dst) {
+                    Wire::ChipXbar
+                } else {
+                    Wire::RankBus
+                };
+                Transfer {
+                    src,
+                    dsts: vec![dst],
+                    src_span: in_chunk(i ^ d),
+                    dst_span: out_chunk(i),
+                    combine: false,
+                    resources: TierCtx { g, wire }.path(src, dst),
+                }
+            })
+            .collect()
+    };
+    let (bank_span, chip_span) = (banks as usize, (banks * chips) as usize);
+    let phases = [
+        Phase::new(PhaseLabel::Local, vec![CommStep::new(local)], false),
+        into_phase(
+            PhaseLabel::InterBank,
+            (1..bank_span).map(step_for).collect(),
+            true,
+        ),
+        into_phase(
+            PhaseLabel::InterChip,
+            (bank_span..chip_span).map(step_for).collect(),
+            true,
+        ),
+        into_phase(
+            PhaseLabel::InterRank,
+            (chip_span..total).map(step_for).collect(),
+            true,
+        ),
+    ];
     Ok(CommSchedule {
-        kind: CollectiveKind::Broadcast,
+        kind: CollectiveKind::AllToAll,
         geometry: *g,
-        elems_per_node: elems,
+        elems_per_node: padded,
         elem_bytes,
-        buffer_len: elems,
-        result_spans: vec![vec![Span::new(0, elems)]; total],
-        phases,
+        buffer_len: 2 * padded,
+        result_spans: vec![vec![Span::new(padded, padded)]; total],
+        phases: phases.into_iter().filter(|p| !p.steps.is_empty()).collect(),
     })
 }
 
@@ -1307,5 +1439,389 @@ mod tests {
         let g = PimGeometry::new(3, 2, 1, 1);
         let comp = Composition::parse("rabenseifner_ring_ring").unwrap();
         assert!(build_composed(CollectiveKind::AllReduce, &g, 64, 4, comp).is_err());
+    }
+
+    // ---- Table V through the public entry points ----
+
+    use crate::timing::TimingModel;
+    use crate::topology::Resource;
+    use pim_sim::SimTime;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    fn paper(kind: CollectiveKind, g: &PimGeometry, elems: usize) -> CommSchedule {
+        CommSchedule::build(kind, g, elems, 4).unwrap()
+    }
+
+    fn labels(s: &CommSchedule) -> Vec<PhaseLabel> {
+        s.phases.iter().map(|p| p.label).collect()
+    }
+
+    fn allreduce_with(comp: Composition, g: &PimGeometry, elems: usize) -> CommSchedule {
+        build_composed(CollectiveKind::AllReduce, g, elems, 4, comp).unwrap()
+    }
+
+    const HALVING: &str = "rabenseifner_rabenseifner_rabenseifner";
+
+    #[test]
+    fn paper_compositions_are_table_v_and_never_parsed() {
+        use CollectiveKind as K;
+        let ar = Composition::paper(K::AllReduce).unwrap();
+        for kind in [K::ReduceScatter, K::AllGather] {
+            assert_eq!(Composition::paper(kind), Some(ar));
+        }
+        assert_eq!(ar, Composition::paper_allreduce(true, true));
+        assert_eq!(ar.spec(), "ring_ring_direct");
+        assert_ne!(Composition::parse("ring_ring_direct").unwrap(), ar);
+        assert_eq!(
+            Composition::paper(K::Broadcast),
+            Some(Composition::parse("direct_ring_direct").unwrap())
+        );
+        assert_eq!(
+            Composition::paper(K::AllToAll),
+            Some(Composition::parse("direct_direct_direct").unwrap())
+        );
+        assert_eq!(Composition::paper(K::Reduce), None);
+        assert_eq!(Composition::paper(K::Gather), None);
+        for kind in CollectiveKind::ALL {
+            if let Some(comp) = Composition::paper(kind) {
+                assert!(comp.applies_to(kind), "{kind}");
+            }
+        }
+    }
+
+    #[test]
+    fn table_v_phase_order_per_kind() {
+        use PhaseLabel::{InterBank as B, InterChip as C, InterRank as R, Local as L};
+        let g = PimGeometry::paper();
+        let ar = paper(CollectiveKind::AllReduce, &g, 8192);
+        assert_eq!(labels(&ar), [B, C, R, C, B]);
+        // Ring step counts: B-1 bank steps, C-1 chip steps; the rank
+        // broadcast is one concurrent (bus-serialized) step.
+        let steps: Vec<usize> = ar.phases.iter().map(|p| p.steps.len()).collect();
+        assert_eq!(steps, [7, 7, 1, 7, 7]);
+        let rs = paper(CollectiveKind::ReduceScatter, &g, 8192);
+        assert_eq!(labels(&rs), [B, C, R]);
+        assert_eq!(rs.phases[2].steps.len(), 4, "one bus slot per source rank");
+        let ag = paper(CollectiveKind::AllGather, &g, 16);
+        assert_eq!(labels(&ag), [R, C, B]);
+        assert_eq!(ag.phases[0].steps.len(), 4, "one bus slot per source rank");
+        let bc = paper(CollectiveKind::Broadcast, &g, 256);
+        assert_eq!(labels(&bc), [C, R, C, B]);
+        let a2a = paper(CollectiveKind::AllToAll, &g, 2560);
+        assert_eq!(labels(&a2a), [L, B, C, R]);
+        // XOR distance d < 8 stays on the bank ring, 8 <= d < 64 crosses
+        // the crossbar, d >= 64 the bus.
+        let steps: Vec<usize> = a2a.phases.iter().map(|p| p.steps.len()).collect();
+        assert_eq!(steps, [1, 7, 56, 192]);
+    }
+
+    #[test]
+    fn bank_phases_are_exclusive_and_chip_phases_multiplexed() {
+        let g = PimGeometry::paper();
+        let s = paper(CollectiveKind::AllReduce, &g, 4096);
+        let mux: Vec<bool> = s.phases.iter().map(|p| p.multiplexed).collect();
+        // The DQ channels and the bus are WAIT-scheduled; the two bank
+        // lanes keep one flow per ring segment.
+        assert_eq!(mux, [false, true, true, true, false]);
+        validate(&s).unwrap();
+    }
+
+    #[test]
+    fn degenerate_geometries_drop_their_tiers() {
+        let single_rank = PimGeometry::new(8, 8, 1, 1);
+        for kind in [CollectiveKind::AllReduce, CollectiveKind::AllGather] {
+            let s = paper(kind, &single_rank, 4096);
+            assert!(!labels(&s).contains(&PhaseLabel::InterRank), "{kind}");
+        }
+        let single_chip = PimGeometry::new(8, 1, 1, 1);
+        let s = paper(CollectiveKind::AllReduce, &single_chip, 4096);
+        // Bank RS + bank AG; the empty tiers are dropped.
+        assert_eq!(labels(&s), [PhaseLabel::InterBank, PhaseLabel::InterBank]);
+        let single_bank = PimGeometry::new(1, 4, 2, 1);
+        let s = paper(CollectiveKind::Broadcast, &single_bank, 16);
+        assert!(!labels(&s).contains(&PhaseLabel::InterBank));
+    }
+
+    #[test]
+    fn reduce_scatter_pieces_tile_a_ragged_payload() {
+        let g = PimGeometry::paper();
+        let elems = 256 * 7; // deliberately not divisible by 512
+        let s = paper(CollectiveKind::ReduceScatter, &g, elems);
+        let mut spans: Vec<Span> = s.result_spans.iter().flatten().copied().collect();
+        spans.sort_by_key(|sp| sp.start);
+        let mut cursor = 0;
+        for sp in &spans {
+            assert_eq!(sp.start, cursor, "gap or overlap at {cursor}");
+            cursor = sp.end();
+        }
+        assert_eq!(cursor, elems);
+        // Each bank holds one fully reduced piece per lane.
+        assert!(s.result_spans.iter().all(|r| r.len() == 2));
+    }
+
+    #[test]
+    fn paper_buffers_and_results() {
+        let ag = paper(CollectiveKind::AllGather, &PimGeometry::paper_scaled(16), 8);
+        assert_eq!(ag.buffer_len, 16 * 8);
+        assert_eq!(ag.result_spans[0], vec![Span::new(0, 128)]);
+        let bc = paper(
+            CollectiveKind::Broadcast,
+            &PimGeometry::paper_scaled(32),
+            128,
+        );
+        assert!(bc
+            .result_spans
+            .iter()
+            .all(|r| r == &vec![Span::new(0, 128)]));
+        let a2a = paper(CollectiveKind::AllToAll, &PimGeometry::paper_scaled(8), 64);
+        assert_eq!(a2a.buffer_len, 128);
+        assert_eq!(a2a.result_spans[3], vec![Span::new(64, 64)]);
+    }
+
+    #[test]
+    fn wire_bytes_scale_with_the_payload() {
+        let g = PimGeometry::paper();
+        let small = paper(CollectiveKind::AllReduce, &g, 1024).total_wire_bytes();
+        let large = paper(CollectiveKind::AllReduce, &g, 4096).total_wire_bytes();
+        let ratio = large.as_u64() as f64 / small.as_u64() as f64;
+        assert!((ratio - 4.0).abs() < 0.1, "ratio = {ratio}");
+        let g = PimGeometry::paper_scaled(32);
+        let a = paper(CollectiveKind::AllGather, &g, 64).total_wire_bytes();
+        let b = paper(CollectiveKind::AllGather, &g, 128).total_wire_bytes();
+        assert_eq!(b.as_u64(), a.as_u64() * 2);
+    }
+
+    #[test]
+    fn tiny_payloads_still_build() {
+        // Fewer elements than banks: no transfer may carry an empty span.
+        let s = paper(CollectiveKind::AllReduce, &PimGeometry::paper(), 3);
+        assert!(s.step_count() > 0);
+        assert!(s
+            .phases
+            .iter()
+            .flat_map(|p| &p.steps)
+            .flat_map(|st| &st.transfers)
+            .all(|t| !t.src_span.is_empty()));
+    }
+
+    #[test]
+    fn ablation_unidirectional_ring_halves_bank_bandwidth() {
+        let g = PimGeometry::paper();
+        let m = TimingModel::paper();
+        let bi = allreduce_with(Composition::paper_allreduce(true, true), &g, 8192);
+        let uni = allreduce_with(Composition::paper_allreduce(false, true), &g, 8192);
+        let t_bi = m.time_schedule(&bi, SimTime::ZERO).inter_bank;
+        let t_uni = m.time_schedule(&uni, SimTime::ZERO).inter_bank;
+        let ratio = t_uni.ratio(t_bi);
+        assert!(
+            (1.6..2.4).contains(&ratio),
+            "unidirectional bank tier should be ~2x slower, got {ratio:.2}"
+        );
+    }
+
+    #[test]
+    fn ablation_broadcast_beats_scatter_on_the_bus() {
+        let g = PimGeometry::paper();
+        let m = TimingModel::paper();
+        let bcast = allreduce_with(Composition::paper_allreduce(true, true), &g, 8192);
+        let scat = allreduce_with(Composition::paper_allreduce(true, false), &g, 8192);
+        let t_b = m.time_schedule(&bcast, SimTime::ZERO).inter_rank;
+        let t_s = m.time_schedule(&scat, SimTime::ZERO).inter_rank;
+        assert!(
+            t_s > t_b,
+            "scatter+AG ({t_s}) should cost more bus time than broadcast ({t_b})"
+        );
+    }
+
+    #[test]
+    fn ablated_variants_stay_functionally_correct() {
+        let g = PimGeometry::paper_scaled(256);
+        let elems = 96usize;
+        let expected: u64 = (1..=256).sum();
+        for (bidir, bcast) in [(false, true), (true, false), (false, false)] {
+            let s = allreduce_with(Composition::paper_allreduce(bidir, bcast), &g, elems);
+            validate(&s).unwrap();
+            let m = run_collective(&s, ReduceOp::Sum, |id| vec![u64::from(id.0) + 1; elems])
+                .unwrap_or_else(|e| panic!("bidir={bidir} bcast={bcast}: {e}"));
+            for id in s.participants() {
+                assert!(
+                    m.result(&s, id).iter().all(|&x| x == expected),
+                    "bidir={bidir} bcast={bcast} node {id}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn halving_doubling_is_logarithmic_and_loses_to_the_paper() {
+        // Fewer steps do not help when the early steps saturate the shared
+        // ring segments and the late steps flood the bus with unreduced
+        // halves.
+        let g = PimGeometry::paper();
+        let halving = Composition::parse(HALVING).unwrap();
+        let hd = allreduce_with(halving, &g, 8192);
+        assert_eq!(hd.step_count(), 16); // 2 * log2(256)
+        let m = TimingModel::paper();
+        let t_paper = m
+            .time_schedule(&paper(CollectiveKind::AllReduce, &g, 8192), SimTime::ZERO)
+            .total();
+        let t_hd = m.time_schedule(&hd, SimTime::ZERO).total();
+        assert!(
+            t_paper < t_hd,
+            "the paper ({t_paper}) should beat halving-doubling ({t_hd})"
+        );
+        let one = allreduce_with(halving, &PimGeometry::paper_scaled(1), 64);
+        assert_eq!(one.step_count(), 0);
+    }
+
+    #[test]
+    fn pairwise_all_to_all_steps_are_symmetric_perfect_matchings() {
+        let g = PimGeometry::paper_scaled(16);
+        let s = paper(CollectiveKind::AllToAll, &g, 160);
+        for phase in &s.phases[1..] {
+            for step in &phase.steps {
+                let mut senders = BTreeSet::new();
+                for t in &step.transfers {
+                    assert_eq!(t.dsts.len(), 1);
+                    assert!(senders.insert(t.src), "duplicate sender");
+                    // The partner transfer in the same step goes back.
+                    assert!(
+                        step.transfers
+                            .iter()
+                            .any(|u| u.src == t.dsts[0] && u.dsts[0] == t.src),
+                        "pairwise exchange is not symmetric"
+                    );
+                }
+                assert_eq!(senders.len(), 16);
+            }
+        }
+    }
+
+    #[test]
+    fn all_to_all_chip_steps_are_chip_permutations() {
+        let g = PimGeometry::paper_scaled(64); // 8 banks x 8 chips x 1 rank
+        let s = paper(CollectiveKind::AllToAll, &g, 64 * 8);
+        assert_eq!(s.phases[2].label, PhaseLabel::InterChip);
+        for step in &s.phases[2].steps {
+            // Each chip's Tx channel pairs with exactly one Rx chip.
+            let mut tx_to_rx: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
+            for t in &step.transfers {
+                let (mut tx, mut rx) = (None, None);
+                for r in &t.resources {
+                    match r {
+                        Resource::ChipTx { chip } => tx = Some(chip.chip),
+                        Resource::ChipRx { chip } => rx = Some(chip.chip),
+                        other => panic!("unexpected resource {other} in inter-chip step"),
+                    }
+                }
+                tx_to_rx.entry(tx.unwrap()).or_default().insert(rx.unwrap());
+            }
+            assert!(tx_to_rx.values().all(|rxs| rxs.len() == 1));
+        }
+    }
+
+    #[test]
+    fn all_to_all_rejects_non_power_of_two_dims() {
+        let g = PimGeometry::new(3, 8, 4, 1);
+        assert!(matches!(
+            CommSchedule::build(CollectiveKind::AllToAll, &g, 96, 4),
+            Err(PimnetError::InvalidGeometry { .. })
+        ));
+    }
+
+    // ---- The ring tier's generators ----
+
+    fn ring(k: u32) -> (PimGeometry, Vec<DpuId>) {
+        (PimGeometry::new(k, 1, 1, 1), (0..k).map(DpuId).collect())
+    }
+
+    fn bank_ctx(g: &PimGeometry) -> TierCtx<'_> {
+        TierCtx {
+            g,
+            wire: Wire::BankRing(None),
+        }
+    }
+
+    #[test]
+    fn ring_reduce_scatter_steps_and_owners() {
+        let (g, n) = ring(4);
+        let parent = Span::new(0, 16);
+        let chunks = parent.split(4);
+        let (steps, owned) = tier_reduce_scatter(TierAlgo::Ring, bank_ctx(&g), &n, parent).unwrap();
+        assert_eq!(steps.len(), 3);
+        assert_eq!(owned, [chunks[1], chunks[2], chunks[3], chunks[0]]);
+        for step in &steps {
+            // One send per node, each node receiving once, all reducing.
+            assert!(step.iter().all(|t| t.combine));
+            let srcs: BTreeSet<_> = step.iter().map(|t| t.src).collect();
+            let dsts: BTreeSet<_> = step.iter().map(|t| t.dsts[0]).collect();
+            assert_eq!((step.len(), srcs.len(), dsts.len()), (4, 4, 4));
+        }
+    }
+
+    #[test]
+    fn ring_reduce_scatter_chunks_reach_their_owner_fully_reduced() {
+        // Symbolically fold contributions per (node, chunk): the owner
+        // ends with all k of them.
+        let k = 5;
+        let (g, n) = ring(k as u32);
+        let parent = Span::new(0, 25);
+        let chunks = parent.split(k);
+        let (steps, owned) = tier_reduce_scatter(TierAlgo::Ring, bank_ctx(&g), &n, parent).unwrap();
+        let mut contrib: Vec<Vec<BTreeSet<usize>>> = (0..k)
+            .map(|i| (0..k).map(|_| BTreeSet::from([i])).collect())
+            .collect();
+        for step in &steps {
+            let snapshot = contrib.clone();
+            for t in step {
+                let chunk = chunks.iter().position(|c| *c == t.src_span).unwrap();
+                let incoming = snapshot[t.src.index()][chunk].clone();
+                contrib[t.dsts[0].index()][chunk].extend(incoming);
+            }
+        }
+        for (i, own) in owned.iter().enumerate() {
+            let chunk = chunks.iter().position(|c| c == own).unwrap();
+            assert_eq!(
+                contrib[i][chunk].len(),
+                k,
+                "node {i} chunk {chunk} incomplete"
+            );
+        }
+    }
+
+    #[test]
+    fn ring_all_gather_distributes_every_chunk_everywhere() {
+        let k = 6;
+        let (g, n) = ring(k as u32);
+        let parent = Span::new(0, 36);
+        let chunks = parent.split(k);
+        let steps = tier_all_gather(TierAlgo::Ring, bank_ctx(&g), &n, parent);
+        assert_eq!(steps.len(), k - 1);
+        // Position i starts with the chunk the reduce-scatter left it.
+        let mut holds: Vec<BTreeSet<usize>> =
+            (0..k).map(|i| BTreeSet::from([(i + 1) % k])).collect();
+        for step in &steps {
+            let snapshot = holds.clone();
+            for t in step {
+                assert!(!t.combine);
+                let chunk = chunks.iter().position(|c| *c == t.src_span).unwrap();
+                assert!(
+                    snapshot[t.src.index()].contains(&chunk),
+                    "node sent a chunk it does not hold"
+                );
+                holds[t.dsts[0].index()].insert(chunk);
+            }
+        }
+        assert!(holds.iter().all(|h| h.len() == k));
+    }
+
+    #[test]
+    fn single_node_ring_is_trivial() {
+        let (g, n) = ring(1);
+        let parent = Span::new(0, 8);
+        let (steps, owned) = tier_reduce_scatter(TierAlgo::Ring, bank_ctx(&g), &n, parent).unwrap();
+        assert!(steps.is_empty());
+        assert_eq!(owned, [parent]);
+        assert!(tier_all_gather(TierAlgo::Ring, bank_ctx(&g), &n, parent).is_empty());
     }
 }

@@ -10,9 +10,11 @@
 //! boost-plan timing path the sweeps use, and memoizes the winner in the
 //! schedule cache under a composition-aware key.
 //!
-//! The paper's own Table V schedule is always candidate zero and wins
-//! all ties, so [`TunedChoice::tuned_time`] is never worse than
-//! [`TunedChoice::paper_time`] *by construction* — tuning can only help.
+//! The paper's own Table V schedule ([`Composition::paper`], under its
+//! own cache key) is the incumbent: it is priced first, outside the
+//! candidate list, and wins all ties, so [`TunedChoice::tuned_time`] is
+//! never worse than [`TunedChoice::paper_time`] *by construction* —
+//! tuning can only help.
 //!
 //! # Candidate grammar
 //!
@@ -20,7 +22,6 @@
 //! admission-path tuning (see [`crate::serve`]) pay a large cold-start
 //! cost for candidates that are never competitive. The set is instead:
 //!
-//! * the paper's Table V schedule (the incumbent),
 //! * every *uniform* composition (`ring_ring_ring`, `direct_direct_…`),
 //! * every all-ring composition with exactly **one** tier swapped,
 //!
@@ -148,6 +149,7 @@ pub fn candidates(
             bank: a,
             chip: a,
             rank: a,
+            ..Composition::RING
         });
     }
     for tier in 0..3 {

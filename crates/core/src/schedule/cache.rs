@@ -74,7 +74,8 @@ use super::{validate, CommSchedule};
 /// Which builder produces a request's schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algo {
-    /// The paper's fixed Table V builder ([`CommSchedule::build`]).
+    /// The paper's Table V schedule ([`CommSchedule::build`]: the
+    /// [`Composition::paper`] composition, keyed apart from its spec).
     Paper,
     /// A per-tier [`Composition`] with a `chunks`-way payload split
     /// ([`algos::build_composed_chunked`]).

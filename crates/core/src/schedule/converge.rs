@@ -1,25 +1,17 @@
-//! Broadcast, Reduce and Gather schedule builders.
-//!
-//! Broadcast follows Table V (`Ring(inter-chip) → Broadcast(inter-rank) →
-//! Ring(inter-bank)`): the root scatters chunks across its rank's chips,
-//! each chip's leader bank broadcasts its chunk to the other ranks over the
-//! bus, a chip-ring AllGather completes every leader's copy, and the bank
-//! tier fans the full message around each chip's ring.
-//!
-//! Reduce and Gather are the N-to-1 collectives the paper sketches at the
-//! end of §V-E ("a single DPU can be used"): leaves converge on chip
-//! leaders, chip leaders on rank leaders, rank leaders on the root.
+//! Reduce and Gather schedule builders — the N-to-1 collectives the paper
+//! sketches at the end of §V-E ("a single DPU can be used"), which are not
+//! in Table V and have no composed form: leaves converge on chip leaders,
+//! chip leaders on rank leaders, rank leaders on the root.
 
 use pim_arch::geometry::{DpuCoord, DpuId, PimGeometry};
 
 use crate::collective::CollectiveKind;
 use crate::topology::{chip_path, rank_path, ring_path, shorter_direction};
 
-use super::ring::ring_all_gather;
-use super::{chip_ring_path, CommSchedule, CommStep, Phase, PhaseLabel, Span, Transfer};
+use super::{CommSchedule, CommStep, Phase, PhaseLabel, Span, Transfer};
 
-/// The fixed root of the one-to-N / N-to-one collectives.
-pub(super) const ROOT: DpuId = DpuId(0);
+/// The fixed root of the N-to-one collectives.
+const ROOT: DpuId = DpuId(0);
 
 fn at(geometry: &PimGeometry, rank: u32, chip: u32, bank: u32) -> DpuId {
     geometry.id(DpuCoord {
@@ -28,129 +20,6 @@ fn at(geometry: &PimGeometry, rank: u32, chip: u32, bank: u32) -> DpuId {
         chip,
         bank,
     })
-}
-
-pub(super) fn build_broadcast(
-    geometry: &PimGeometry,
-    elems: usize,
-    elem_bytes: u32,
-) -> CommSchedule {
-    let (banks, chips, ranks) = (
-        geometry.banks_per_chip,
-        geometry.chips_per_rank,
-        geometry.ranks_per_channel,
-    );
-    let total = geometry.total_dpus() as usize;
-    let chunks = Span::new(0, elems).split(chips as usize);
-    let root = geometry.coord(ROOT);
-    let mut phases = Vec::new();
-
-    // ---- Phase 1: root scatters one chunk to each chip leader of its rank.
-    if chips > 1 {
-        let transfers = (0..chips)
-            .filter(|&c| c != root.chip)
-            .map(|c| {
-                let dst = at(geometry, root.rank, c, 0);
-                Transfer {
-                    src: ROOT,
-                    dsts: vec![dst],
-                    src_span: chunks[c as usize],
-                    dst_span: chunks[c as usize],
-                    combine: false,
-                    resources: chip_path(geometry, ROOT, dst),
-                }
-            })
-            .collect();
-        phases.push(Phase::new(
-            PhaseLabel::InterChip,
-            vec![CommStep::new(transfers)],
-            true,
-        ));
-    }
-
-    // ---- Phase 2: each chip leader broadcasts its chunk across ranks.
-    if ranks > 1 {
-        let mut transfers = Vec::new();
-        for c in 0..chips {
-            let src = at(geometry, root.rank, c, 0);
-            let dsts: Vec<DpuId> = (0..ranks)
-                .filter(|&r| r != root.rank)
-                .map(|r| at(geometry, r, c, 0))
-                .collect();
-            transfers.push(Transfer {
-                src,
-                dsts: dsts.clone(),
-                src_span: chunks[c as usize],
-                dst_span: chunks[c as usize],
-                combine: false,
-                resources: rank_path(geometry, src, &dsts),
-            });
-        }
-        phases.push(Phase::new(
-            PhaseLabel::InterRank,
-            vec![CommStep::new(transfers)],
-            true,
-        ));
-    }
-
-    // ---- Phase 3: chip-ring AllGather completes every leader's message.
-    if chips > 1 {
-        let mut steps: Vec<Vec<Transfer>> = vec![Vec::new(); chips as usize - 1];
-        for rank in 0..ranks {
-            let nodes: Vec<DpuId> = (0..chips).map(|c| at(geometry, rank, c, 0)).collect();
-            let owners: Vec<usize> = (0..chips as usize).collect();
-            for (s, transfers) in ring_all_gather(&nodes, &chunks, &owners, |a, b| {
-                chip_ring_path(geometry, a, b)
-            })
-            .into_iter()
-            .enumerate()
-            {
-                steps[s].extend(transfers);
-            }
-        }
-        phases.push(Phase::new(
-            PhaseLabel::InterChip,
-            steps.into_iter().map(CommStep::new).collect(),
-            true,
-        ));
-    }
-
-    // ---- Phase 4: each chip leader fans the full message around its ring.
-    if banks > 1 {
-        let mut transfers = Vec::new();
-        for rank in 0..ranks {
-            for chip in 0..chips {
-                let src = at(geometry, rank, chip, 0);
-                for bank in 1..banks {
-                    let dst = at(geometry, rank, chip, bank);
-                    transfers.push(Transfer {
-                        src,
-                        dsts: vec![dst],
-                        src_span: Span::new(0, elems),
-                        dst_span: Span::new(0, elems),
-                        combine: false,
-                        resources: ring_path(geometry, src, dst, shorter_direction(banks, 0, bank)),
-                    });
-                }
-            }
-        }
-        phases.push(Phase::new(
-            PhaseLabel::InterBank,
-            vec![CommStep::new(transfers)],
-            true,
-        ));
-    }
-
-    phases.retain(|p| !p.steps.is_empty());
-    CommSchedule {
-        kind: CollectiveKind::Broadcast,
-        geometry: *geometry,
-        elems_per_node: elems,
-        elem_bytes,
-        buffer_len: elems,
-        result_spans: vec![vec![Span::new(0, elems)]; total],
-        phases,
-    }
 }
 
 pub(super) fn build_reduce(geometry: &PimGeometry, elems: usize, elem_bytes: u32) -> CommSchedule {
@@ -318,22 +187,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn broadcast_phase_order_matches_table_v_spirit() {
-        let g = PimGeometry::paper();
-        let s = build_broadcast(&g, 256, 4);
-        let labels: Vec<PhaseLabel> = s.phases.iter().map(|p| p.label).collect();
-        assert_eq!(
-            labels,
-            vec![
-                PhaseLabel::InterChip,
-                PhaseLabel::InterRank,
-                PhaseLabel::InterChip,
-                PhaseLabel::InterBank,
-            ]
-        );
-    }
-
-    #[test]
     fn reduce_converges_to_root_only() {
         let g = PimGeometry::paper();
         let s = build_reduce(&g, 64, 4);
@@ -366,19 +219,5 @@ mod tests {
             .collect();
         assert_eq!(from_rank1.len(), 4, "rank leader must relay 4 pieces");
         assert!(from_rank1.iter().all(|t| !t.combine));
-    }
-
-    #[test]
-    fn broadcast_result_is_everywhere() {
-        let g = PimGeometry::paper_scaled(32);
-        let s = build_broadcast(&g, 128, 4);
-        assert!(s.result_spans.iter().all(|r| r == &vec![Span::new(0, 128)]));
-    }
-
-    #[test]
-    fn single_bank_geometry_broadcast_has_no_bank_phase() {
-        let g = PimGeometry::new(1, 4, 2, 1);
-        let s = build_broadcast(&g, 16, 4);
-        assert!(s.phases.iter().all(|p| p.label != PhaseLabel::InterBank));
     }
 }

@@ -10,8 +10,8 @@
 //! it back: this is what lets the PIMnet stop omit input buffers,
 //! arbitration, and routing logic entirely.
 //!
-//! Builders for each collective live in the submodules and follow the
-//! paper's Table V tier algorithms:
+//! Every collective of the paper's Table V is one composition of the
+//! per-tier algorithm library in [`algos`] ([`Composition::paper`]):
 //!
 //! | collective     | inter-bank | inter-chip   | inter-rank |
 //! |----------------|-----------|---------------|------------|
@@ -21,6 +21,8 @@
 //! | All-to-All     | ring      | permutation   | unicast    |
 //! | Broadcast      | ring      | ring          | broadcast  |
 //!
+//! Reduce and Gather, which Table V leaves out, converge on a root DPU.
+//!
 //! Schedules are *functional* objects as well as timing objects: every
 //! transfer names the element ranges it moves, so [`crate::exec`] can run a
 //! schedule on real data and tests can assert collective semantics
@@ -28,24 +30,17 @@
 
 mod address;
 pub mod algos;
-mod allgather;
-mod allreduce;
-mod alltoall;
 pub mod autotune;
 pub mod boost;
-mod broadcast;
 pub mod cache;
-pub mod halving;
+mod converge;
 pub mod repair;
-mod ring;
 pub mod soa;
 pub mod validate;
 
 pub use address::{AllReduceAddressPlan, BankAddressInfo, PhaseAddr, TierTimes};
 pub use algos::{build_composed, build_composed_chunked, Composition, TierAlgo};
-pub use allreduce::AllReduceOptions;
 pub use boost::{BoostPlan, StepFacts};
-pub use ring::{ring_all_gather, ring_reduce_scatter};
 pub use soa::{FlatSchedule, ScheduleHeader, ScheduleView, StepRef, TransferRef};
 
 use std::fmt;
@@ -318,7 +313,9 @@ impl CommSchedule {
     ///
     /// This is the library's analogue of the paper's host-side "compilation"
     /// step (§V-D): given the pattern, the node count and the topology, it
-    /// produces every address and every scheduled movement.
+    /// produces every address and every scheduled movement. The five Table V
+    /// collectives are [`Composition::paper`] built by
+    /// [`build_composed_chunked`]; Reduce and Gather converge on DPU 0.
     ///
     /// # Errors
     ///
@@ -326,7 +323,8 @@ impl CommSchedule {
     ///   memory channels (PIMnet connects one channel; callers split
     ///   multi-channel collectives per channel and reduce through the host),
     ///   or All-to-All is requested on non-power-of-two dimensions.
-    /// * [`PimnetError::InvalidMessage`] — zero-sized elements.
+    /// * [`PimnetError::InvalidMessage`] — zero-sized elements, or a
+    ///   payload whose buffer or byte size overflows.
     pub fn build(
         kind: CollectiveKind,
         geometry: &PimGeometry,
@@ -341,65 +339,21 @@ impl CommSchedule {
                     .into(),
             });
         }
+        if let Some(comp) = Composition::paper(kind) {
+            return build_composed_chunked(kind, geometry, elems_per_node, elem_bytes, comp, 1);
+        }
+        // Reduce and Gather: the same element-size and overflow checks
+        // `build_composed_chunked` makes for the Table V kinds.
         if elem_bytes == 0 {
             return Err(PimnetError::InvalidMessage {
                 reason: "zero element size".into(),
             });
         }
-        let schedule = match kind {
-            CollectiveKind::AllReduce => {
-                allreduce::build(
-                    geometry,
-                    elems_per_node,
-                    elem_bytes,
-                    /*scatter=*/ false,
-                )
-            }
-            CollectiveKind::ReduceScatter => {
-                allreduce::build(geometry, elems_per_node, elem_bytes, /*scatter=*/ true)
-            }
-            CollectiveKind::AllGather => allgather::build(geometry, elems_per_node, elem_bytes),
-            CollectiveKind::AllToAll => alltoall::build(geometry, elems_per_node, elem_bytes)?,
-            CollectiveKind::Broadcast => {
-                broadcast::build_broadcast(geometry, elems_per_node, elem_bytes)
-            }
-            CollectiveKind::Reduce => broadcast::build_reduce(geometry, elems_per_node, elem_bytes),
-            CollectiveKind::Gather => broadcast::build_gather(geometry, elems_per_node, elem_bytes),
-        };
-        Ok(schedule)
-    }
-
-    /// Compiles an AllReduce with explicit design choices (ablations of
-    /// the bidirectional bank ring and the broadcast-based inter-rank
-    /// reduction; see [`AllReduceOptions`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CommSchedule::build`].
-    pub fn build_allreduce_with(
-        geometry: &PimGeometry,
-        elems_per_node: usize,
-        elem_bytes: u32,
-        opts: AllReduceOptions,
-    ) -> Result<CommSchedule, PimnetError> {
-        if geometry.channels != 1 {
-            return Err(PimnetError::InvalidGeometry {
-                geometry: *geometry,
-                reason: "PIMnet schedules span a single memory channel".into(),
-            });
-        }
-        if elem_bytes == 0 {
-            return Err(PimnetError::InvalidMessage {
-                reason: "zero element size".into(),
-            });
-        }
-        Ok(allreduce::build_with(
-            geometry,
-            elems_per_node,
-            elem_bytes,
-            false,
-            opts,
-        ))
+        checked_buffer_len(kind, geometry, elems_per_node, elem_bytes)?;
+        Ok(match kind {
+            CollectiveKind::Reduce => converge::build_reduce(geometry, elems_per_node, elem_bytes),
+            _ => converge::build_gather(geometry, elems_per_node, elem_bytes),
+        })
     }
 
     /// Total bytes serialized onto fabric resources (bus broadcasts counted
@@ -443,11 +397,36 @@ pub fn split_elems(n: usize, k: usize) -> Vec<Span> {
     Span::new(0, n).split(k)
 }
 
-/// Resources for one hop of a logical inter-chip ring (an adjacency the
-/// buffer-chip crossbar is configured into): the source chip's DQ send
-/// channel and the destination chip's DQ receive channel.
-pub(crate) fn chip_ring_path(geometry: &PimGeometry, src: DpuId, dst: DpuId) -> Vec<Resource> {
-    crate::topology::chip_path(geometry, src, dst)
+/// Per-node buffer length of `kind` with `elems` per node (see
+/// [`CommSchedule::buffer_len`]), or [`PimnetError::InvalidMessage`] when
+/// it or its byte size overflows.
+pub(crate) fn checked_buffer_len(
+    kind: CollectiveKind,
+    geometry: &PimGeometry,
+    elems: usize,
+    elem_bytes: u32,
+) -> Result<usize, PimnetError> {
+    let total = geometry.total_dpus() as usize;
+    let len = match kind {
+        CollectiveKind::AllGather | CollectiveKind::Gather => total.checked_mul(elems),
+        CollectiveKind::AllToAll => elems
+            .div_ceil(total)
+            .max(1)
+            .checked_mul(total)
+            .and_then(|padded| padded.checked_mul(2)),
+        _ => Some(elems),
+    };
+    len.filter(|&n| {
+        u64::try_from(n)
+            .ok()
+            .and_then(|n| n.checked_mul(u64::from(elem_bytes)))
+            .is_some()
+    })
+    .ok_or_else(|| PimnetError::InvalidMessage {
+        reason: format!(
+            "{elems} elements of {elem_bytes} bytes per node overflow the {kind} buffer"
+        ),
+    })
 }
 
 #[cfg(test)]
@@ -566,6 +545,39 @@ mod tests {
         let g = PimGeometry::paper();
         let err = CommSchedule::build(CollectiveKind::AllReduce, &g, 64, 0).unwrap_err();
         assert!(matches!(err, PimnetError::InvalidMessage { .. }));
+    }
+
+    #[test]
+    fn overflowing_payloads_are_invalid_messages() {
+        // Every kind, in debug and release alike: a buffer or byte size
+        // past the integer range is a typed error, never a panic or a
+        // wrapped `buffer_len`.
+        let g = PimGeometry::paper_scaled(8);
+        let overflows = |built: Result<CommSchedule, PimnetError>| {
+            matches!(built, Err(PimnetError::InvalidMessage { .. }))
+        };
+        for kind in CollectiveKind::ALL {
+            assert!(
+                overflows(CommSchedule::build(kind, &g, usize::MAX, 4)),
+                "{kind}"
+            );
+            if let Some(comp) = Composition::paper(kind) {
+                let built = build_composed(kind, &g, usize::MAX, 4, comp);
+                assert!(overflows(built), "{kind} composed");
+            }
+        }
+        // Unchecked, release builds wrap these to a zero-length buffer.
+        for (kind, elems) in [
+            (CollectiveKind::AllGather, usize::MAX / 8 + 1),
+            (CollectiveKind::Gather, usize::MAX / 8 + 1),
+            (CollectiveKind::AllToAll, usize::MAX),
+        ] {
+            assert!(overflows(CommSchedule::build(kind, &g, elems, 4)), "{kind}");
+        }
+        // The largest payload whose bytes fit still builds (a schedule
+        // holds spans, not data).
+        let s = CommSchedule::build(CollectiveKind::AllReduce, &g, usize::MAX / 4, 4).unwrap();
+        assert_eq!(s.buffer_len, usize::MAX / 4);
     }
 
     #[test]

@@ -58,7 +58,13 @@ pub fn validate(schedule: &CommSchedule) -> Result<ValidationReport, PimnetError
             let mut usage: HashMap<Resource, std::collections::HashSet<(u32, Vec<u32>)>> =
                 HashMap::new();
             for t in &step.transfers {
-                check_transfer(schedule, t, pi, si)?;
+                // The context is formatted only on the error path.
+                check_transfer(schedule, t).map_err(|rule| {
+                    invalid(format!(
+                        "phase {pi} step {si} ({} -> {:?}): {rule}",
+                        t.src, t.dsts
+                    ))
+                })?;
                 if t.is_local() {
                     continue;
                 }
@@ -105,17 +111,12 @@ fn invalid(reason: String) -> PimnetError {
     PimnetError::ScheduleInvalid { reason }
 }
 
-fn check_transfer(
-    schedule: &CommSchedule,
-    t: &Transfer,
-    pi: usize,
-    si: usize,
-) -> Result<(), PimnetError> {
+/// The per-transfer rules; `Err` is the broken rule's message, which the
+/// caller prefixes with the transfer's position.
+fn check_transfer(schedule: &CommSchedule, t: &Transfer) -> Result<(), String> {
     let g = &schedule.geometry;
-    let ctx = format!("phase {pi} step {si} ({} -> {:?})", t.src, t.dsts);
-
     if t.dsts.is_empty() {
-        return Err(invalid(format!("{ctx}: transfer with no destination")));
+        return Err("transfer with no destination".into());
     }
     // Every later rule looks coordinates up, which needs ids in range.
     let dpus = g.total_dpus();
@@ -123,38 +124,32 @@ fn check_transfer(
         .chain(&t.dsts)
         .find(|id| id.0 >= dpus)
     {
-        return Err(invalid(format!(
-            "{ctx}: {id} out of range for a {dpus}-DPU geometry"
-        )));
+        return Err(format!("{id} out of range for a {dpus}-DPU geometry"));
     }
     if t.src_span.len != t.dst_span.len {
-        return Err(invalid(format!("{ctx}: span length mismatch")));
+        return Err("span length mismatch".into());
     }
     if t.src_span.end() > schedule.buffer_len || t.dst_span.end() > schedule.buffer_len {
-        return Err(invalid(format!(
-            "{ctx}: span beyond buffer ({} elems)",
+        return Err(format!(
+            "span beyond buffer ({} elems)",
             schedule.buffer_len
-        )));
+        ));
     }
     if t.combine && !schedule.kind.reduces() {
-        return Err(invalid(format!(
-            "{ctx}: reduction in non-reducing collective {}",
+        return Err(format!(
+            "reduction in non-reducing collective {}",
             schedule.kind
-        )));
+        ));
     }
 
     if t.is_local() {
         if t.dsts != [t.src] {
-            return Err(invalid(format!(
-                "{ctx}: resource-less transfer must be local"
-            )));
+            return Err("resource-less transfer must be local".into());
         }
         return Ok(());
     }
     if t.dsts.contains(&t.src) {
-        return Err(invalid(format!(
-            "{ctx}: node sends to itself over the fabric"
-        )));
+        return Err("node sends to itself over the fabric".into());
     }
 
     // Path/endpoint consistency per tier.
@@ -177,42 +172,28 @@ fn check_transfer(
             .iter()
             .all(|r| matches!(r, Resource::RingSegment { chip, .. } if *chip == ChipLoc::of(src)))
         {
-            return Err(invalid(format!(
-                "{ctx}: same-chip transfer must use only its own ring segments"
-            )));
+            return Err("same-chip transfer must use only its own ring segments".into());
         }
-    } else if all_same_rank {
-        if uses_bus || uses_ring {
-            return Err(invalid(format!(
-                "{ctx}: same-rank transfer must use only DQ channels"
-            )));
-        }
-        expect_dq_endpoints(g, t, &ctx)?;
-    } else {
-        if !crosses_rank || !uses_bus {
-            return Err(invalid(format!(
-                "{ctx}: cross-rank transfer must traverse the rank bus"
-            )));
-        }
-        expect_dq_endpoints(g, t, &ctx)?;
+        return Ok(());
     }
-    Ok(())
+    if all_same_rank {
+        if uses_bus || uses_ring {
+            return Err("same-rank transfer must use only DQ channels".into());
+        }
+    } else if !crosses_rank || !uses_bus {
+        return Err("cross-rank transfer must traverse the rank bus".into());
+    }
+    expect_dq_endpoints(g, t)
 }
 
-fn expect_dq_endpoints(
-    g: &pim_arch::geometry::PimGeometry,
-    t: &Transfer,
-    ctx: &str,
-) -> Result<(), PimnetError> {
+fn expect_dq_endpoints(g: &pim_arch::geometry::PimGeometry, t: &Transfer) -> Result<(), String> {
     let src_chip = ChipLoc::of(g.coord(t.src));
     let has_tx = t
         .resources
         .iter()
         .any(|r| matches!(r, Resource::ChipTx { chip } if *chip == src_chip));
     if !has_tx {
-        return Err(invalid(format!(
-            "{ctx}: missing source chip Tx channel in path"
-        )));
+        return Err("missing source chip Tx channel in path".into());
     }
     for &d in &t.dsts {
         let dst_chip = ChipLoc::of(g.coord(d));
@@ -221,9 +202,7 @@ fn expect_dq_endpoints(
             .iter()
             .any(|r| matches!(r, Resource::ChipRx { chip } if *chip == dst_chip));
         if !has_rx {
-            return Err(invalid(format!(
-                "{ctx}: missing destination chip Rx channel for {d}"
-            )));
+            return Err(format!("missing destination chip Rx channel for {d}"));
         }
     }
     Ok(())

@@ -40,11 +40,6 @@ fi
 #    maps, which were converted for exactly this reason).
 # ---------------------------------------------------------------------
 allowlist=(
-    # Builder-internal dedup + #[cfg(test)] coverage checks; no iteration
-    # reaches emitted transfers.
-    "crates/core/src/schedule/alltoall.rs"
-    # #[cfg(test)] invariant checks only (contributor-set bookkeeping).
-    "crates/core/src/schedule/ring.rs"
     # Membership tests for claimed resources / conflict detection; the
     # reroute order itself follows the schedule's own transfer order.
     "crates/core/src/schedule/repair.rs"

@@ -6,7 +6,6 @@ use pim_arch::geometry::{DpuId, PimGeometry};
 use pim_sim::SimRng;
 use pimnet_suite::net::collective::CollectiveKind;
 use pimnet_suite::net::exec::{run_collective, ReduceOp};
-use pimnet_suite::net::schedule::halving::build_halving_doubling;
 use pimnet_suite::net::schedule::{build_composed, validate, CommSchedule, Composition};
 
 fn input(id: DpuId, elems: usize, salt: u64) -> Vec<u64> {
@@ -131,13 +130,16 @@ fn reduce_scatter_partition_property() {
 /// two disagree (`2,2,2,1,…` vs `2,1,2,1,…`), and an implementation that
 /// mixes them silently corrupts ownership. These payloads are chosen so
 /// every halving level splits unevenly somewhere; correctness must come
-/// from the partition itself, not from builder special-cases.
+/// from the partition itself, not from builder special-cases. Halving–
+/// doubling over all DPUs is the all-`rabenseifner` composition (the
+/// `ablation_allreduce` row).
 #[test]
 fn halving_doubling_handles_non_power_of_two_payloads() {
+    let halving = Composition::parse("rabenseifner_rabenseifner_rabenseifner").unwrap();
     for n in [8u32, 64, 256] {
         let g = PimGeometry::paper_scaled(n);
         for elems in [1usize, 3, 7, 11, 67, 193, 1030] {
-            let s = build_halving_doubling(&g, elems, 4).unwrap();
+            let s = build_composed(CollectiveKind::AllReduce, &g, elems, 4, halving).unwrap();
             validate::validate(&s).unwrap();
             let m = run_collective(&s, ReduceOp::Sum, |id| input(id, elems, 11)).unwrap();
             let expected: Vec<u64> = (0..elems)
