@@ -21,10 +21,11 @@
 //! element, AllGather must hold exactly contributor `k` at piece `k`, and
 //! so on per kind.
 //!
-//! The interpreter state is exposed to the incremental verifier
-//! ([`super::incremental`]) as [`DataflowState`]: a copy-on-write vector
-//! of per-node run lists (each behind an [`Arc`]) folded one step at a
-//! time by [`DataflowState::feed_step`]. A checkpoint (plain `clone`) is
+//! The interpreter state is [`DataflowState`]: a copy-on-write vector of
+//! per-node run lists (each behind an [`Arc`]) folded one step at a time
+//! by [`DataflowState::feed_step`], which both the batch driver and the
+//! incremental verifier ([`super::incremental`]) call from the shared
+//! step fold. A checkpoint (plain `clone`) is
 //! O(nodes) pointer copies, and comparing two states short-circuits on
 //! pointer equality per node — which is what makes the delta re-lint's
 //! convergence test cheap after a repair that only touched a few steps.
@@ -32,7 +33,7 @@
 use std::sync::Arc;
 
 use crate::collective::CollectiveKind;
-use crate::schedule::{ScheduleHeader, ScheduleView, Span, StepRef};
+use crate::schedule::{ScheduleHeader, Span, StepRef};
 
 use super::diagnostics::{Diagnostic, Location};
 
@@ -337,21 +338,6 @@ impl DataflowState {
             .collect();
         format!("{{\"nodes\":[{}]}}", nodes.join(","))
     }
-}
-
-/// Runs the dataflow pass, appending findings to `diags`.
-pub(super) fn check<S: ScheduleView>(schedule: &S, diags: &mut Vec<Diagnostic>) {
-    let hdr = schedule.header();
-    if hdr.geometry.total_dpus() == 0 {
-        return;
-    }
-    let mut state = DataflowState::new(&hdr);
-    for pi in 0..schedule.phase_count() {
-        for si in 0..schedule.steps_in(pi) {
-            state.feed_step(&hdr, pi, si, schedule.step(pi, si), diags);
-        }
-    }
-    final_check(&hdr, &state, diags);
 }
 
 /// Reduces a delivery's payload pieces into a node's runs, in place.

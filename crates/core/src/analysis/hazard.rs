@@ -22,7 +22,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::schedule::{ScheduleView, Span, StepRef};
+use crate::schedule::{Span, StepRef};
 
 use super::diagnostics::{Diagnostic, Location};
 
@@ -42,18 +42,9 @@ fn overlaps(a: Span, b: Span) -> bool {
     a.start < b.end() && b.start < a.end()
 }
 
-/// Runs the hazard pass, appending findings to `diags`.
-pub(super) fn check<S: ScheduleView>(schedule: &S, diags: &mut Vec<Diagnostic>) {
-    for pi in 0..schedule.phase_count() {
-        for si in 0..schedule.steps_in(pi) {
-            check_step(pi, si, schedule.step(pi, si), diags);
-        }
-    }
-}
-
 /// Hazard checks for one step at `(pi, si)`; step-local by construction,
-/// so the incremental verifier calls it verbatim. BTreeMap keeps the
-/// per-node emission order independent of hash state.
+/// so every driver calls it verbatim. BTreeMap keeps the per-node
+/// emission order independent of hash state.
 pub(super) fn check_step(pi: usize, si: usize, step: StepRef<'_>, diags: &mut Vec<Diagnostic>) {
     let mut writes: BTreeMap<u32, Vec<Access>> = BTreeMap::new();
     let mut reads: BTreeMap<u32, Vec<Access>> = BTreeMap::new();

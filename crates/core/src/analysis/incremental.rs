@@ -4,18 +4,21 @@
 //!
 //! # Streaming
 //!
-//! [`ScheduleVerifier`] drives the same four pass kernels as
-//! [`super::run_all`] — structural, sync, hazard, dataflow — but
-//! step-by-step: [`ScheduleVerifier::feed_step`] lints the next step and
-//! returns its [`StepVerdict`], and [`ScheduleVerifier::finalize`] runs
-//! the dataflow result check and assembles an [`AnalysisReport`] that is
-//! **byte-identical** to the batch report (same codes, same messages,
-//! same order). The identity holds because every diagnostic is a
-//! deterministic function of the schedule header, the step's content and
-//! position, and the dataflow state *value* entering the step — and
-//! because ties under the report's `(location, code)` sort can only come
-//! from one pass at one step (code ranges are pass-disjoint), where both
-//! drivers share the emission order of the same kernel.
+//! [`ScheduleVerifier`] folds the same step function as
+//! [`super::run_all`] — the structural, sync, hazard and dataflow kernels
+//! on one step — but on demand: [`ScheduleVerifier::feed_step`] lints the
+//! next step and returns its [`StepVerdict`], and
+//! [`ScheduleVerifier::finalize`] runs the dataflow result check and
+//! assembles an [`AnalysisReport`] that is **byte-identical** to the
+//! batch report (same codes, same messages, same order). The identity
+//! holds because every diagnostic is a deterministic function of the
+//! schedule header, the step's content and position, and the dataflow
+//! state *value* entering the step — and because ties under the report's
+//! `(location, code)` sort can only come from one pass at one step (code
+//! ranges are pass-disjoint), where both drivers share the emission order
+//! of the same kernel. Unlike the batch fold, the verifier checkpoints the
+//! dataflow state after every step, which is what the delta re-lint
+//! resumes from.
 //!
 //! # Delta re-lint
 //!
@@ -43,8 +46,8 @@ use crate::schedule::repair::RepairedSchedule;
 use crate::schedule::{CommSchedule, CommStep, ScheduleView, StepRef};
 
 use super::dataflow::{self, DataflowState};
-use super::diagnostics::{Diagnostic, Location, Severity};
-use super::{hazard, structural, sync, AnalysisReport};
+use super::diagnostics::{Diagnostic, Severity};
+use super::{structural, sync, AnalysisReport};
 
 /// Serializable summary state of the pass fold after some step.
 ///
@@ -195,31 +198,13 @@ fn step_at(schedule: &CommSchedule, pos: FlatPos) -> &CommStep {
     &schedule.phases[pos.0].steps[pos.1]
 }
 
-/// `P303` warnings for phases with no steps (the only phase-level
-/// diagnostic; everything else is schedule-level or step-local).
-fn phase_warnings(schedule: &CommSchedule, diags: &mut Vec<Diagnostic>) {
-    for (pi, phase) in schedule.phases.iter().enumerate() {
-        if phase.steps.is_empty() {
-            diags.push(Diagnostic::warning(
-                sync::EMPTY_BARRIER,
-                Location::phase(pi),
-                "phase has no steps: a barrier with no work".into(),
-            ));
-        }
-    }
-}
-
-/// Runs all four step-local kernels on one step, folding `live`, and
-/// returns the step's record.
-fn lint_step(schedule: &CommSchedule, pos: FlatPos, live: &mut DataflowState) -> StepRecord {
+/// Lints one step through the shared step fold, folding `live`, and
+/// returns the step's record with a checkpoint of the state after it.
+fn record_step(schedule: &CommSchedule, pos: FlatPos, live: &mut DataflowState) -> StepRecord {
     let (pi, si, multiplexed) = pos;
-    let step = StepRef::Nested(step_at(schedule, pos));
-    let hdr = schedule.header();
+    let (hdr, step) = (schedule.header(), StepRef::Nested(step_at(schedule, pos)));
     let mut diags = Vec::new();
-    structural::check_step(&hdr, pi, si, step, multiplexed, &mut diags);
-    sync::check_step(&hdr, pi, si, step, &mut diags);
-    hazard::check_step(pi, si, step, &mut diags);
-    live.feed_step(&hdr, pi, si, step, &mut diags);
+    super::lint_step(&hdr, pi, si, step, multiplexed, live, &mut diags);
     StepRecord {
         phase: pi,
         step: si,
@@ -238,23 +223,14 @@ fn assemble_report(
     final_diags: &[Diagnostic],
 ) -> AnalysisReport {
     let mut diagnostics = prologue.to_vec();
-    phase_warnings(schedule, &mut diagnostics);
+    for (pi, phase) in schedule.phases.iter().enumerate() {
+        sync::check_phase(pi, phase.steps.len(), &mut diagnostics);
+    }
     for r in records {
         diagnostics.extend(r.diags.iter().cloned());
     }
     diagnostics.extend(final_diags.iter().cloned());
-    diagnostics.sort_by(|a, b| {
-        a.location
-            .sort_key()
-            .cmp(&b.location.sort_key())
-            .then_with(|| a.code.cmp(b.code))
-    });
-    AnalysisReport {
-        kind: schedule.kind,
-        dpus: schedule.geometry.total_dpus(),
-        elems_per_node: schedule.elems_per_node,
-        diagnostics,
-    }
+    super::sorted_report(&schedule.header(), diagnostics)
 }
 
 /// Streaming verifier: feed steps one at a time, finalize into a
@@ -298,7 +274,7 @@ impl ScheduleVerifier {
     pub fn feed_step(&mut self) -> Option<StepVerdict> {
         let pos = *self.flat.get(self.cursor)?;
         self.cursor += 1;
-        let record = lint_step(&self.schedule, pos, &mut self.live);
+        let record = record_step(&self.schedule, pos, &mut self.live);
         let errors = record
             .diags
             .iter()
@@ -431,7 +407,7 @@ pub fn reverify_delta(
 
     // Dirty middle: every step with no aligned counterpart.
     for &pos in &new_flat[k..len_n - m] {
-        records.push(lint_step(&new_schedule, pos, &mut live));
+        records.push(record_step(&new_schedule, pos, &mut live));
         stats.relinted += 1;
     }
 
@@ -454,7 +430,11 @@ pub fn reverify_delta(
         if converged {
             break;
         }
-        records.push(lint_step(&new_schedule, new_flat[len_n - m + j], &mut live));
+        records.push(record_step(
+            &new_schedule,
+            new_flat[len_n - m + j],
+            &mut live,
+        ));
         stats.relinted += 1;
         j += 1;
     }
@@ -476,7 +456,7 @@ pub fn reverify_delta(
         } else {
             // Position shifted under a step with findings: the messages
             // embed the location, so re-render by re-linting.
-            records.push(lint_step(
+            records.push(record_step(
                 &new_schedule,
                 new_flat[len_n - m + jj],
                 &mut live,

@@ -10,13 +10,15 @@
 //!
 //! | Pass | Codes | Proves |
 //! |------|-------|--------|
-//! | structural | `P001`–`P010` | spans in bounds, tier-correct resource paths, no illegal sharing (mirrors [`crate::schedule::validate`]) |
+//! | structural | `P001`–`P010` | spans in bounds, tier-correct resource paths, no illegal sharing |
 //! | dataflow | `P101`–`P107` | per-element provenance: reductions fold every contributor exactly once, gathers deliver every span, nothing reads uninitialized memory |
 //! | hazard | `P201`–`P202` | no intra-step write-write or read-after-overwrite races on overlapping spans |
 //! | sync | `P301`–`P303` | the READY/START tree spans all endpoints, steps admit a serial order, no empty barriers |
 //!
-//! The entry point is [`run_all`], which runs every pass and returns an
-//! [`AnalysisReport`]. A report with no error-severity diagnostics is a
+//! The entry point is [`run_all`], which folds every pass over the
+//! schedule one step at a time and returns an [`AnalysisReport`]; the
+//! streaming [`ScheduleVerifier`] folds the same step function, so its
+//! report is byte-identical. A report with no error-severity diagnostics is a
 //! proof (relative to the executor's semantics, which the differential
 //! fuzzer in `tests/validator_fuzz.rs` pins) that executing the schedule
 //! bit-matches the reference collective. The resilience layer uses this
@@ -27,7 +29,7 @@
 use std::fmt;
 
 use crate::collective::CollectiveKind;
-use crate::schedule::ScheduleView;
+use crate::schedule::{ScheduleHeader, ScheduleView, StepRef};
 
 pub mod diagnostics;
 pub mod incremental;
@@ -35,8 +37,10 @@ pub mod presets;
 
 mod dataflow;
 mod hazard;
-mod structural;
-mod sync;
+pub(crate) mod structural;
+pub(crate) mod sync;
+
+use dataflow::DataflowState;
 
 pub use diagnostics::{Diagnostic, Location, Severity};
 pub use incremental::{
@@ -134,25 +138,61 @@ impl fmt::Display for AnalysisReport {
 /// [`crate::schedule::CommSchedule`] or flat
 /// [`crate::schedule::FlatSchedule`]) and collects the findings.
 ///
-/// Passes run in order — structural, sync, hazard, dataflow — and each
-/// tolerates the malformed constructs earlier passes flag (out-of-range
-/// DPUs, out-of-bounds spans), so one broken transfer yields its own
-/// pinpointed diagnostics rather than a panic or a cascade. Both layouts
-/// drive one generic code path, so their reports are byte-identical.
+/// One fold visits each step once and runs the four passes on it —
+/// structural, sync, hazard, dataflow — with the schedule-level
+/// structural checks before the first step, the empty-phase check at each
+/// phase boundary and the dataflow result check after the last step.
+/// Each pass tolerates the malformed constructs earlier passes flag
+/// (out-of-range DPUs, out-of-bounds spans), so one broken transfer
+/// yields its own pinpointed diagnostics rather than a panic or a
+/// cascade. Both layouts drive one generic code path, so their reports
+/// are byte-identical.
 #[must_use]
 pub fn run_all<S: ScheduleView>(schedule: &S) -> AnalysisReport {
+    let hdr = schedule.header();
     let mut diagnostics = Vec::new();
-    structural::check(schedule, &mut diagnostics);
-    sync::check(schedule, &mut diagnostics);
-    hazard::check(schedule, &mut diagnostics);
-    dataflow::check(schedule, &mut diagnostics);
+    structural::check_prologue(&hdr, &mut diagnostics);
+    let mut live = DataflowState::new(&hdr);
+    for pi in 0..schedule.phase_count() {
+        let (steps, multiplexed) = (schedule.steps_in(pi), schedule.phase_multiplexed(pi));
+        sync::check_phase(pi, steps, &mut diagnostics);
+        for si in 0..steps {
+            let step = schedule.step(pi, si);
+            lint_step(&hdr, pi, si, step, multiplexed, &mut live, &mut diagnostics);
+        }
+    }
+    dataflow::final_check(&hdr, &live, &mut diagnostics);
+    sorted_report(&hdr, diagnostics)
+}
+
+/// The fold's step function: the four step-local kernels over the step at
+/// `(pi, si)`, folding the dataflow state `live`. [`run_all`] and the
+/// streaming verifier lint every step through it.
+fn lint_step(
+    hdr: &ScheduleHeader<'_>,
+    pi: usize,
+    si: usize,
+    step: StepRef<'_>,
+    multiplexed: bool,
+    live: &mut DataflowState,
+    diags: &mut Vec<Diagnostic>,
+) {
+    structural::check_step(hdr, pi, si, step, multiplexed, diags);
+    sync::check_step(hdr, pi, si, step, diags);
+    hazard::check_step(pi, si, step, diags);
+    live.feed_step(hdr, pi, si, step, diags);
+}
+
+/// The report over `diagnostics`, sorted by location then code. The sort
+/// is stable, and codes are pass-disjoint, so ties can only come from one
+/// kernel at one step and keep that kernel's emission order.
+fn sorted_report(hdr: &ScheduleHeader<'_>, mut diagnostics: Vec<Diagnostic>) -> AnalysisReport {
     diagnostics.sort_by(|a, b| {
         a.location
             .sort_key()
             .cmp(&b.location.sort_key())
             .then_with(|| a.code.cmp(b.code))
     });
-    let hdr = schedule.header();
     AnalysisReport {
         kind: hdr.kind,
         dpus: hdr.geometry.total_dpus(),

@@ -1,17 +1,21 @@
-//! Structural pass (`P0xx`): the diagnostic-emitting form of
-//! [`crate::schedule::validate`].
+//! Structural pass (`P0xx`): the one copy of the schedule's shape rules.
 //!
-//! Where the validator stops at the first violated rule and returns a
-//! [`crate::error::PimnetError`], this pass walks the whole schedule and
-//! emits one [`Diagnostic`] per violation, so a lint run reports every
-//! structural problem at once. The rules are the same: spans stay inside
-//! the buffer, resource paths connect their endpoints at the right tier,
-//! reductions only appear in reducing collectives, and bufferless
-//! resources never carry two flows in a non-multiplexed step.
+//! Spans stay inside the buffer, resource paths connect their endpoints
+//! at the right tier, reductions only appear in reducing collectives,
+//! the result table describes every node inside the buffer, and no
+//! exclusive resource ([`Resource::requires_exclusive_step`]: a
+//! bufferless ring segment or a chip DQ channel) carries two flows in a
+//! step of a non-multiplexed phase (paper §IV-C).
+//!
+//! The kernels emit one [`Diagnostic`] per violation and never stop
+//! early. The analysis drivers keep every finding, so a lint run reports
+//! all structural problems at once; [`crate::schedule::validate`] runs
+//! the same kernels plus the sync pass's `P301` and returns the first
+//! error in report order.
 
-use std::collections::{BTreeMap, HashSet};
+use pim_arch::geometry::DpuId;
 
-use crate::schedule::{ScheduleHeader, ScheduleView, StepRef, TransferRef};
+use crate::schedule::{ScheduleHeader, StepRef, TransferRef};
 use crate::topology::{ChipLoc, Resource};
 
 use super::diagnostics::{Diagnostic, Location};
@@ -32,28 +36,16 @@ pub const FABRIC_SELF_SEND: &str = "P006";
 pub const WRONG_TIER_RESOURCES: &str = "P007";
 /// `P008` — a DQ-crossing transfer is missing its Tx or Rx channel.
 pub const MISSING_DQ_ENDPOINT: &str = "P008";
-/// `P009` — an exclusive (bufferless) resource carries two flows in a
-/// non-multiplexed step.
+/// `P009` — an exclusive resource (a ring segment or a chip DQ channel)
+/// carries two flows in a non-multiplexed step.
 pub const EXCLUSIVE_SHARING: &str = "P009";
 /// `P010` — the result-span table is malformed (wrong node count or a
 /// span beyond the buffer).
 pub const MALFORMED_RESULT_TABLE: &str = "P010";
 
-/// Runs the structural pass, appending findings to `diags`.
-pub(super) fn check<S: ScheduleView>(schedule: &S, diags: &mut Vec<Diagnostic>) {
-    let hdr = schedule.header();
-    check_prologue(&hdr, diags);
-    for pi in 0..schedule.phase_count() {
-        let multiplexed = schedule.phase_multiplexed(pi);
-        for si in 0..schedule.steps_in(pi) {
-            check_step(&hdr, pi, si, schedule.step(pi, si), multiplexed, diags);
-        }
-    }
-}
-
 /// Schedule-level structural checks (the result-span table), independent
 /// of any step.
-pub(super) fn check_prologue(hdr: &ScheduleHeader<'_>, diags: &mut Vec<Diagnostic>) {
+pub(crate) fn check_prologue(hdr: &ScheduleHeader<'_>, diags: &mut Vec<Diagnostic>) {
     let total = hdr.geometry.total_dpus();
 
     if hdr.result_spans.len() != total as usize {
@@ -82,57 +74,51 @@ pub(super) fn check_prologue(hdr: &ScheduleHeader<'_>, diags: &mut Vec<Diagnosti
     }
 }
 
-/// Structural checks for one step at `(pi, si)`; step-local by
-/// construction, so the incremental verifier calls it verbatim.
-pub(super) fn check_step(
+/// Structural checks for one step at `(pi, si)`. Step-local by
+/// construction, so every driver calls it verbatim.
+///
+/// Returns the most distinct flows one resource of each class carried in
+/// the step, `[ring segment, chip DQ channel, rank bus]`, whether or not
+/// the phase is multiplexed.
+pub(crate) fn check_step(
     hdr: &ScheduleHeader<'_>,
     pi: usize,
     si: usize,
     step: StepRef<'_>,
     multiplexed: bool,
     diags: &mut Vec<Diagnostic>,
-) {
-    // A "flow" is a distinct (source, destination-set) pair, as in
-    // the validator: back-to-back transfers of one pair share a
-    // single scheduled slot on the wire. BTreeMap keeps the emission
-    // order independent of hash state.
-    let mut usage: BTreeMap<Resource, HashSet<(u32, Vec<u32>)>> = BTreeMap::new();
+) -> [usize; 3] {
+    // A "flow" is a distinct (source, destination-set) pair: back-to-back
+    // transfers of one pair share a single scheduled slot on the wire.
+    // Sorted and deduplicated, the (resource, flow) pairs form one run per
+    // resource, in resource order, whose length is its flow count.
+    let mut usage: Vec<(Resource, DpuId, &[DpuId])> = Vec::new();
     for (ti, t) in step.transfers().enumerate() {
         check_transfer(hdr, t, Location::at(pi, si, ti), diags);
-        if t.is_local() {
-            continue;
-        }
-        let flow = (t.src.0, t.dsts.iter().map(|d| d.0).collect::<Vec<_>>());
-        for r in t.resources {
-            usage.entry(*r).or_default().insert(flow.clone());
+        if !t.is_local() {
+            usage.extend(t.resources.iter().map(|&r| (r, t.src, t.dsts)));
         }
     }
-    if !multiplexed {
-        for (r, flows) in &usage {
-            if flows.len() > 1 && r.requires_exclusive_step() {
-                diags.push(Diagnostic::error(
-                    EXCLUSIVE_SHARING,
-                    Location::step(pi, si),
-                    format!(
-                        "bufferless resource {r} carries {} flows in a \
-                         non-multiplexed step",
-                        flows.len()
-                    ),
-                ));
-            }
-            if flows.len() > 1 && matches!(r, Resource::ChipTx { .. } | Resource::ChipRx { .. }) {
-                diags.push(Diagnostic::error(
-                    EXCLUSIVE_SHARING,
-                    Location::step(pi, si),
-                    format!(
-                        "chip channel {r} carries {} flows in a \
-                         non-multiplexed step",
-                        flows.len()
-                    ),
-                ));
-            }
+    usage.sort_unstable();
+    usage.dedup();
+    let mut sharing = [0; 3];
+    for run in usage.chunk_by(|a, b| a.0 == b.0) {
+        let (r, flows) = (run[0].0, run.len());
+        let class = &mut sharing[r.tier_index() - 1];
+        *class = (*class).max(flows);
+        if flows > 1 && !multiplexed && r.requires_exclusive_step() {
+            let what = match r {
+                Resource::RingSegment { .. } => "bufferless resource",
+                _ => "chip channel",
+            };
+            diags.push(Diagnostic::error(
+                EXCLUSIVE_SHARING,
+                Location::step(pi, si),
+                format!("{what} {r} carries {flows} flows in a non-multiplexed step"),
+            ));
         }
     }
+    sharing
 }
 
 fn check_transfer(

@@ -19,7 +19,7 @@
 //! * **Empty barrier** (`P303`, warning): a phase or step with no
 //!   transfers still costs a full READY/START round trip for nothing.
 
-use crate::schedule::{ScheduleHeader, ScheduleView, Span, StepRef};
+use crate::schedule::{ScheduleHeader, Span, StepRef};
 
 use super::diagnostics::{Diagnostic, Location};
 
@@ -35,26 +35,20 @@ fn overlaps(a: Span, b: Span) -> bool {
     a.start < b.end() && b.start < a.end()
 }
 
-/// Runs the sync pass, appending findings to `diags`.
-pub(super) fn check<S: ScheduleView>(schedule: &S, diags: &mut Vec<Diagnostic>) {
-    let hdr = schedule.header();
-    for pi in 0..schedule.phase_count() {
-        if schedule.steps_in(pi) == 0 {
-            diags.push(Diagnostic::warning(
-                EMPTY_BARRIER,
-                Location::phase(pi),
-                "phase has no steps: a barrier with no work".into(),
-            ));
-        }
-        for si in 0..schedule.steps_in(pi) {
-            check_step(&hdr, pi, si, schedule.step(pi, si), diags);
-        }
+/// `P303` for phase `pi` when it has no steps. The phase boundary is the
+/// one place both drivers see an empty phase, which no step visits.
+pub(super) fn check_phase(pi: usize, steps: usize, diags: &mut Vec<Diagnostic>) {
+    if steps == 0 {
+        diags.push(Diagnostic::warning(
+            EMPTY_BARRIER,
+            Location::phase(pi),
+            "phase has no steps: a barrier with no work".into(),
+        ));
     }
 }
 
 /// Sync checks for one step at `(pi, si)`; step-local by construction, so
-/// the incremental verifier calls it verbatim. (The phase-level empty
-/// warning lives with the phase boundary, not here.)
+/// every driver calls it verbatim.
 pub(super) fn check_step(
     hdr: &ScheduleHeader<'_>,
     pi: usize,
@@ -62,7 +56,6 @@ pub(super) fn check_step(
     step: StepRef<'_>,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let total = hdr.geometry.total_dpus();
     if step.is_empty() {
         diags.push(Diagnostic::warning(
             EMPTY_BARRIER,
@@ -70,6 +63,21 @@ pub(super) fn check_step(
             "step has no transfers: a barrier with no work".into(),
         ));
     }
+    check_endpoints(hdr, pi, si, step, diags);
+    check_serialization(pi, si, step, diags);
+}
+
+/// `P301` for every transfer endpoint outside the geometry. Besides the
+/// sync pass, [`crate::schedule::validate`] runs this rule: every other
+/// structural rule looks coordinates up, which needs ids in range.
+pub(crate) fn check_endpoints(
+    hdr: &ScheduleHeader<'_>,
+    pi: usize,
+    si: usize,
+    step: StepRef<'_>,
+    diags: &mut Vec<Diagnostic>,
+) {
+    let total = hdr.geometry.total_dpus();
     for (ti, t) in step.transfers().enumerate() {
         let loc = Location::at(pi, si, ti);
         for id in std::iter::once(t.src).chain(t.dsts.iter().copied()) {
@@ -86,7 +94,6 @@ pub(super) fn check_step(
             }
         }
     }
-    check_serialization(pi, si, step, diags);
 }
 
 /// Builds the must-precede relation of one step (transfer `a` before `b`

@@ -269,8 +269,9 @@ pub struct Phase {
     pub steps: Vec<CommStep>,
     /// `true` when the schedule deliberately time-multiplexes shared
     /// resources within a step (the paper's WAIT-phase slot scheduling on
-    /// the DQ channels and the bus); `false` when every resource in a step
-    /// carries a single flow (the validator enforces this for ring phases).
+    /// the DQ channels and the bus); `false` when every ring segment and
+    /// chip DQ channel in a step carries a single flow (structural rule
+    /// `P009`, which `validate` enforces).
     pub multiplexed: bool,
 }
 

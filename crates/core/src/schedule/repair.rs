@@ -200,15 +200,6 @@ fn repair_transfer(
     Ok(out)
 }
 
-/// Resources the validator requires to be exclusive within a step of a
-/// non-multiplexed phase (the bus is broadcast/WAIT-slotted everywhere).
-fn is_exclusive(r: &Resource) -> bool {
-    matches!(
-        r,
-        Resource::RingSegment { .. } | Resource::ChipTx { .. } | Resource::ChipRx { .. }
-    )
-}
-
 fn spans_overlap(a: super::Span, b: super::Span) -> bool {
     a.start < b.end() && b.start < a.end()
 }
@@ -239,12 +230,17 @@ fn split_step(transfers: Vec<Transfer>) -> Result<Vec<CommStep>, PimnetError> {
                     || banned[i]
                     || t.resources
                         .iter()
-                        .any(|r| is_exclusive(r) && used.contains(r))
+                        .any(|r| r.requires_exclusive_step() && used.contains(r))
                 {
                     continue;
                 }
                 picked[i] = true;
-                used.extend(t.resources.iter().filter(|r| is_exclusive(r)).copied());
+                used.extend(
+                    t.resources
+                        .iter()
+                        .filter(|r| r.requires_exclusive_step())
+                        .copied(),
+                );
             }
             // Hazard pass: a picked writer whose reader would be left
             // behind must wait — the reader needs the pre-write value.
@@ -272,7 +268,12 @@ fn split_step(transfers: Vec<Transfer>) -> Result<Vec<CommStep>, PimnetError> {
             used.clear();
             for (i, t) in remaining.iter().enumerate() {
                 if picked[i] {
-                    used.extend(t.resources.iter().filter(|r| is_exclusive(r)).copied());
+                    used.extend(
+                        t.resources
+                            .iter()
+                            .filter(|r| r.requires_exclusive_step())
+                            .copied(),
+                    );
                 }
             }
         }
@@ -299,14 +300,15 @@ fn split_step(transfers: Vec<Transfer>) -> Result<Vec<CommStep>, PimnetError> {
 }
 
 /// Does a step of a non-multiplexed phase violate exclusivity? (Distinct
-/// flows — `(src, dsts)` pairs, matching the validator — sharing an
-/// exclusive resource.)
+/// flows — `(src, dsts)` pairs, as in the structural pass's `P009` —
+/// sharing an exclusive resource.) An early-exit pre-check that decides
+/// whether to split the step; [`repair`] re-validates its output anyway.
 fn step_has_contention(step: &CommStep) -> bool {
     let mut seen: std::collections::HashMap<Resource, (DpuId, &[DpuId])> =
         std::collections::HashMap::new();
     for t in &step.transfers {
         for r in &t.resources {
-            if !is_exclusive(r) {
+            if !r.requires_exclusive_step() {
                 continue;
             }
             match seen.get(r) {

@@ -128,13 +128,18 @@ impl Resource {
         }
     }
 
-    /// True for resources that the hardware cannot time-multiplex within a
-    /// step without buffering (the bufferless ring segments). The validator
-    /// enforces exclusivity for these; DQ channels and the bus are
-    /// WAIT-phase scheduled (deterministic time multiplexing, paper §IV-C).
+    /// True for resources that may carry only one flow per step outside a
+    /// WAIT-multiplexed phase: the bufferless ring segments and the chip
+    /// DQ channels. Only a multiplexed phase time-slots these
+    /// deterministically (paper §IV-C); the rank bus is broadcast and
+    /// WAIT-slotted everywhere. The structural pass (`P009`) and schedule
+    /// repair both use this one predicate.
     #[must_use]
     pub fn requires_exclusive_step(&self) -> bool {
-        matches!(self, Resource::RingSegment { .. })
+        matches!(
+            self,
+            Resource::RingSegment { .. } | Resource::ChipTx { .. } | Resource::ChipRx { .. }
+        )
     }
 
     /// Stable fabric-tier index of this resource for per-tier metrics
@@ -413,6 +418,13 @@ mod tests {
         };
         assert_eq!(seg.bandwidth(&f).as_gbps(), 0.7);
         assert!(seg.requires_exclusive_step());
+        let chip = ChipLoc {
+            channel: 0,
+            rank: 0,
+            chip: 0,
+        };
+        assert!(Resource::ChipTx { chip }.requires_exclusive_step());
+        assert!(Resource::ChipRx { chip }.requires_exclusive_step());
         let bus = Resource::RankBus { channel: 0 };
         assert_eq!(bus.bandwidth(&f).as_gbps(), 16.8);
         assert!(!bus.requires_exclusive_step());

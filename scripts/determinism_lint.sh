@@ -36,8 +36,8 @@ fi
 #    membership, counting, or keyed lookup only — its iteration order
 #    never reaches any output, diagnostic, or schedule. Anything
 #    order-visible must use BTreeMap/BTreeSet or sorted Vecs (see the
-#    structural pass's P009 usage map and the hazard pass's per-node
-#    maps, which were converted for exactly this reason).
+#    structural pass's sorted P009 usage list and the hazard pass's
+#    per-node maps, which were converted for exactly this reason).
 # ---------------------------------------------------------------------
 allowlist=(
     # Membership tests for claimed resources / conflict detection; the
@@ -46,13 +46,6 @@ allowlist=(
     # Process-global cache tables: keyed get/insert only, never iterated;
     # outputs are the cached values, which are deterministic by build.
     "crates/core/src/schedule/cache.rs"
-    # Per-step usage/count maps used for membership and len() only; the
-    # validator walks transfers in schedule order and stops at the first
-    # violation it meets in that order.
-    "crates/core/src/schedule/validate.rs"
-    # P009 flow sets: HashSet used for dedup + len(); the emission loop
-    # iterates the enclosing BTreeMap, never the set.
-    "crates/core/src/analysis/structural.rs"
     # Per-link busy tallies: the map is iterated, but only into
     # commutative integer sums (per-tier totals and a max), so iteration
     # order cannot reach the output. The boost planner's per-class facts
