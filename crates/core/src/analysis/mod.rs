@@ -10,7 +10,7 @@
 //!
 //! | Pass | Codes | Proves |
 //! |------|-------|--------|
-//! | structural | `P001`–`P010` | spans in bounds, tier-correct resource paths, no illegal sharing |
+//! | structural | `P001`–`P011` | spans in bounds, tier-correct resource paths, no illegal sharing |
 //! | dataflow | `P101`–`P107` | per-element provenance: reductions fold every contributor exactly once, gathers deliver every span, nothing reads uninitialized memory |
 //! | hazard | `P201`–`P202` | no intra-step write-write or read-after-overwrite races on overlapping spans |
 //! | sync | `P301`–`P303` | the READY/START tree spans all endpoints, steps admit a serial order, no empty barriers |
@@ -212,7 +212,7 @@ pub mod codes {
     pub use super::structural::{
         COMBINE_IN_NON_REDUCING, EMPTY_DSTS, EXCLUSIVE_SHARING, FABRIC_SELF_SEND,
         MALFORMED_RESULT_TABLE, MISSING_DQ_ENDPOINT, NON_LOCAL_WITHOUT_RESOURCES,
-        SPAN_LEN_MISMATCH, SPAN_OUT_OF_BOUNDS, WRONG_TIER_RESOURCES,
+        RESOURCE_OUTSIDE_GEOMETRY, SPAN_LEN_MISMATCH, SPAN_OUT_OF_BOUNDS, WRONG_TIER_RESOURCES,
     };
     pub use super::sync::{CYCLIC_WAIT, EMPTY_BARRIER, PARTITIONED_TREE};
 }

@@ -3,7 +3,7 @@
 //!
 //! [`validate`] is the gate in front of execution, ISA compilation, the
 //! schedule cache and repair output. It holds no rule of its own: it runs
-//! the analysis suite's structural pass (`P001`–`P010`, see
+//! the analysis suite's structural pass (`P001`–`P011`, see
 //! [`crate::analysis::codes`]) and the sync pass's `P301` id-range rule,
 //! and returns the first error in the analysis report's (location, code)
 //! order. Those rules are the machine-checkable form of PIMnet's "no

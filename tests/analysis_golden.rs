@@ -5,9 +5,14 @@
 //! change that breaks one of these tests is a breaking change.
 
 use pim_arch::geometry::{DpuId, PimGeometry};
-use pimnet_suite::net::analysis::{self, codes, Severity};
+use pim_sim::SimTime;
+use pimnet_suite::faults::permanent::PermanentFaultSet;
+use pimnet_suite::net::analysis::{self, codes, Location, Severity};
 use pimnet_suite::net::collective::CollectiveKind;
-use pimnet_suite::net::schedule::{CommSchedule, Span};
+use pimnet_suite::net::schedule::{boost, repair, validate, CommSchedule, Span, Transfer};
+use pimnet_suite::net::timeline::Timeline;
+use pimnet_suite::net::timing::TimingModel;
+use pimnet_suite::net::topology::{ChipLoc, Resource};
 
 fn allgather(dpus: u32, elems: usize) -> CommSchedule {
     CommSchedule::build(
@@ -181,4 +186,87 @@ fn json_report_round_trips_the_pinned_fields() {
     assert!(json.contains("\"severity\":\"error\""));
     assert!(json.contains("\"phase\":0"));
     assert!(json.contains("\"dpu\":13"));
+}
+
+/// Adds `extra` to the first non-local transfer of `s` that `pick`
+/// accepts, returning its `(phase, step, transfer)`.
+fn push_resource(
+    s: &mut CommSchedule,
+    pick: impl Fn(&Transfer) -> bool,
+    extra: impl Fn(&Transfer) -> Resource,
+) -> (usize, usize, usize) {
+    for (pi, phase) in s.phases.iter_mut().enumerate() {
+        for (si, step) in phase.steps.iter_mut().enumerate() {
+            for (ti, t) in step.transfers.iter_mut().enumerate() {
+                if !t.is_local() && pick(t) {
+                    let r = extra(t);
+                    t.resources.push(r);
+                    return (pi, si, ti);
+                }
+            }
+        }
+    }
+    panic!("no transfer matched");
+}
+
+#[test]
+fn out_of_geometry_resources_are_p011_and_never_panic() {
+    let g = PimGeometry::paper_scaled(64);
+    let base = CommSchedule::build(CollectiveKind::AllReduce, &g, 256, 4).unwrap();
+    let m = TimingModel::paper();
+    let base_total = m.time_schedule(&base, SimTime::ZERO).total();
+
+    // A ring transfer gains a segment leaving bank 99 of its own chip.
+    let mut ring = base.clone();
+    let at = push_resource(
+        &mut ring,
+        |t| matches!(t.resources[0], Resource::RingSegment { .. }),
+        |t| match t.resources[0] {
+            Resource::RingSegment { chip, dir, .. } => Resource::RingSegment {
+                chip,
+                from_bank: 99,
+                dir,
+            },
+            _ => unreachable!(),
+        },
+    );
+    // A DQ transfer gains the Rx channel of a chip the geometry lacks.
+    let mut dq = base.clone();
+    push_resource(
+        &mut dq,
+        |t| {
+            t.resources
+                .iter()
+                .any(|r| matches!(r, Resource::ChipTx { .. }))
+        },
+        |_| Resource::ChipRx {
+            chip: ChipLoc {
+                channel: 3,
+                rank: 9,
+                chip: 40,
+            },
+        },
+    );
+
+    let faults = PermanentFaultSet::parse_tokens("r0c0b1E, r0c1tx").unwrap();
+    for (what, s) in [("ring", &ring), ("dq", &dq)] {
+        let err = validate::validate(s).expect_err(what);
+        assert!(err.to_string().contains("P011"), "{what}: {err}");
+        let report = analysis::run_all(s);
+        assert!(
+            !errors_with(&report, codes::RESOURCE_OUTSIDE_GEOMETRY).is_empty(),
+            "{what}: no P011 in:\n{report}"
+        );
+        // Every pricing and repair layer still answers.
+        let b = m.time_schedule(s, SimTime::ZERO);
+        assert_eq!(Timeline::build(s, &m).end, b.total() - b.mem, "{what}");
+        let _ = boost::plan(s);
+        let _ = repair::repair(s, &faults);
+    }
+    let report = analysis::run_all(&ring);
+    let hits = errors_with(&report, codes::RESOURCE_OUTSIDE_GEOMETRY);
+    assert_eq!(hits[0].location, Location::at(at.0, at.1, at.2));
+    // The phantom segment is its own contention domain: charged, never
+    // dropped and never folded into a real segment.
+    assert!(m.time_schedule(&ring, SimTime::ZERO).total() > base_total);
 }

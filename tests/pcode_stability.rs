@@ -24,6 +24,7 @@ fn implemented() -> BTreeMap<&'static str, (&'static str, &'static str)> {
         codes::MISSING_DQ_ENDPOINT,
         codes::EXCLUSIVE_SHARING,
         codes::MALFORMED_RESULT_TABLE,
+        codes::RESOURCE_OUTSIDE_GEOMETRY,
     ] {
         t.insert(code, ("structural", "error"));
     }
