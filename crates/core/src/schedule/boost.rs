@@ -47,7 +47,7 @@ use pim_arch::geometry::DpuId;
 use crate::sync::SyncModel;
 use crate::timeline::{Timeline, TransferWindow};
 use crate::timing::{CommBreakdown, TimingModel};
-use crate::topology::{ChipLoc, Resource};
+use crate::topology::{ChipLoc, Occupancy, Resource};
 
 use super::{CommSchedule, CommStep, Phase, Transfer};
 
@@ -185,6 +185,7 @@ pub fn plan(schedule: &CommSchedule) -> BoostPlan {
         Resource::RankBus { .. } => false,
     };
 
+    let mut tallies: Occupancy<Tally> = Occupancy::new(&schedule.geometry);
     let mut facts = Vec::with_capacity(schedule.step_count());
     let mut tier_bytes = [0u64; 4];
     let mut kept_transfers = 0usize;
@@ -194,7 +195,6 @@ pub fn plan(schedule: &CommSchedule) -> BoostPlan {
         let tier = phase.label.tier_index();
         let mut steps = Vec::with_capacity(phase.steps.len());
         for step in &phase.steps {
-            let mut tallies: BTreeMap<Resource, Tally> = BTreeMap::new();
             let mut max_hops = 0u32;
             let mut kept: Vec<Transfer> = Vec::new();
             let mut longest: Option<&Transfer> = None;
@@ -207,7 +207,7 @@ pub fn plan(schedule: &CommSchedule) -> BoostPlan {
                 tier_bytes[tier] += bytes;
                 max_hops = max_hops.max(t.resources.len() as u32);
                 for r in &t.resources {
-                    let tally = tallies.entry(*r).or_default();
+                    let tally = tallies.entry(r, Tally::default());
                     tally.bytes_sum += bytes;
                     tally.transfers += 1;
                     tally.max_single = tally.max_single.max(bytes);
@@ -219,7 +219,7 @@ pub fn plan(schedule: &CommSchedule) -> BoostPlan {
                 }
             }
             // The busiest resource of each bandwidth class, by byte sum
-            // (BTreeMap order makes ties deterministic); the slack is the
+            // (the first in resource order wins ties); the slack is the
             // class-wide maximum transfer count, so the non-uniform bound
             // dominates every resource of the class, not just the
             // busiest-by-bytes one.
@@ -229,7 +229,7 @@ pub fn plan(schedule: &CommSchedule) -> BoostPlan {
             };
             let mut best = [0u64; 3];
             let mut slack = [0u32; 3];
-            for (r, tally) in &tallies {
+            for (r, tally) in tallies.drain_sorted() {
                 let (slot, class) = match r {
                     Resource::RingSegment { .. } => (0, &mut f.ring),
                     Resource::ChipTx { .. } | Resource::ChipRx { .. } => (1, &mut f.dq),

@@ -38,13 +38,11 @@
 //! panicking. [`unusable_dpus`] is the planner's predictor for that fall:
 //! the DPUs that *cannot* be kept even by repair.
 
-use std::collections::HashSet;
-
-use pim_arch::geometry::{DpuId, PimGeometry};
+use pim_arch::geometry::PimGeometry;
 use pim_faults::permanent::{PermanentFaultSet, PortId, PortSide, SegmentId};
 
 use crate::error::PimnetError;
-use crate::topology::{ring_path, ChipLoc, Direction, Resource};
+use crate::topology::{ring_path, ChipLoc, Direction, Occupancy, Resource};
 
 use super::{CommSchedule, CommStep, Phase, Transfer};
 
@@ -204,6 +202,13 @@ fn spans_overlap(a: super::Span, b: super::Span) -> bool {
     a.start < b.end() && b.start < a.end()
 }
 
+/// Claims every exclusive resource of `t` in `used`, for transfer `i`.
+fn claim(used: &mut Occupancy<usize>, i: usize, t: &Transfer) {
+    for r in t.resources.iter().filter(|r| r.requires_exclusive_step()) {
+        used.insert(r, i);
+    }
+}
+
 /// Splits one step's transfers into sequential contention-free sub-steps.
 ///
 /// Two constraints:
@@ -212,7 +217,12 @@ fn spans_overlap(a: super::Span, b: super::Span) -> bool {
 ///   node) must not run in an earlier sub-step than the reader — the
 ///   original step's snapshot semantics read pre-step data, and keeping
 ///   readers at-or-before their writers preserves that exactly.
-fn split_step(transfers: Vec<Transfer>) -> Result<Vec<CommStep>, PimnetError> {
+///
+/// `used` holds the claimed resources while it works; it is left clear.
+fn split_step(
+    used: &mut Occupancy<usize>,
+    transfers: Vec<Transfer>,
+) -> Result<Vec<CommStep>, PimnetError> {
     let mut remaining = transfers;
     let mut out = Vec::new();
     while !remaining.is_empty() {
@@ -222,7 +232,7 @@ fn split_step(transfers: Vec<Transfer>) -> Result<Vec<CommStep>, PimnetError> {
         // freeing their resources for the readers they would have clobbered
         // (and bounding the loop: each iteration bans or breaks).
         let mut banned = vec![false; n];
-        let mut used: HashSet<Resource> = HashSet::new();
+        used.clear();
         loop {
             // Greedy fill: first-fit by exclusive-resource compatibility.
             for (i, t) in remaining.iter().enumerate() {
@@ -230,17 +240,12 @@ fn split_step(transfers: Vec<Transfer>) -> Result<Vec<CommStep>, PimnetError> {
                     || banned[i]
                     || t.resources
                         .iter()
-                        .any(|r| r.requires_exclusive_step() && used.contains(r))
+                        .any(|r| r.requires_exclusive_step() && used.get(r).is_some())
                 {
                     continue;
                 }
                 picked[i] = true;
-                used.extend(
-                    t.resources
-                        .iter()
-                        .filter(|r| r.requires_exclusive_step())
-                        .copied(),
-                );
+                claim(used, i, t);
             }
             // Hazard pass: a picked writer whose reader would be left
             // behind must wait — the reader needs the pre-write value.
@@ -268,15 +273,11 @@ fn split_step(transfers: Vec<Transfer>) -> Result<Vec<CommStep>, PimnetError> {
             used.clear();
             for (i, t) in remaining.iter().enumerate() {
                 if picked[i] {
-                    used.extend(
-                        t.resources
-                            .iter()
-                            .filter(|r| r.requires_exclusive_step())
-                            .copied(),
-                    );
+                    claim(used, i, t);
                 }
             }
         }
+        used.clear();
         if !picked.iter().any(|&p| p) {
             return Err(PimnetError::Unroutable {
                 reason: "repair serialization deadlock: cyclic read/write hazard \
@@ -303,25 +304,22 @@ fn split_step(transfers: Vec<Transfer>) -> Result<Vec<CommStep>, PimnetError> {
 /// flows — `(src, dsts)` pairs, as in the structural pass's `P009` —
 /// sharing an exclusive resource.) An early-exit pre-check that decides
 /// whether to split the step; [`repair`] re-validates its output anyway.
-fn step_has_contention(step: &CommStep) -> bool {
-    let mut seen: std::collections::HashMap<Resource, (DpuId, &[DpuId])> =
-        std::collections::HashMap::new();
-    for t in &step.transfers {
-        for r in &t.resources {
-            if !r.requires_exclusive_step() {
-                continue;
-            }
-            match seen.get(r) {
-                Some(&(src, dsts)) if src != t.src || dsts != t.dsts.as_slice() => {
-                    return true;
-                }
-                _ => {
-                    seen.insert(*r, (t.src, &t.dsts));
-                }
+///
+/// `seen` maps each claimed resource to the first transfer that claimed
+/// it; it is left clear.
+fn step_has_contention(seen: &mut Occupancy<usize>, step: &CommStep) -> bool {
+    let mut contended = false;
+    'scan: for (i, t) in step.transfers.iter().enumerate() {
+        for r in t.resources.iter().filter(|r| r.requires_exclusive_step()) {
+            let first = &step.transfers[*seen.entry(r, i)];
+            if first.src != t.src || first.dsts != t.dsts {
+                contended = true;
+                break 'scan;
             }
         }
     }
-    false
+    seen.clear();
+    contended
 }
 
 /// Repairs `schedule` around `faults`.
@@ -358,6 +356,7 @@ pub fn repair(
     }
 
     let mut report = RepairReport::default();
+    let mut claims = Occupancy::new(g);
     let mut phases = Vec::with_capacity(schedule.phases.len());
     for phase in &schedule.phases {
         let mut steps = Vec::with_capacity(phase.steps.len());
@@ -368,8 +367,8 @@ pub fn repair(
                 .map(|t| repair_transfer(schedule, faults, t, &mut report))
                 .collect::<Result<_, _>>()?;
             let repaired_step = CommStep::new(repaired);
-            if !phase.multiplexed && step_has_contention(&repaired_step) {
-                let sub = split_step(repaired_step.transfers)?;
+            if !phase.multiplexed && step_has_contention(&mut claims, &repaired_step) {
+                let sub = split_step(&mut claims, repaired_step.transfers)?;
                 report.extra_steps += sub.len().saturating_sub(1);
                 steps.extend(sub);
             } else {
@@ -380,8 +379,13 @@ pub fn repair(
     }
 
     let repaired = CommSchedule {
+        kind: schedule.kind,
+        geometry: schedule.geometry,
+        elems_per_node: schedule.elems_per_node,
+        elem_bytes: schedule.elem_bytes,
+        buffer_len: schedule.buffer_len,
+        result_spans: schedule.result_spans.clone(),
         phases,
-        ..schedule.clone()
     };
     super::validate::validate(&repaired)?;
     Ok(RepairedSchedule {
@@ -460,6 +464,7 @@ mod tests {
     use crate::collective::CollectiveKind;
     use crate::exec::{ExecMachine, ReduceOp};
     use crate::timing::TimingModel;
+    use pim_arch::geometry::DpuId;
     use pim_sim::SimTime;
 
     fn build(kind: CollectiveKind, n: u32, elems: usize) -> CommSchedule {
@@ -657,7 +662,8 @@ mod tests {
             combine: false,
             resources: vec![seg],
         };
-        let steps = split_step(vec![a.clone(), b.clone()]).unwrap();
+        let mut used = Occupancy::new(&PimGeometry::paper_scaled(8));
+        let steps = split_step(&mut used, vec![a.clone(), b.clone()]).unwrap();
         assert_eq!(steps.len(), 2);
         assert_eq!(steps[0].transfers, vec![b]);
         assert_eq!(steps[1].transfers, vec![a]);

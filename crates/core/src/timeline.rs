@@ -8,8 +8,6 @@
 //! debugging builders, and as the host-side artifact a real deployment
 //! would ship next to the instruction streams.
 
-use std::collections::HashMap;
-
 use pim_faults::FaultInjector;
 use pim_sim::trace::codes;
 use pim_sim::{Probe, SimTime};
@@ -20,7 +18,7 @@ use crate::error::PimnetError;
 use crate::schedule::{CommSchedule, PhaseLabel, ScheduleView};
 use crate::sync::{SyncModel, SyncScope};
 use crate::timing::TimingModel;
-use crate::topology::Resource;
+use crate::topology::Occupancy;
 
 /// One transfer's window in the timeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -182,7 +180,8 @@ impl Timeline {
         // Fault-free serialization occupancy per link. Each step lasts at
         // least its busiest link's occupancy, so every per-link sum is ≤
         // end-to-end wall time (`tests/metrics_invariants.rs`).
-        let mut busy: HashMap<Resource, u64> = HashMap::new();
+        let mut busy: Occupancy<u64> = Occupancy::new(hdr.geometry);
+        let mut occupancy = Occupancy::new(hdr.geometry);
         // `(phase, step, transfer, re-sends, window start)` per retried
         // transfer, in schedule order.
         let mut retries: Vec<(usize, usize, usize, u32, SimTime)> = Vec::new();
@@ -192,7 +191,7 @@ impl Timeline {
             let label = schedule.phase_label(pi);
             for si in 0..schedule.steps_in(pi) {
                 let step = schedule.step(pi, si);
-                let base = timing.step_time_of(hdr.elem_bytes, step);
+                let base = timing.step_time_in(&mut occupancy, hdr.elem_bytes, step);
                 // The step ends when its slowest retry chain does.
                 let mut stretch = SimTime::ZERO;
                 for (ti, t) in step.transfers().enumerate() {
@@ -206,7 +205,7 @@ impl Timeline {
                         let ser = r.bandwidth(&timing.fabric).transfer_time(bytes);
                         dur = dur.max(ser);
                         if observe {
-                            *busy.entry(*r).or_insert(0) += ser.as_ps();
+                            *busy.entry(r, 0) += ser.as_ps();
                         }
                     }
                     let (corrupted, backoff) = if faulty {
@@ -270,9 +269,9 @@ impl Timeline {
         }
         let mut by_tier = [0u64; pim_sim::metrics::TIERS];
         let mut max_busy = 0u64;
-        for (r, ps) in &busy {
+        for (r, ps) in busy.drain_sorted() {
             by_tier[r.tier_index()] += ps;
-            max_busy = max_busy.max(*ps);
+            max_busy = max_busy.max(ps);
         }
         for (tier, ps) in by_tier.iter().enumerate() {
             if *ps > 0 {

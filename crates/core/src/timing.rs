@@ -8,13 +8,17 @@
 //! multiplexed phases (WAIT-slotted DQ channels and bus) it models the
 //! deterministic time-multiplexing the PIM-controlled schedule performs.
 //!
+//! Occupancy is tallied in one [`Occupancy`] table over the geometry's
+//! dense resource slots, allocated once per schedule walk and cleared
+//! step by step, so pricing a step costs O(resource visits) with no
+//! per-step allocation.
+//!
 //! The result is a [`CommBreakdown`] with the same buckets as the paper's
 //! Fig 11: inter-bank / inter-chip / inter-rank time, `Sync` (the
 //! READY/START barrier plus compute skew) and `Mem` (WRAM-overflow staging
 //! through the MRAM↔WRAM DMA). A `host` bucket exists for the comparison
 //! backends; it is always zero for PIMnet itself.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::iter::Sum;
 use std::ops::Add;
@@ -27,10 +31,10 @@ use pim_arch::geometry::PimGeometry;
 
 use crate::fabric::FabricConfig;
 use crate::schedule::{
-    CommSchedule, CommStep, Phase, PhaseLabel, ScheduleView, StepRef, TierTimes,
+    CommSchedule, CommStep, Phase, PhaseLabel, ScheduleHeader, ScheduleView, StepRef, TierTimes,
 };
 use crate::sync::{SyncModel, SyncScope};
-use crate::topology::Resource;
+use crate::topology::Occupancy;
 
 /// Where the time of one collective went (the paper's Fig 11 buckets).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -149,13 +153,26 @@ impl TimingModel {
     /// hop propagation.
     #[must_use]
     pub fn step_time(&self, schedule: &CommSchedule, step: &CommStep) -> SimTime {
-        self.step_time_of(schedule.elem_bytes, StepRef::Nested(step))
+        self.step_time_of(&schedule.header(), StepRef::Nested(step))
     }
 
     /// [`TimingModel::step_time`] for a step in either schedule layout.
     #[must_use]
-    pub fn step_time_of(&self, elem_bytes: u32, step: StepRef<'_>) -> SimTime {
-        let mut occupancy: HashMap<Resource, SimTime> = HashMap::new();
+    pub fn step_time_of(&self, hdr: &ScheduleHeader<'_>, step: StepRef<'_>) -> SimTime {
+        self.step_time_in(&mut Occupancy::new(hdr.geometry), hdr.elem_bytes, step)
+    }
+
+    /// [`TimingModel::step_time_of`] tallying into `occupancy`, which is
+    /// left clear for the next step.
+    pub(crate) fn step_time_in(
+        &self,
+        occupancy: &mut Occupancy<SimTime>,
+        elem_bytes: u32,
+        step: StepRef<'_>,
+    ) -> SimTime {
+        // Occupancies only grow, so the largest running value is the
+        // busiest resource's final occupancy.
+        let mut busiest = SimTime::ZERO;
         let mut max_hops = 0usize;
         for t in step.transfers() {
             if t.is_local() {
@@ -164,21 +181,23 @@ impl TimingModel {
             let bytes = t.bytes(elem_bytes);
             max_hops = max_hops.max(t.resources.len());
             for r in t.resources {
-                let ser = r.bandwidth(&self.fabric).transfer_time(bytes);
-                *occupancy.entry(*r).or_insert(SimTime::ZERO) += ser;
+                let o = occupancy.entry(r, SimTime::ZERO);
+                *o += r.bandwidth(&self.fabric).transfer_time(bytes);
+                busiest = busiest.max(*o);
             }
         }
-        let busiest = occupancy.values().copied().max().unwrap_or(SimTime::ZERO);
+        occupancy.clear();
         busiest + self.fabric.hop_latency * max_hops as u64
     }
 
     /// Duration of one phase (steps are sequential).
     #[must_use]
     pub fn phase_time(&self, schedule: &CommSchedule, phase: &Phase) -> SimTime {
+        let mut occupancy = Occupancy::new(&schedule.geometry);
         phase
             .steps
             .iter()
-            .map(|s| self.step_time(schedule, s))
+            .map(|s| self.step_time_in(&mut occupancy, schedule.elem_bytes, StepRef::Nested(s)))
             .sum()
     }
 
@@ -191,9 +210,10 @@ impl TimingModel {
         let mut breakdown = CommBreakdown::zero();
         let sync = SyncModel::from_fabric(&self.fabric);
         breakdown.sync = sync.barrier(Self::scope_of_geometry(hdr.geometry), skew);
+        let mut occupancy = Occupancy::new(hdr.geometry);
         for p in 0..schedule.phase_count() {
             let t: SimTime = (0..schedule.steps_in(p))
-                .map(|s| self.step_time_of(hdr.elem_bytes, schedule.step(p, s)))
+                .map(|s| self.step_time_in(&mut occupancy, hdr.elem_bytes, schedule.step(p, s)))
                 .sum();
             breakdown.add_phase(schedule.phase_label(p), t);
         }

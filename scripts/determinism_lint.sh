@@ -40,18 +40,9 @@ fi
 #    per-node maps, which were converted for exactly this reason).
 # ---------------------------------------------------------------------
 allowlist=(
-    # Membership tests for claimed resources / conflict detection; the
-    # reroute order itself follows the schedule's own transfer order.
-    "crates/core/src/schedule/repair.rs"
     # Process-global cache tables: keyed get/insert only, never iterated;
     # outputs are the cached values, which are deterministic by build.
     "crates/core/src/schedule/cache.rs"
-    # Per-link busy tallies: the map is iterated, but only into
-    # commutative integer sums (per-tier totals and a max), so iteration
-    # order cannot reach the output. The boost planner's per-class facts
-    # use BTreeMap instead because its busiest-resource *selection* is
-    # order-visible on ties.
-    "crates/core/src/timeline.rs"
 )
 
 hot_paths=(
@@ -65,7 +56,11 @@ hot_paths=(
     # the calendar-queue event core must stay hash-free too — bucket
     # drain order is FIFO-within-priority by contract.
     crates/sim/src/engine.rs
+    # Per-resource tallies (timing, timeline, boost facts, repair claims)
+    # go through the dense `topology::Occupancy` table, drained in
+    # resource order.
     crates/core/src/timeline.rs
+    crates/core/src/timing.rs
 )
 
 hash_files=$(grep -rl --include='*.rs' -E 'HashMap|HashSet' "${hot_paths[@]}" 2>/dev/null | sort)
