@@ -270,3 +270,25 @@ fn out_of_geometry_resources_are_p011_and_never_panic() {
     // dropped and never folded into a real segment.
     assert!(m.time_schedule(&ring, SimTime::ZERO).total() > base_total);
 }
+
+#[test]
+fn bogus_reduce_scatter_span_costs_nothing_past_the_buffer() {
+    // A result span 2^40 elements long is P010. The ReduceScatter
+    // partition check clips every span to the reduced vector before
+    // counting owners, so lint stays instant instead of walking 2^40
+    // indices; the span still owns element 0 a second time.
+    let g = PimGeometry::paper_scaled(8);
+    let mut s = CommSchedule::build(CollectiveKind::ReduceScatter, &g, 64, 4).unwrap();
+    s.result_spans[0] = vec![Span::new(0, 1 << 40)];
+    let report = analysis::run_all(&s);
+    let rendered: Vec<String> = report.diagnostics.iter().map(|d| d.to_string()).collect();
+    assert_eq!(
+        rendered,
+        [
+            "error[P010] dpu 0: result span [0..1099511627776) beyond buffer (64 elems)",
+            "error[P105] schedule: ReduceScatter result pieces do not partition the \
+             vector: element 0 is owned 2 time(s)",
+        ],
+        "{report}"
+    );
+}
