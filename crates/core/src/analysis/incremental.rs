@@ -47,7 +47,7 @@ use crate::schedule::{CommSchedule, CommStep, ScheduleView, StepRef};
 
 use super::dataflow::{self, DataflowState};
 use super::diagnostics::{Diagnostic, Severity};
-use super::{structural, sync, AnalysisReport};
+use super::{structural, sync, AnalysisReport, StepScratch};
 
 /// Serializable summary state of the pass fold after some step.
 ///
@@ -198,16 +198,21 @@ fn step_at(schedule: &CommSchedule, pos: FlatPos) -> &CommStep {
     &schedule.phases[pos.0].steps[pos.1]
 }
 
-/// Lints one step through the shared step fold, folding `live`, and
-/// returns the step's record with a checkpoint of the state after it.
-fn record_step(schedule: &CommSchedule, pos: FlatPos, live: &mut DataflowState) -> StepRecord {
-    let (pi, si, multiplexed) = pos;
+/// Lints one step through the shared step fold, folding `live` with the
+/// fold's `scratch`, and returns the step's record with a checkpoint of
+/// the state after it.
+fn record_step(
+    schedule: &CommSchedule,
+    pos: FlatPos,
+    live: &mut DataflowState,
+    scratch: &mut StepScratch,
+) -> StepRecord {
     let (hdr, step) = (schedule.header(), StepRef::Nested(step_at(schedule, pos)));
     let mut diags = Vec::new();
-    super::lint_step(&hdr, pi, si, step, multiplexed, live, &mut diags);
+    super::lint_step(&hdr, pos, step, live, scratch, &mut diags);
     StepRecord {
-        phase: pi,
-        step: si,
+        phase: pos.0,
+        step: pos.1,
         diags,
         post: PassState {
             dataflow: live.clone(),
@@ -240,6 +245,7 @@ pub struct ScheduleVerifier {
     flat: Vec<FlatPos>,
     cursor: usize,
     live: DataflowState,
+    scratch: StepScratch,
     prologue: Vec<Diagnostic>,
     records: Vec<StepRecord>,
 }
@@ -258,6 +264,7 @@ impl ScheduleVerifier {
             flat,
             cursor: 0,
             live,
+            scratch: StepScratch::default(),
             prologue,
             records: Vec::new(),
         }
@@ -274,7 +281,7 @@ impl ScheduleVerifier {
     pub fn feed_step(&mut self) -> Option<StepVerdict> {
         let pos = *self.flat.get(self.cursor)?;
         self.cursor += 1;
-        let record = record_step(&self.schedule, pos, &mut self.live);
+        let record = record_step(&self.schedule, pos, &mut self.live, &mut self.scratch);
         let errors = record
             .diags
             .iter()
@@ -404,10 +411,11 @@ pub fn reverify_delta(
         reused_prefix: k,
         ..DeltaStats::default()
     };
+    let mut scratch = StepScratch::default();
 
     // Dirty middle: every step with no aligned counterpart.
     for &pos in &new_flat[k..len_n - m] {
-        records.push(record_step(&new_schedule, pos, &mut live));
+        records.push(record_step(&new_schedule, pos, &mut live, &mut scratch));
         stats.relinted += 1;
     }
 
@@ -434,6 +442,7 @@ pub fn reverify_delta(
             &new_schedule,
             new_flat[len_n - m + j],
             &mut live,
+            &mut scratch,
         ));
         stats.relinted += 1;
         j += 1;
@@ -460,6 +469,7 @@ pub fn reverify_delta(
                 &new_schedule,
                 new_flat[len_n - m + jj],
                 &mut live,
+                &mut scratch,
             ));
             stats.relinted += 1;
         }

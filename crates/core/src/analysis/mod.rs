@@ -25,11 +25,17 @@
 //! to independently re-prove repaired schedules before offering them as
 //! a degraded-mode tier, and the CLI `lint` subcommand exposes it for
 //! every preset.
+//!
+//! The hazard and sync kernels share one access index per step: every
+//! delivery sorted by destination node and span start, so "which
+//! overwrites on node `n` overlap span `s`" is two binary searches. Sync
+//! derives the must-precede relation from
+//! it (P302), and hazard reads the same index and relation (P201/P202).
 
 use std::fmt;
 
 use crate::collective::CollectiveKind;
-use crate::schedule::{ScheduleHeader, ScheduleView, StepRef};
+use crate::schedule::{ScheduleHeader, ScheduleView, Span, StepRef};
 
 pub mod diagnostics;
 pub mod incremental;
@@ -37,6 +43,8 @@ pub mod presets;
 
 mod dataflow;
 mod hazard;
+#[cfg(test)]
+mod reference;
 pub(crate) mod structural;
 pub(crate) mod sync;
 
@@ -153,12 +161,14 @@ pub fn run_all<S: ScheduleView>(schedule: &S) -> AnalysisReport {
     let mut diagnostics = Vec::new();
     structural::check_prologue(&hdr, &mut diagnostics);
     let mut live = DataflowState::new(&hdr);
+    let mut scratch = StepScratch::default();
     for pi in 0..schedule.phase_count() {
         let (steps, multiplexed) = (schedule.steps_in(pi), schedule.phase_multiplexed(pi));
         sync::check_phase(pi, steps, &mut diagnostics);
         for si in 0..steps {
             let step = schedule.step(pi, si);
-            lint_step(&hdr, pi, si, step, multiplexed, &mut live, &mut diagnostics);
+            let pos = (pi, si, multiplexed);
+            lint_step(&hdr, pos, step, &mut live, &mut scratch, &mut diagnostics);
         }
     }
     dataflow::final_check(&hdr, &live, &mut diagnostics);
@@ -166,21 +176,170 @@ pub fn run_all<S: ScheduleView>(schedule: &S) -> AnalysisReport {
 }
 
 /// The fold's step function: the four step-local kernels over the step at
-/// `(pi, si)`, folding the dataflow state `live`. [`run_all`] and the
-/// streaming verifier lint every step through it.
+/// `(pi, si)` of a phase that is `multiplexed` or not, folding the
+/// dataflow state `live`. [`run_all`] and the streaming verifier lint
+/// every step through it. The step's access index is built here, once,
+/// into the fold's `scratch`.
 fn lint_step(
     hdr: &ScheduleHeader<'_>,
-    pi: usize,
-    si: usize,
+    (pi, si, multiplexed): (usize, usize, bool),
     step: StepRef<'_>,
-    multiplexed: bool,
     live: &mut DataflowState,
+    scratch: &mut StepScratch,
     diags: &mut Vec<Diagnostic>,
 ) {
     structural::check_step(hdr, pi, si, step, multiplexed, diags);
-    sync::check_step(hdr, pi, si, step, diags);
-    hazard::check_step(pi, si, step, diags);
+    scratch.index.build(step);
+    sync::check_step(
+        hdr,
+        pi,
+        si,
+        step,
+        &scratch.index,
+        &mut scratch.precede,
+        diags,
+    );
+    hazard::check_step(pi, si, &scratch.index, &scratch.precede, diags);
     live.feed_step(hdr, pi, si, step, diags);
+}
+
+/// Buffers the step fold reuses from one step to the next: the access
+/// index and the must-precede relation built from it. Owned by the fold
+/// (one per [`run_all`], verifier or delta re-lint), never by a step, so
+/// steady-state linting allocates nothing here.
+#[derive(Debug, Default)]
+struct StepScratch {
+    index: AccessIndex,
+    precede: sync::MustPrecede,
+}
+
+/// True when two spans share an element, or when an empty span sits
+/// strictly inside the other. Every kernel tests overlap this one way.
+fn overlaps(a: Span, b: Span) -> bool {
+    a.start < b.end() && b.start < a.end()
+}
+
+/// One delivery of a step: `transfer` writes `span` of `node`, combining
+/// or overwriting.
+#[derive(Debug, Clone, Copy)]
+struct Write {
+    node: u32,
+    span: Span,
+    transfer: u32,
+    combine: bool,
+}
+
+/// One written node's slice of [`AccessIndex::writes`], with the length
+/// of its longest overwrite (`None` when every write combines).
+#[derive(Debug, Clone, Copy)]
+struct NodeWrites {
+    node: u32,
+    lo: usize,
+    hi: usize,
+    longest_overwrite: Option<usize>,
+}
+
+/// One transfer's footprint: the span it reads on its source node and
+/// the span it writes on each destination.
+#[derive(Debug, Clone, Copy)]
+struct Footprint {
+    src: u32,
+    src_span: Span,
+    dst_span: Span,
+}
+
+/// The per-step access index: every delivery of the step, sorted by
+/// destination node, then span start, then transfer.
+///
+/// A delivery that can overlap span `s` on node `n` starts before
+/// `s.end()` and, being no longer than `n`'s longest overwrite `L`, no
+/// earlier than `s.start - L`; two `partition_point`s over `n`'s slice
+/// bound that range. The bound is per node, so one long writer only
+/// widens the searches on its own node. Duplicate destinations collapse
+/// to one entry, since a transfer never conflicts with itself.
+#[derive(Debug, Default)]
+struct AccessIndex {
+    writes: Vec<Write>,
+    nodes: Vec<NodeWrites>,
+    transfers: Vec<Footprint>,
+}
+
+impl AccessIndex {
+    /// Rebuilds the index over `step`, reusing the buffers.
+    fn build(&mut self, step: StepRef<'_>) {
+        self.writes.clear();
+        self.nodes.clear();
+        self.transfers.clear();
+        for (ti, t) in step.transfers().enumerate() {
+            self.transfers.push(Footprint {
+                src: t.src.0,
+                src_span: t.src_span,
+                dst_span: t.dst_span,
+            });
+            self.writes.extend(t.dsts.iter().map(|d| Write {
+                node: d.0,
+                span: t.dst_span,
+                transfer: ti as u32,
+                combine: t.combine,
+            }));
+        }
+        self.writes
+            .sort_unstable_by_key(|w| (w.node, w.span.start, w.transfer));
+        self.writes
+            .dedup_by(|a, b| a.node == b.node && a.transfer == b.transfer);
+        let mut lo = 0;
+        while let Some(first) = self.writes.get(lo) {
+            let node = first.node;
+            let hi = lo + self.writes[lo..].partition_point(|w| w.node == node);
+            let longest_overwrite = self.writes[lo..hi]
+                .iter()
+                .filter(|w| !w.combine)
+                .map(|w| w.span.len)
+                .max();
+            self.nodes.push(NodeWrites {
+                node,
+                lo,
+                hi,
+                longest_overwrite,
+            });
+            lo = hi;
+        }
+    }
+
+    /// Every transfer's footprint, in transfer order.
+    fn transfers(&self) -> &[Footprint] {
+        &self.transfers
+    }
+
+    /// Every written node, ascending.
+    fn nodes(&self) -> &[NodeWrites] {
+        &self.nodes
+    }
+
+    /// The written node `node`, if the step writes it.
+    fn node(&self, node: u32) -> Option<&NodeWrites> {
+        let i = self.nodes.binary_search_by_key(&node, |n| n.node).ok()?;
+        Some(&self.nodes[i])
+    }
+
+    /// `node`'s deliveries, by span start then transfer.
+    fn writes(&self, node: &NodeWrites) -> &[Write] {
+        &self.writes[node.lo..node.hi]
+    }
+
+    /// `node`'s overwrites that overlap `span`, by span start then
+    /// transfer.
+    fn overwrites(&self, node: &NodeWrites, span: Span) -> impl Iterator<Item = &Write> {
+        let writes = self.writes(node);
+        let range = node.longest_overwrite.map_or(0..0, |longest| {
+            let from = span.start.saturating_sub(longest);
+            let lo = writes.partition_point(|w| w.span.start < from);
+            lo..lo + writes[lo..].partition_point(|w| w.span.start < span.end())
+        });
+        writes[range]
+            .iter()
+            .filter(move |w| !w.combine && overlaps(span, w.span))
+    }
 }
 
 /// The report over `diagnostics`, sorted by location then code. The sort

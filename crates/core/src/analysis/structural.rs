@@ -180,7 +180,7 @@ fn check_transfer(
         }
         return;
     }
-    if t.dsts.contains(&t.src) {
+    if t.dsts.iter().any(|d| d.0 == t.src.0) {
         diags.push(Diagnostic::error(
             FABRIC_SELF_SEND,
             loc,

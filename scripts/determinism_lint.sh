@@ -36,8 +36,9 @@ fi
 #    membership, counting, or keyed lookup only — its iteration order
 #    never reaches any output, diagnostic, or schedule. Anything
 #    order-visible must use BTreeMap/BTreeSet or sorted Vecs (see the
-#    structural pass's sorted P009 usage list and the hazard pass's
-#    per-node maps, which were converted for exactly this reason).
+#    structural pass's sorted P009 usage list and the analysis fold's
+#    per-step access index, a Vec of deliveries sorted by node, span
+#    start and transfer that the sync and hazard kernels share).
 # ---------------------------------------------------------------------
 allowlist=(
     # Process-global cache tables: keyed get/insert only, never iterated;
