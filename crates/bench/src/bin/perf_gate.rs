@@ -101,7 +101,7 @@ fn recovery_overhead(budget: f64) -> f64 {
     use pim_arch::geometry::{DpuId, PimGeometry};
     use pim_faults::FaultInjector;
     use pimnet::exec::{ExecMachine, ReduceOp};
-    use pimnet::recovery::{run_recovered, RecoveryConfig, RecoveryRequest};
+    use pimnet::recovery::{run_recovered, RecoveryRequest};
     use pimnet::timing::TimingModel;
 
     const ELEMS: usize = 1024;
@@ -131,7 +131,6 @@ fn recovery_overhead(budget: f64) -> f64 {
             injector: &injector,
             system: &sys,
             timing: &timing,
-            config: RecoveryConfig::default(),
         };
         let out = run_recovered::<u64>(&req, init, pim_sim::Probe::disabled())
             .expect("fault-free recovery");

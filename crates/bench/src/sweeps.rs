@@ -21,7 +21,7 @@ use pimnet::backends::{
 };
 use pimnet::collective::{CollectiveKind, CollectiveSpec};
 use pimnet::exec::{ExecMachine, ReduceOp};
-use pimnet::recovery::{run_recovered, RecoveryConfig, RecoveryRequest, RecoveryStats};
+use pimnet::recovery::{check_outcome, run_recovered, RecoveryRequest, RecoveryStats};
 use pimnet::resilience::{plan_degraded, DegradedPlan};
 use pimnet::schedule::cache::{self, ScheduleRequest};
 use pimnet::schedule::{validate, BoostPlan, CommSchedule};
@@ -287,9 +287,8 @@ struct RecoveryOutcome {
     /// The tier <= 1 result was checked bit-identical to the fault-free
     /// run of the same cell.
     verified: bool,
-    /// The end state honored the soundness contract (tier <= 1 implies
-    /// bit-identity, machines exactly where the tier promises one, host
-    /// fallback carries a typed trail).
+    /// The end state honored the recovery contract
+    /// ([`check_outcome`]).
     sound: bool,
 }
 
@@ -346,7 +345,6 @@ fn recovery_scenario(kind: CollectiveKind, dpus: u32, seed: u64) -> RecoveryOutc
         injector: &injector,
         system: &sys,
         timing: &timing,
-        config: RecoveryConfig::default(),
     };
     let init = |id: DpuId| vec![u64::from(id.0) + 1; RECOVERY_ELEMS];
     let out = match run_recovered::<u64>(&req, init, Probe::disabled()) {
@@ -362,25 +360,12 @@ fn recovery_scenario(kind: CollectiveKind, dpus: u32, seed: u64) -> RecoveryOutc
             }
         }
     };
-    let (verified, sound) = match (out.plan_tier, out.machine.as_ref()) {
-        (0 | 1, Some(m)) => {
-            // Full/Repaired keep the fault-free buffer layout, so the
-            // recovered result must be bit-identical to the clean run.
-            let req = ScheduleRequest::new(kind, &g, RECOVERY_ELEMS, 8);
-            let s =
-                cache::get::<CommSchedule>(&req, Probe::disabled()).expect("reference schedule");
-            let mut clean = ExecMachine::init(&s, init);
-            clean.run(&s, ReduceOp::Sum);
-            let ok = s
-                .participants()
-                .all(|id| m.result(&s, id) == clean.result(&s, id));
-            (ok, ok)
-        }
-        (2, Some(_)) => (false, true),
-        (3, None) => (false, !out.error_trail.is_empty()),
-        // Anything else breaks the machine-iff-tier-promises-one rule.
-        _ => (false, false),
-    };
+    let clean_req = ScheduleRequest::new(kind, &g, RECOVERY_ELEMS, 8);
+    let s = cache::get::<CommSchedule>(&clean_req, Probe::disabled()).expect("reference schedule");
+    let mut clean = ExecMachine::init(&s, init);
+    clean.run(&s, ReduceOp::Sum);
+    let sound = check_outcome(&out, &s, &clean).is_ok();
+    let verified = sound && out.plan_tier <= 1;
     RecoveryOutcome {
         tier: Some(out.plan_tier),
         stats: out.stats,
@@ -988,9 +973,8 @@ struct ServeCell {
     unsound: Option<String>,
 }
 
-/// Runs one serving cell and re-verifies the soundness contract from
-/// the outside (exactly-one-outcome arity, monotone ladder, monotone
-/// quarantine epochs).
+/// Runs one serving cell and re-verifies the serving contract from the
+/// outside ([`pimnet::serve::check_report`]).
 fn serve_cell(tenants: usize, seed: u64, storm: bool) -> ServeCell {
     let cfg = serve_soak_config(tenants, seed, storm);
     let report = match pimnet::serve::serve(&cfg) {
@@ -1012,33 +996,6 @@ fn serve_cell(tenants: usize, seed: u64, storm: bool) -> ServeCell {
             }
         }
     };
-    let mut unsound = None;
-    let arrivals = pimnet::serve::sample_arrivals(&cfg);
-    if report.log.len() != arrivals.len() {
-        unsound = Some(format!(
-            "{} log entries for {} arrivals",
-            report.log.len(),
-            arrivals.len()
-        ));
-    }
-    let mut level = 0u8;
-    for s in &report.ladder {
-        if s.level < level && unsound.is_none() {
-            unsound = Some(format!("ladder dropped to {} at {} ps", s.level, s.at_ps));
-        }
-        level = level.max(s.level);
-    }
-    let mut epochs = vec![0u64; cfg.tenants.len()];
-    for q in &report.quarantines {
-        let e = &mut epochs[q.tenant as usize];
-        if q.epoch < *e && unsound.is_none() {
-            unsound = Some(format!(
-                "tenant {} epoch regressed to {}",
-                q.tenant, q.epoch
-            ));
-        }
-        *e = q.epoch;
-    }
     ServeCell {
         seed,
         storm,
@@ -1051,7 +1008,7 @@ fn serve_cell(tenants: usize, seed: u64, storm: bool) -> ServeCell {
         end_ps: report.end_ps,
         latencies_ps: report.latencies_ps(),
         log: report.render_log(&cfg),
-        unsound,
+        unsound: pimnet::serve::check_report(&cfg, &report).err(),
     }
 }
 

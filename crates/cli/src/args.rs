@@ -55,9 +55,20 @@ impl Flags {
         }
     }
 
-    /// Flags that were provided but never consumed by the command.
+    /// Every flag that was provided.
     pub fn keys(&self) -> impl Iterator<Item = &str> {
         self.values.keys().map(String::as_str)
+    }
+
+    /// The flags whose keys are in `known`.
+    pub fn only(&self, known: &[&str]) -> Flags {
+        let values = self
+            .values
+            .iter()
+            .filter(|(k, _)| known.contains(&k.as_str()))
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect();
+        Flags { values }
     }
 }
 
@@ -83,6 +94,15 @@ mod tests {
         assert!(parse(&["--a", "1", "--a", "2"]).is_err());
         let f = parse(&["--kb", "x"]).unwrap();
         assert!(f.num_or("kb", 0u64).is_err());
+    }
+
+    #[test]
+    fn only_keeps_the_known_flags() {
+        let f = parse(&["--kind", "allreduce", "--ber", "0.5"]).unwrap();
+        let known = f.only(&["kind", "dpus"]);
+        assert_eq!(known.require("kind").unwrap(), "allreduce");
+        assert!(known.require("ber").is_err());
+        assert_eq!(known.keys().count(), 1);
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Subcommand implementations.
 
+use std::fmt::Write as _;
+
 use pim_arch::SystemConfig;
 use pim_sim::{Bytes, Probe, SimTime};
 use pimnet::api::PimnetSystem;
@@ -28,7 +30,8 @@ USAGE:
   pimnet-cli faults     --kind <coll> [--dpus <n>] [--elems <n>]
                     [--fault-seed <n>] [--fault-config <path>]
                     [--ber <f>] [--straggler-prob <f>] [--dead <i,j,..>]
-                    [--perm-faults <tok,..>]
+                    [--perm-faults <tok,..>] [--retry-budget <n>]
+                    [--backoff-base-ps <n>]
   pimnet-cli repair     --kind <coll> [--dpus <n>] [--elems <n>]
                     [--perm-faults <tok,..>] [--fault-seed <n>]
                     [--fault-config <path>]
@@ -102,9 +105,12 @@ USAGE:
   simulated arrival time: --arrivals r0c1b3E@t=500000ps lands a permanent
   fault mid-run, --flaps r0c1b3E@t=0ps+2000000ps downs a ring segment for
   a window, and --bursts ber=0.9@t=0ps+1000000ps elevates the transient
-  BER for a window. --watchdog-ps / --retry-budget / --backoff-base-ps
-  override the recovery budgets (barrier watchdog, per-step retry count,
-  exponential backoff base).
+  BER for a window. The three fault budgets are one knob each (config keys
+  max_retries, backoff_base_ps, watchdog_ps): --retry-budget caps re-sends
+  per transfer and retry rounds per step, --backoff-base-ps sets the
+  exponential backoff base in picoseconds, and --watchdog-ps the
+  READY/START barrier watchdog in picoseconds. faults takes the first two
+  (it runs no barrier watchdog); soak and serve take all three.
 
   soak drives the runtime recovery manager (checkpointed resume, health
   quarantine, ladder replans) over a seed matrix: seeds --fault-seed ..
@@ -281,36 +287,83 @@ fn fault_injector(flags: &Flags) -> Result<pim_faults::FaultInjector, String> {
     }
     cfg.timeline.normalize();
     if let Ok(v) = flags.require("watchdog-ps") {
-        cfg.watchdog_ps = Some(
-            v.parse()
-                .map_err(|_| format!("flag --watchdog-ps: '{v}' is not a picosecond count"))?,
-        );
+        cfg.watchdog_ps = v
+            .parse()
+            .map_err(|_| format!("flag --watchdog-ps: '{v}' is not a picosecond count"))?;
     }
     if let Ok(v) = flags.require("retry-budget") {
-        cfg.retry_budget = Some(
-            v.parse()
-                .map_err(|_| format!("flag --retry-budget: '{v}' is not a retry count"))?,
-        );
+        cfg.max_retries = v
+            .parse()
+            .map_err(|_| format!("flag --retry-budget: '{v}' is not a retry count"))?;
     }
     if let Ok(v) = flags.require("backoff-base-ps") {
-        cfg.backoff_base_ps = Some(
-            v.parse()
-                .map_err(|_| format!("flag --backoff-base-ps: '{v}' is not a picosecond count"))?,
-        );
+        cfg.backoff_base_ps = v
+            .parse()
+            .map_err(|_| format!("flag --backoff-base-ps: '{v}' is not a picosecond count"))?;
     }
     Ok(pim_faults::FaultInjector::new(cfg))
 }
 
-fn warn_unknown(flags: &Flags, known: &[&str]) {
+/// `--timeline-rate`: the per-component probability of the sampled fault
+/// storm (0 samples none).
+fn timeline_rate(flags: &Flags) -> Result<f64, String> {
+    let rate: f64 = flags.num_or("timeline-rate", 0.0)?;
+    if (0.0..=1.0).contains(&rate) {
+        Ok(rate)
+    } else {
+        Err(format!(
+            "flag --timeline-rate: '{rate}' is not a probability"
+        ))
+    }
+}
+
+/// Merges the `--timeline-rate` storm into `cfg`'s timeline: arrivals,
+/// flaps and bursts sampled from `seed` over `horizon_ps` on `g`. Rank
+/// deaths take out whole swaths, so they are kept rarer and the storm
+/// exercises the upper ladder tiers too, not just fallback.
+fn add_storm(
+    cfg: &mut pim_faults::FaultConfig,
+    rate: f64,
+    seed: u64,
+    g: &pim_arch::geometry::PimGeometry,
+    horizon_ps: u64,
+) {
+    let rates = pim_faults::TimelineRates {
+        segment_arrival_prob: rate,
+        port_arrival_prob: rate,
+        rank_arrival_prob: rate / 4.0,
+        flap_prob: rate,
+        burst_prob: rate,
+        burst_ber: 0.8,
+    };
+    let storm = pim_faults::FaultTimeline::sample(
+        seed,
+        g.ranks_per_channel,
+        g.chips_per_rank,
+        g.banks_per_chip,
+        horizon_ps,
+        &rates,
+    );
+    cfg.timeline.arrivals.extend(storm.arrivals);
+    cfg.timeline.flaps.extend(storm.flaps);
+    cfg.timeline.bursts.extend(storm.bursts);
+    cfg.timeline.normalize();
+}
+
+/// The flags a command accepts. Every other flag is reported as ignored
+/// and dropped, so no shared helper (such as [`fault_injector`]) can read
+/// it behind the warning.
+fn accept(flags: &Flags, known: &[&str]) -> Flags {
     for k in flags.keys() {
         if !known.contains(&k) {
             eprintln!("warning: ignoring unknown flag --{k}");
         }
     }
+    flags.only(known)
 }
 
 fn collective(flags: &Flags) -> Result<(), String> {
-    warn_unknown(flags, &["kind", "kb", "dpus", "backend"]);
+    let flags = &accept(flags, &["kind", "kb", "dpus", "backend"]);
     let kind = parse_kind(flags.require("kind")?)?;
     let kb: u64 = flags.num_or("kb", 32)?;
     let dpus: u32 = flags.num_or("dpus", 256)?;
@@ -345,7 +398,7 @@ fn find_workload(name: &str) -> Option<Box<dyn pim_workloads::Workload>> {
 }
 
 fn workload(flags: &Flags) -> Result<(), String> {
-    warn_unknown(flags, &["name", "backend"]);
+    let flags = &accept(flags, &["name", "backend"]);
     let name = flags.require("name")?;
     let w = find_workload(name).ok_or_else(|| format!("unknown workload '{name}'"))?;
     let backends = parse_backends(flags.get_or("backend", "all"))?;
@@ -423,7 +476,7 @@ fn metrics_probe(flags: &Flags) -> pim_sim::Probe {
 }
 
 fn schedule(flags: &Flags) -> Result<(), String> {
-    warn_unknown(
+    let flags = &accept(
         flags,
         &[
             "kind", "dpus", "elems", "timeline", "metrics", "boost", "algo", "autotune",
@@ -545,7 +598,7 @@ fn schedule(flags: &Flags) -> Result<(), String> {
 }
 
 fn noc(flags: &Flags) -> Result<(), String> {
-    warn_unknown(
+    let flags = &accept(
         flags,
         &[
             "kind",
@@ -594,7 +647,7 @@ fn noc(flags: &Flags) -> Result<(), String> {
 }
 
 fn faults(flags: &Flags) -> Result<(), String> {
-    warn_unknown(
+    let flags = &accept(
         flags,
         &[
             "kind",
@@ -606,12 +659,19 @@ fn faults(flags: &Flags) -> Result<(), String> {
             "straggler-prob",
             "dead",
             "perm-faults",
-            "watchdog-ps",
             "retry-budget",
             "backoff-base-ps",
             "metrics",
         ],
     );
+    let mut out = String::new();
+    let result = faults_report(flags, &mut out);
+    print!("{out}");
+    result
+}
+
+/// The `faults` report, written to `out` up to the first error.
+fn faults_report(flags: &Flags, out: &mut String) -> Result<(), String> {
     let kind = parse_kind(flags.get_or("kind", "allreduce"))?;
     let dpus: u32 = flags.num_or("dpus", 64)?;
     let elems: usize = flags.num_or("elems", 1024)?;
@@ -619,7 +679,8 @@ fn faults(flags: &Flags) -> Result<(), String> {
     let probe = metrics_probe(flags);
     let sys = system_for(dpus)?;
     let cfg = injector.config();
-    println!(
+    let _ = writeln!(
+        out,
         "{kind} on {dpus} DPUs, {elems} elements/DPU; faults: seed {}, BER {}, \
          straggler p={} (<= {} ns), {} dead DPU(s)",
         cfg.seed,
@@ -641,18 +702,20 @@ fn faults(flags: &Flags) -> Result<(), String> {
     )
     .map_err(|e| e.to_string())?;
     for e in plan.error_trail() {
-        println!("  degradation: {e}");
+        let _ = writeln!(out, "  degradation: {e}");
     }
     let schedule = match &plan {
         pimnet::resilience::DegradedPlan::Full(s) => {
-            println!(
+            let _ = writeln!(
+                out,
                 "  plan: full ({} DPUs participate)",
                 s.geometry.total_dpus()
             );
             s
         }
         pimnet::resilience::DegradedPlan::Repaired { schedule, report } => {
-            println!(
+            let _ = writeln!(
+                out,
                 "  plan: repaired around permanent faults ({} rerouted, {} remapped, \
                  +{} hops, +{} steps)",
                 report.rerouted_transfers,
@@ -665,7 +728,8 @@ fn faults(flags: &Flags) -> Result<(), String> {
         pimnet::resilience::DegradedPlan::Shrunk {
             schedule, excluded, ..
         } => {
-            println!(
+            let _ = writeln!(
+                out,
                 "  plan: shrunk to {} alive DPUs ({} excluded: {excluded:?})",
                 schedule.geometry.total_dpus(),
                 excluded.len()
@@ -677,13 +741,14 @@ fn faults(flags: &Flags) -> Result<(), String> {
             excluded,
             ..
         } => {
-            println!(
+            let _ = writeln!(
+                out,
                 "  plan: host fallback ({} DPUs excluded), baseline collective takes {}",
                 excluded.len(),
                 breakdown.total()
             );
             if probe.is_active() {
-                println!("{}", probe.metrics.snapshot().render());
+                let _ = writeln!(out, "{}", probe.metrics.snapshot().render());
             }
             return Ok(());
         }
@@ -702,7 +767,8 @@ fn faults(flags: &Flags) -> Result<(), String> {
         pimnet::timeline::Timeline::build_with_faults(schedule, &timing, &injector, &probe)
             .map_err(|e| e.to_string())?;
     let stretch = faulty.end.as_secs_f64() / clean.end.as_secs_f64();
-    println!(
+    let _ = writeln!(
+        out,
         "  timing: fault-free {} -> under faults {}  ({:.2}x)",
         clean.end, faulty.end, stretch
     );
@@ -716,7 +782,8 @@ fn faults(flags: &Flags) -> Result<(), String> {
     let stats = faulty_m
         .run_with_faults_probed(schedule, pimnet::exec::ReduceOp::Sum, &injector, &probe)
         .map_err(|e| e.to_string())?;
-    println!(
+    let _ = writeln!(
+        out,
         "  exec: {} transfers, {} CRC checks, {} corrupted, {} retries; \
          result bit-identical to fault-free run: {}",
         stats.transfers,
@@ -729,13 +796,13 @@ fn faults(flags: &Flags) -> Result<(), String> {
         return Err("faulty run diverged from the clean run".into());
     }
     if probe.is_active() {
-        println!("{}", probe.metrics.snapshot().render());
+        let _ = writeln!(out, "{}", probe.metrics.snapshot().render());
     }
     Ok(())
 }
 
 fn repair(flags: &Flags) -> Result<(), String> {
-    warn_unknown(
+    let flags = &accept(
         flags,
         &[
             "kind",
@@ -882,7 +949,7 @@ fn lint_one(
 }
 
 fn lint(flags: &Flags) -> Result<(), String> {
-    warn_unknown(
+    let flags = &accept(
         flags,
         &[
             "kind",
@@ -1001,7 +1068,7 @@ fn trace_one(
 }
 
 fn trace(flags: &Flags) -> Result<(), String> {
-    warn_unknown(
+    let flags = &accept(
         flags,
         &[
             "kind",
@@ -1109,8 +1176,9 @@ struct SoakRow {
     /// Result checked bit-identical to the fault-free reference (only
     /// ever claimed at tier <= 1; deeper tiers change the participant set).
     verified: bool,
-    /// First soundness violation observed; any `Some` fails the command.
-    unsound: Option<String>,
+    /// The recovery contract clause the run broke; any `Some` fails the
+    /// command.
+    unsound: Option<&'static str>,
     /// Typed error trail, rendered.
     errors: Vec<String>,
 }
@@ -1120,29 +1188,7 @@ fn soak_seed(ctx: &SoakCtx<'_>, seed: u64) -> SoakRow {
     let mut cfg = ctx.base.clone();
     cfg.seed = seed;
     if ctx.rate > 0.0 {
-        let rates = pim_faults::TimelineRates {
-            segment_arrival_prob: ctx.rate,
-            port_arrival_prob: ctx.rate,
-            // Rank deaths take out whole swaths; keep them rarer so the
-            // matrix exercises the upper tiers too, not just fallback.
-            rank_arrival_prob: ctx.rate / 4.0,
-            flap_prob: ctx.rate,
-            burst_prob: ctx.rate,
-            burst_ber: 0.8,
-        };
-        let g = ctx.geometry;
-        let storm = pim_faults::FaultTimeline::sample(
-            seed,
-            g.ranks_per_channel,
-            g.chips_per_rank,
-            g.banks_per_chip,
-            ctx.horizon_ps,
-            &rates,
-        );
-        cfg.timeline.arrivals.extend(storm.arrivals);
-        cfg.timeline.flaps.extend(storm.flaps);
-        cfg.timeline.bursts.extend(storm.bursts);
-        cfg.timeline.normalize();
+        add_storm(&mut cfg, ctx.rate, seed, ctx.geometry, ctx.horizon_ps);
     }
     let injector = pim_faults::FaultInjector::new(cfg);
     let req = pimnet::recovery::RecoveryRequest {
@@ -1154,7 +1200,6 @@ fn soak_seed(ctx: &SoakCtx<'_>, seed: u64) -> SoakRow {
         injector: &injector,
         system: ctx.system,
         timing: ctx.timing,
-        config: pimnet::recovery::RecoveryConfig::default(),
     };
     let elems = ctx.elems;
     let out = match pimnet::recovery::run_recovered::<u64>(
@@ -1178,42 +1223,20 @@ fn soak_seed(ctx: &SoakCtx<'_>, seed: u64) -> SoakRow {
         }
     };
     let (ref_s, ref_m) = ctx.reference;
-    let mut verified = false;
-    let mut unsound = None;
-    match (out.plan_tier, out.machine.as_ref()) {
-        (0 | 1, Some(m)) => {
-            if ref_s
-                .participants()
-                .all(|id| m.result(ref_s, id) == ref_m.result(ref_s, id))
-            {
-                verified = true;
-            } else {
-                unsound = Some("tier <= 1 result diverged from the fault-free reference".into());
-            }
-        }
-        (0 | 1, None) => unsound = Some("tier <= 1 ended without a result".into()),
-        (2, Some(_)) => {}
-        (2, None) => unsound = Some("shrunk plan ended without a result".into()),
-        (_, Some(_)) => unsound = Some("host fallback still returned a PIM-side result".into()),
-        (_, None) => {
-            if out.error_trail.is_empty() {
-                unsound = Some("host fallback carried no typed error trail".into());
-            }
-        }
-    }
+    let unsound = pimnet::recovery::check_outcome(&out, ref_s, ref_m).err();
     SoakRow {
         seed,
         tier: Some(out.plan_tier),
         stats: out.stats,
         end_ps: out.end_ps,
-        verified,
+        verified: unsound.is_none() && out.plan_tier <= 1,
         unsound,
         errors: out.error_trail.iter().map(ToString::to_string).collect(),
     }
 }
 
 fn soak(flags: &Flags) -> Result<(), String> {
-    warn_unknown(
+    let flags = &accept(
         flags,
         &[
             "kind",
@@ -1244,12 +1267,7 @@ fn soak(flags: &Flags) -> Result<(), String> {
     if seeds == 0 {
         return Err("flag --seeds: need at least one seed".into());
     }
-    let rate: f64 = flags.num_or("timeline-rate", 0.0)?;
-    if !(0.0..=1.0).contains(&rate) {
-        return Err(format!(
-            "flag --timeline-rate: '{rate}' is not a probability"
-        ));
-    }
+    let rate = timeline_rate(flags)?;
     let horizon_ps: u64 = flags.num_or("horizon-ps", 50_000_000)?;
     let base = fault_injector(flags)?.config().clone();
     let sys = system_for(dpus)?;
@@ -1295,7 +1313,7 @@ fn soak(flags: &Flags) -> Result<(), String> {
         verified += u64::from(r.verified);
         totals.steps_executed += r.stats.steps_executed;
         totals.step_retries += r.stats.step_retries;
-        totals.backoff_ps += r.stats.backoff_ps;
+        totals.backoff_ps = totals.backoff_ps.saturating_add(r.stats.backoff_ps);
         totals.replans += r.stats.replans;
         totals.quarantines += r.stats.quarantines;
         totals.arrivals_applied += r.stats.arrivals_applied;
@@ -1424,88 +1442,18 @@ fn serve_config(flags: &Flags) -> Result<pimnet::serve::ServeConfig, String> {
         }
     }
     cfg.faults = fault_injector(flags)?.config().clone();
-    let rate: f64 = flags.num_or("timeline-rate", 0.0)?;
-    if !(0.0..=1.0).contains(&rate) {
-        return Err(format!(
-            "flag --timeline-rate: '{rate}' is not a probability"
-        ));
-    }
+    let rate = timeline_rate(flags)?;
     // An empty tenant list is serve's own typed config error; don't
     // index into it for the storm geometry here.
     if rate > 0.0 && !cfg.tenants.is_empty() {
-        let rates = pim_faults::TimelineRates {
-            segment_arrival_prob: rate,
-            port_arrival_prob: rate,
-            rank_arrival_prob: rate / 4.0,
-            flap_prob: rate,
-            burst_prob: rate,
-            burst_ber: 0.8,
-        };
-        let g = &cfg.tenants[0].geometry;
-        let storm = pim_faults::FaultTimeline::sample(
-            seed,
-            g.ranks_per_channel,
-            g.chips_per_rank,
-            g.banks_per_chip,
-            cfg.horizon_ps,
-            &rates,
-        );
-        cfg.faults.timeline.arrivals.extend(storm.arrivals);
-        cfg.faults.timeline.flaps.extend(storm.flaps);
-        cfg.faults.timeline.bursts.extend(storm.bursts);
-        cfg.faults.timeline.normalize();
+        let g = cfg.tenants[0].geometry;
+        add_storm(&mut cfg.faults, rate, seed, &g, cfg.horizon_ps);
     }
     Ok(cfg)
 }
 
-/// Re-verifies the serving soundness contract on a finished report.
-/// The engine guarantees these by construction; the CLI re-proves them
-/// from the outside so a regression fails the command, not just a test.
-fn serve_violations(
-    cfg: &pimnet::serve::ServeConfig,
-    report: &pimnet::serve::ServeReport,
-) -> Vec<String> {
-    let mut violations = Vec::new();
-    let arrivals = pimnet::serve::sample_arrivals(cfg);
-    if report.log.len() != arrivals.len() {
-        violations.push(format!(
-            "request log has {} entries for {} sampled arrivals",
-            report.log.len(),
-            arrivals.len()
-        ));
-    }
-    for (i, r) in report.log.iter().enumerate() {
-        if r.request.id != i as u64 {
-            violations.push(format!("log entry {i} carries request id {}", r.request.id));
-            break;
-        }
-    }
-    let mut level = 0u8;
-    for s in &report.ladder {
-        if s.level < level {
-            violations.push(format!(
-                "overload ladder dropped from {level} to {} at {} ps",
-                s.level, s.at_ps
-            ));
-        }
-        level = level.max(s.level);
-    }
-    let mut epochs = vec![0u64; cfg.tenants.len()];
-    for q in &report.quarantines {
-        let e = &mut epochs[q.tenant as usize];
-        if q.epoch < *e {
-            violations.push(format!(
-                "tenant {} quarantine epoch regressed from {} to {}",
-                q.tenant, *e, q.epoch
-            ));
-        }
-        *e = q.epoch;
-    }
-    violations
-}
-
 fn serve(flags: &Flags) -> Result<(), String> {
-    warn_unknown(flags, SERVE_FLAGS);
+    let flags = &accept(flags, SERVE_FLAGS);
     let cfg = serve_config(flags)?;
     let probe = metrics_probe(flags);
     let report = pimnet::serve::serve_probed(&cfg, &probe).map_err(|e| e.to_string())?;
@@ -1544,20 +1492,14 @@ fn serve(flags: &Flags) -> Result<(), String> {
         std::fs::write(path, report.render_log(&cfg)).map_err(|e| e.to_string())?;
         println!("request log -> {path}");
     }
-    let violations = serve_violations(&cfg, &report);
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(format!(
-            "serve found {} soundness violation(s): {}",
-            violations.len(),
-            violations.join("; ")
-        ))
-    }
+    // The engine guarantees the serving contract by construction; the
+    // CLI re-proves it from the outside so a regression fails the command.
+    pimnet::serve::check_report(&cfg, &report)
+        .map_err(|why| format!("serve found a soundness violation: {why}"))
 }
 
 fn replay(flags: &Flags) -> Result<(), String> {
-    warn_unknown(flags, SERVE_FLAGS);
+    let flags = &accept(flags, SERVE_FLAGS);
     let path = flags.require("log")?;
     let pinned = std::fs::read_to_string(path)
         .map_err(|e| format!("flag --log: cannot read '{path}': {e}"))?;
@@ -1672,6 +1614,68 @@ mod tests {
             "0.05",
             "--straggler-prob",
             "0.25",
+        ])
+        .unwrap();
+    }
+
+    /// The `faults` report for `extra` on top of a 64-DPU AllReduce at
+    /// BER 0.05, seed 42.
+    fn faults_at_ber_005(extra: &[&str]) -> Result<String, String> {
+        let mut argv = vec![
+            "--kind",
+            "allreduce",
+            "--dpus",
+            "64",
+            "--elems",
+            "1024",
+            "--fault-seed",
+            "42",
+            "--ber",
+            "0.05",
+        ];
+        argv.extend_from_slice(extra);
+        let flags = Flags::parse(&argv.iter().map(|s| (*s).to_string()).collect::<Vec<_>>())?;
+        let mut out = String::new();
+        faults_report(&flags, &mut out).map(|()| out)
+    }
+
+    #[test]
+    fn faults_command_honours_the_retry_budget() {
+        assert!(faults_at_ber_005(&[]).is_ok());
+        let err = faults_at_ber_005(&["--retry-budget", "0"]).unwrap_err();
+        assert!(err.contains("failed CRC on all 1 attempts"), "{err}");
+    }
+
+    #[test]
+    fn faults_command_prices_the_backoff_base() {
+        let timing = |extra: &[&str]| {
+            let out = faults_at_ber_005(extra).unwrap();
+            out.lines()
+                .find(|l| l.trim_start().starts_with("timing:"))
+                .expect("a timing line")
+                .to_string()
+        };
+        let default = timing(&[]);
+        assert_eq!(timing(&["--backoff-base-ps", "100000"]), default);
+        assert_ne!(timing(&["--backoff-base-ps", "999999999"]), default);
+    }
+
+    #[test]
+    fn flags_a_command_does_not_list_are_ignored_as_warned() {
+        // Neither command lists these fault flags: they warn and must not
+        // reach the fault scenario through the shared helper.
+        run(&[
+            "noc", "--kind", "a2a", "--dpus", "16", "--elems", "256", "--ber", "0.5",
+        ])
+        .unwrap();
+        run(&[
+            "trace",
+            "--kind",
+            "allreduce",
+            "--ber",
+            "0.3",
+            "--retry-budget",
+            "0",
         ])
         .unwrap();
     }

@@ -52,27 +52,12 @@ use crate::sync::SyncModel;
 use crate::timing::TimingModel;
 use crate::topology::{Direction, Resource};
 
-/// Knobs of the recovery manager itself (the retry/backoff budgets come
-/// from the [`FaultConfig`] so CLI fault grammars control them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryConfig {
-    /// Hysteresis thresholds for the per-segment health score.
-    pub health: HealthConfig,
-    /// Hard cap on replans per collective; exceeding it escalates to the
-    /// host-fallback outcome instead of looping. Each replan strictly
-    /// grows the permanent-fault picture, so the ladder cannot cycle —
-    /// this bound is a defensive backstop, not a tuning knob.
-    pub max_replans: u32,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            health: HealthConfig::default(),
-            max_replans: 16,
-        }
-    }
-}
+/// Hard cap on mid-run replans per collective; exceeding it escalates to
+/// the host-fallback outcome instead of looping. Each replan strictly
+/// grows the permanent-fault picture, so the ladder cannot cycle — this
+/// bound is a defensive backstop, not a tuning knob. (The retry, backoff
+/// and watchdog budgets are the [`FaultConfig`]'s.)
+pub const MAX_REPLANS: u32 = 16;
 
 /// Everything [`run_recovered`] needs besides the per-node contributions.
 #[derive(Debug, Clone, Copy)]
@@ -93,8 +78,6 @@ pub struct RecoveryRequest<'a> {
     pub system: &'a SystemConfig,
     /// Timing model driving the recovery clock.
     pub timing: &'a TimingModel,
-    /// Recovery-manager knobs.
-    pub config: RecoveryConfig,
 }
 
 /// Deterministic counters describing one recovered run.
@@ -104,7 +87,7 @@ pub struct RecoveryStats {
     pub steps_executed: u64,
     /// Step-level retry rounds (failed attempts that waited out a backoff).
     pub step_retries: u64,
-    /// Total picoseconds spent in retry backoff.
+    /// Total picoseconds spent in retry backoff (saturating).
     pub backoff_ps: u64,
     /// Times the schedule was re-planned mid-run.
     pub replans: u64,
@@ -380,9 +363,9 @@ pub fn run_recovered<T: Element>(
     }
 
     let base_cfg = req.injector.config();
-    let step_budget = base_cfg.effective_retry_budget();
+    let step_budget = base_cfg.max_retries;
     let sync = SyncModel::from_fabric(&req.timing.fabric);
-    let mut health = HealthTracker::new(req.config.health);
+    let mut health = HealthTracker::new(HealthConfig::default());
     let mut stats = RecoveryStats::default();
     let mut trail: Vec<PimnetError> = Vec::new();
     let mut t_ps: u64 = 0;
@@ -566,7 +549,7 @@ pub fn run_recovered<T: Element>(
                             let dt = inj.backoff_ps(round);
                             t_ps = t_ps.saturating_add(dt);
                             stats.step_retries += 1;
-                            stats.backoff_ps += dt;
+                            stats.backoff_ps = stats.backoff_ps.saturating_add(dt);
                             probe.trace.instant(
                                 SimTime::from_ps(t_ps),
                                 codes::RECOV_RETRY,
@@ -720,7 +703,7 @@ pub fn run_recovered<T: Element>(
                         let dt = inj.backoff_ps(round);
                         t_ps = t_ps.saturating_add(dt);
                         stats.step_retries += 1;
-                        stats.backoff_ps += dt;
+                        stats.backoff_ps = stats.backoff_ps.saturating_add(dt);
                         probe.trace.instant(
                             SimTime::from_ps(t_ps),
                             codes::RECOV_RETRY,
@@ -760,13 +743,10 @@ pub fn run_recovered<T: Element>(
             DriveEnd::Replan => {
                 stats.replans += 1;
                 probe.metrics.recovery_replan();
-                if stats.replans > u64::from(req.config.max_replans) {
+                if stats.replans > u64::from(MAX_REPLANS) {
                     return escalate(
                         PimnetError::ScheduleInvalid {
-                            reason: format!(
-                                "recovery replan budget ({}) exhausted",
-                                req.config.max_replans
-                            ),
+                            reason: format!("recovery replan budget ({MAX_REPLANS}) exhausted"),
                         },
                         stats,
                         trail,
@@ -782,6 +762,42 @@ pub fn run_recovered<T: Element>(
                 return escalate(e, stats, trail, epoch, t_ps, probe);
             }
         }
+    }
+}
+
+/// Checks a finished run against the recovery contract, DESIGN.md's
+/// outcome table: tier 0/1 ends with a machine whose result on every
+/// participant of `reference` is bit-identical to `clean` (the fault-free
+/// run of the same request); tier 2 ends with a machine over the shrunk
+/// plan; tier 3 ends with no machine and a non-empty typed error trail.
+///
+/// # Errors
+///
+/// The clause the run broke, as a sentence.
+pub fn check_outcome<T: Element>(
+    out: &RecoveryOutcome<T>,
+    reference: &CommSchedule,
+    clean: &ExecMachine<T>,
+) -> Result<(), &'static str> {
+    match (out.plan_tier, out.machine.as_ref()) {
+        (0 | 1, Some(m)) => {
+            if reference
+                .participants()
+                .all(|id| m.result(reference, id) == clean.result(reference, id))
+            {
+                Ok(())
+            } else {
+                Err("tier <= 1 result diverged from the fault-free reference")
+            }
+        }
+        (0 | 1, None) => Err("tier <= 1 ended without a result"),
+        (2, Some(_)) => Ok(()),
+        (2, None) => Err("shrunk plan ended without a result"),
+        (_, Some(_)) => Err("host fallback still returned a PIM-side result"),
+        (_, None) if out.error_trail.is_empty() => {
+            Err("host fallback carried no typed error trail")
+        }
+        (_, None) => Ok(()),
     }
 }
 
@@ -815,7 +831,6 @@ mod tests {
             injector,
             system,
             timing,
-            config: RecoveryConfig::default(),
         }
     }
 
@@ -888,7 +903,7 @@ mod tests {
                 }],
                 ..FaultTimeline::none()
             },
-            backoff_base_ps: Some(6_000_000),
+            backoff_base_ps: 6_000_000,
             ..FaultConfig::none()
         });
         let req = request(&g, &system, &timing, &injector);
@@ -900,6 +915,66 @@ mod tests {
         assert!(out.end_ps > 10_000_000);
         let schedule = reference().0;
         assert_bit_identical(&schedule, out.machine.as_ref().unwrap());
+    }
+
+    #[test]
+    fn backoff_past_the_clock_saturates() {
+        let g = PimGeometry::paper_scaled(N);
+        let system = SystemConfig::paper_scaled(N);
+        let timing = TimingModel::paper();
+        // A burst that outlasts 50 doubling backoffs from the 100 ns
+        // default base: their sum passes u64 picoseconds near round 48.
+        let injector = FaultInjector::new(FaultConfig {
+            timeline: FaultTimeline {
+                bursts: vec![TransientBurst {
+                    from_ps: 0,
+                    until_ps: 18_446_744_073_709_551_000,
+                    ber: 1.0,
+                }],
+                ..FaultTimeline::none()
+            },
+            max_retries: 50,
+            ..FaultConfig::none()
+        });
+        let req = request(&g, &system, &timing, &injector);
+        let probe = Probe::enabled();
+        let out = run_recovered(&req, input, &probe).unwrap();
+        assert_eq!(out.stats.backoff_ps, u64::MAX);
+        assert_eq!(probe.metrics.snapshot().recovery_backoff_ps, u64::MAX);
+        assert_eq!(out.end_ps, u64::MAX);
+        assert!(out.stats.step_retries >= 48, "{:?}", out.stats);
+        let (ref_s, ref_m) = reference();
+        assert_eq!(check_outcome(&out, &ref_s, &ref_m), Ok(()));
+    }
+
+    #[test]
+    fn check_outcome_names_the_broken_clause() {
+        let (ref_s, ref_m) = reference();
+        let outcome = |plan_tier, machine, error_trail| RecoveryOutcome {
+            machine,
+            plan_tier,
+            logical_to_physical: None,
+            stats: RecoveryStats::default(),
+            error_trail,
+            end_ps: 0,
+        };
+        let same = || Some(run_collective(&ref_s, ReduceOp::Sum, input).unwrap());
+        let off_by_one = |id: DpuId| input(id).into_iter().map(|x| x + 1).collect();
+        let diverged = Some(run_collective(&ref_s, ReduceOp::Sum, off_by_one).unwrap());
+        let trail = || vec![PimnetError::DeadDpu { dpu: 0 }];
+        let check = |o: &RecoveryOutcome<u64>| check_outcome(o, &ref_s, &ref_m);
+        assert_eq!(check(&outcome(1, same(), Vec::new())), Ok(()));
+        assert_eq!(check(&outcome(2, same(), Vec::new())), Ok(()));
+        assert_eq!(check(&outcome(3, None, trail())), Ok(()));
+        assert!(check(&outcome(0, diverged, Vec::new()))
+            .unwrap_err()
+            .contains("diverged"));
+        assert!(check(&outcome(1, None, Vec::new())).is_err());
+        assert!(check(&outcome(2, None, Vec::new())).is_err());
+        assert!(check(&outcome(3, same(), trail())).is_err());
+        assert!(check(&outcome(3, None, Vec::new()))
+            .unwrap_err()
+            .contains("trail"));
     }
 
     #[test]

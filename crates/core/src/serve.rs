@@ -53,10 +53,15 @@ use crate::collective::{CollectiveKind, CollectiveSpec};
 use crate::error::PimnetError;
 use crate::exec::ReduceOp;
 use crate::fabric::FabricConfig;
-use crate::recovery::{run_recovered, RecoveryConfig, RecoveryRequest};
+use crate::recovery::{run_recovered, RecoveryRequest};
 use crate::schedule::cache::{self, Algo, Proof, ScheduleRequest};
 use crate::schedule::CommSchedule;
 use crate::timing::TimingModel;
+
+/// How long a quarantined tenant is shed before probation starts: 0.5 ms
+/// on the serve clock. Entry and exit follow `HealthConfig::default()`'s
+/// hysteresis (3 failures in, 2 probation successes out).
+pub const QUARANTINE_PS: u64 = 500_000_000;
 
 /// Dequeue order within a tenant queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -203,13 +208,6 @@ pub struct ServeConfig {
     pub shed_priority_below: u8,
     /// Ladder thresholds.
     pub overload: OverloadThresholds,
-    /// Tenant-quarantine hysteresis (fail threshold + probation
-    /// successes), reusing the fault-crate's knob shape.
-    pub health: HealthConfig,
-    /// How long a quarantined tenant is shed before probation starts.
-    pub quarantine_ps: u64,
-    /// Recovery-manager knobs for the fault path.
-    pub recovery: RecoveryConfig,
     /// Fabric timing the tenants' shards run on.
     pub fabric: FabricConfig,
     /// Host-link override for the host-fallback path; `None` keeps the
@@ -236,9 +234,6 @@ impl ServeConfig {
             chunk_elems: 128,
             shed_priority_below: 1,
             overload: OverloadThresholds::default(),
-            health: HealthConfig::default(),
-            quarantine_ps: 500_000_000, // 0.5 ms
-            recovery: RecoveryConfig::default(),
             fabric: FabricConfig::paper(),
             host: None,
             faults: FaultConfig::none(),
@@ -540,9 +535,9 @@ pub fn sample_arrivals(cfg: &ServeConfig) -> Vec<Request> {
         let mut at = 0u64;
         let mut seq = 0u64;
         loop {
-            let gap =
-                t.mean_gap_ps / 2 + hash_coords(cfg.seed, &[ti as u64, seq]) % t.mean_gap_ps.max(1);
-            at += gap;
+            let gap = (t.mean_gap_ps / 2)
+                .saturating_add(hash_coords(cfg.seed, &[ti as u64, seq]) % t.mean_gap_ps.max(1));
+            at = at.saturating_add(gap);
             if at >= cfg.horizon_ps {
                 break;
             }
@@ -551,7 +546,7 @@ pub fn sample_arrivals(cfg: &ServeConfig) -> Vec<Request> {
                 tenant: ti as u32,
                 seq,
                 arrive_ps: at,
-                deadline_ps: at + t.deadline_ps,
+                deadline_ps: at.saturating_add(t.deadline_ps),
                 priority: t.priority,
                 elems: t.elems_per_node,
             });
@@ -563,6 +558,46 @@ pub fn sample_arrivals(cfg: &ServeConfig) -> Vec<Request> {
         r.id = i as u64;
     }
     all
+}
+
+/// Checks a finished report against the serving contract: one outcome
+/// per sampled arrival, ids dense in arrival order, an overload ladder
+/// that never steps down, and per-tenant quarantine epochs that never
+/// regress. The engine holds these by construction; callers re-prove
+/// them from the outside.
+///
+/// # Errors
+///
+/// The first clause the report broke.
+pub fn check_report(cfg: &ServeConfig, report: &ServeReport) -> Result<(), String> {
+    let arrivals = sample_arrivals(cfg).len();
+    if report.log.len() != arrivals {
+        return Err(format!(
+            "request log has {} entries for {arrivals} sampled arrivals",
+            report.log.len()
+        ));
+    }
+    if let Some((i, r)) = (0u64..).zip(&report.log).find(|(i, r)| r.request.id != *i) {
+        return Err(format!("log entry {i} carries request id {}", r.request.id));
+    }
+    if let Some(w) = report.ladder.windows(2).find(|w| w[1].level < w[0].level) {
+        return Err(format!(
+            "overload ladder dropped from {} to {} at {} ps",
+            w[0].level, w[1].level, w[1].at_ps
+        ));
+    }
+    let mut epochs = vec![0u64; cfg.tenants.len()];
+    for q in &report.quarantines {
+        let e = &mut epochs[q.tenant as usize];
+        if q.epoch < *e {
+            return Err(format!(
+                "tenant {} quarantine epoch regressed from {} to {}",
+                q.tenant, *e, q.epoch
+            ));
+        }
+        *e = q.epoch;
+    }
+    Ok(())
 }
 
 /// Per-tenant quarantine state machine (probation hysteresis).
@@ -954,7 +989,7 @@ impl Engine<'_> {
                 .total()
                 .as_ps()
                 .max(1);
-            let end = now_ps + dur;
+            let end = now_ps.saturating_add(dur);
             self.begin(ti, req, now_ps, end, 0);
             self.tenants[ti].in_flight = Some((
                 end,
@@ -1017,14 +1052,14 @@ impl Engine<'_> {
         for j in 0..nchunks {
             let dur = if j < full_chunks { full_dur } else { tail_dur };
             let c = j % chan_busy.len();
-            chan_busy[c] += dur;
+            chan_busy[c] = chan_busy[c].saturating_add(dur);
         }
         let end = chan_busy
             .iter()
             .copied()
             .max()
             .unwrap_or(now_ps)
-            .max(now_ps + 1);
+            .max(now_ps.saturating_add(1));
         let tier = u8::from(self.level >= 1);
         self.begin(ti, req, now_ps, end, nchunks as u32);
         self.tenants[ti].in_flight = Some((
@@ -1057,7 +1092,6 @@ impl Engine<'_> {
             injector: &injector,
             system: &state.system,
             timing: &state.timing,
-            config: self.cfg.recovery,
         };
         let seed = self.cfg.seed;
         let outcome = run_recovered(
@@ -1071,7 +1105,7 @@ impl Engine<'_> {
         );
         let provisional = match outcome {
             Ok(o) => {
-                let end = now_ps + o.end_ps.max(1);
+                let end = now_ps.saturating_add(o.end_ps.max(1));
                 if o.plan_tier >= 3 {
                     RequestOutcome::HostFallback {
                         start_ps: now_ps,
@@ -1087,7 +1121,7 @@ impl Engine<'_> {
                 }
             }
             Err(error) => {
-                let end = now_ps + self.injector.config().effective_watchdog_ps().max(1);
+                let end = now_ps.saturating_add(self.cfg.faults.watchdog_ps.max(1));
                 RequestOutcome::Shed {
                     at_ps: end,
                     reason: None,
@@ -1179,7 +1213,7 @@ impl Engine<'_> {
             Health::Healthy { .. } => self.tenants[ti].health = Health::Healthy { failures: 0 },
             Health::Probation { successes } => {
                 let successes = successes + 1;
-                if successes >= self.cfg.health.probation_successes {
+                if successes >= HealthConfig::default().probation_successes {
                     self.tenants[ti].health = Health::Healthy { failures: 0 };
                     let epoch = self.tenants[ti].epoch;
                     self.quarantines.push(QuarantineEvent {
@@ -1205,7 +1239,7 @@ impl Engine<'_> {
         let enter = match self.tenants[ti].health {
             Health::Healthy { failures } => {
                 let failures = failures + 1;
-                if failures >= self.cfg.health.fail_threshold {
+                if failures >= HealthConfig::default().fail_threshold {
                     true
                 } else {
                     self.tenants[ti].health = Health::Healthy { failures };
@@ -1220,7 +1254,7 @@ impl Engine<'_> {
             self.tenants[ti].epoch += 1;
             let epoch = self.tenants[ti].epoch;
             self.tenants[ti].health = Health::Quarantined {
-                until_ps: now_ps + self.cfg.quarantine_ps,
+                until_ps: now_ps.saturating_add(QUARANTINE_PS),
             };
             self.quarantines.push(QuarantineEvent {
                 at_ps: now_ps,
@@ -1234,7 +1268,7 @@ impl Engine<'_> {
                 [
                     ti as u64,
                     1,
-                    u64::from(self.cfg.health.fail_threshold),
+                    u64::from(HealthConfig::default().fail_threshold),
                     now_ps,
                 ],
             );
@@ -1401,6 +1435,115 @@ mod tests {
         }
         // Determinism holds with tuning on.
         assert_eq!(tuned_report, serve(&tuned).unwrap());
+    }
+
+    #[test]
+    fn clock_arithmetic_saturates_at_the_end_of_time() {
+        // A storm with a watchdog at the end of the picosecond clock:
+        // every failed recovery sheds at `u64::MAX` instead of wrapping.
+        let mut cfg = ServeConfig::uniform(2, 1);
+        cfg.horizon_ps = 200_000_000;
+        let g = cfg.tenants[0].geometry;
+        let rates = pim_faults::TimelineRates {
+            segment_arrival_prob: 1.0,
+            port_arrival_prob: 1.0,
+            rank_arrival_prob: 0.25,
+            flap_prob: 1.0,
+            burst_prob: 1.0,
+            burst_ber: 0.8,
+        };
+        cfg.faults.timeline = pim_faults::FaultTimeline::sample(
+            1,
+            g.ranks_per_channel,
+            g.chips_per_rank,
+            g.banks_per_chip,
+            cfg.horizon_ps,
+            &rates,
+        );
+        cfg.faults.watchdog_ps = u64::MAX;
+        let report = serve(&cfg).unwrap();
+        let failed: Vec<u64> = report
+            .log
+            .iter()
+            .filter_map(|r| match r.outcome {
+                RequestOutcome::Shed {
+                    at_ps,
+                    reason: None,
+                    ..
+                } => Some(at_ps),
+                _ => None,
+            })
+            .collect();
+        assert!(!failed.is_empty(), "the storm must fail a recovery");
+        assert!(failed.iter().all(|&at| at == u64::MAX), "{failed:?}");
+        assert_eq!(report.end_ps, u64::MAX);
+        assert_eq!(check_report(&cfg, &report), Ok(()));
+    }
+
+    #[test]
+    fn a_deadline_at_the_end_of_time_never_slips() {
+        let mut cfg = tiny_cfg(3);
+        for t in &mut cfg.tenants {
+            t.deadline_ps = u64::MAX;
+        }
+        assert!(sample_arrivals(&cfg)
+            .iter()
+            .all(|r| r.deadline_ps == u64::MAX));
+        // Gaps and the horizon at the end of time end the trace instead
+        // of overflowing the arrival clock.
+        let mut huge = cfg.clone();
+        huge.horizon_ps = u64::MAX;
+        for t in &mut huge.tenants {
+            t.mean_gap_ps = u64::MAX;
+        }
+        assert!(sample_arrivals(&huge).len() <= 2 * huge.tenants.len());
+        let report = serve(&cfg).unwrap();
+        assert!(report.count("served") > 0);
+        assert!(!report.log.iter().any(|r| matches!(
+            r.outcome,
+            RequestOutcome::Shed {
+                reason: Some(ShedReason::Deadline),
+                ..
+            }
+        )));
+    }
+
+    #[test]
+    fn check_report_names_the_broken_clause() {
+        let cfg = tiny_cfg(3);
+        let good = serve(&cfg).unwrap();
+        assert_eq!(check_report(&cfg, &good), Ok(()));
+        let mut short = good.clone();
+        short.log.pop();
+        assert!(check_report(&cfg, &short).unwrap_err().contains("entries"));
+        let mut swapped = good.clone();
+        swapped.log.swap(0, 1);
+        assert!(check_report(&cfg, &swapped)
+            .unwrap_err()
+            .contains("carries request id"));
+        let mut ladder = good.clone();
+        ladder.ladder = vec![
+            LadderStep {
+                at_ps: 1,
+                level: 2,
+                backlog: 9,
+            },
+            LadderStep {
+                at_ps: 2,
+                level: 1,
+                backlog: 9,
+            },
+        ];
+        assert!(check_report(&cfg, &ladder).unwrap_err().contains("ladder"));
+        let mut epochs = good;
+        let q = |epoch| QuarantineEvent {
+            at_ps: 0,
+            tenant: 1,
+            entered: true,
+            epoch,
+        };
+        epochs.quarantines = vec![q(2), q(1)];
+        assert!(check_report(&cfg, &epochs).unwrap_err().contains("epoch"));
     }
 
     #[test]

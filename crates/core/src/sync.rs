@@ -157,7 +157,8 @@ impl SyncModel {
             self.record_barrier(scope, total, skew, probe);
             return Ok(total);
         }
-        let timeout_ns = injector.config().effective_watchdog_ns();
+        let watchdog = SimTime::from_ps(injector.config().watchdog_ps);
+        let timeout_ns = watchdog.as_ps() / 1_000;
         let mut missing = Vec::new();
         let mut straggle_ns = 0u64;
         let mut stragglers = Vec::new();
@@ -179,7 +180,7 @@ impl SyncModel {
             });
         }
         let total = self.barrier(scope, skew + SimTime::from_ns(straggle_ns));
-        if total > SimTime::from_ns(timeout_ns) {
+        if total > watchdog {
             return Err(PimnetError::SyncTimeout {
                 timeout_ns,
                 missing: Vec::new(),
@@ -310,7 +311,7 @@ mod tests {
             FaultConfig {
                 straggler_prob: 1.0,
                 straggler_max_ns: 1_000,
-                watchdog_timeout_ns: 10, // tighter than any straggler
+                watchdog_ps: 10_000, // 10 ns: tighter than any straggler
                 ..FaultConfig::none()
             }
             .with_seed(4),
@@ -343,11 +344,46 @@ mod tests {
         assert!(chip_barrier(&m, &inj).is_ok());
         // A 10 ns watchdog expressed in picoseconds trips it.
         let inj = FaultInjector::new(FaultConfig {
-            watchdog_ps: Some(10_000),
+            watchdog_ps: 10_000,
             ..base
         });
         match chip_barrier(&m, &inj).unwrap_err() {
             PimnetError::SyncTimeout { timeout_ns, .. } => assert_eq!(timeout_ns, 10),
+            other => panic!("expected SyncTimeout, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn watchdog_compares_at_picosecond_precision() {
+        use pim_faults::{FaultConfig, FaultInjector};
+        let inj = |watchdog_ps| {
+            FaultInjector::new(
+                FaultConfig {
+                    straggler_prob: 1.0,
+                    straggler_max_ns: 1_000,
+                    watchdog_ps,
+                    ..FaultConfig::none()
+                }
+                .with_seed(4),
+            )
+        };
+        // A 1.503 ns propagation puts the barrier off the nanosecond grid.
+        let m = SyncModel {
+            propagation: SimTime::from_ps(1_503),
+        };
+        let closed = chip_barrier(&m, &inj(u64::MAX)).unwrap();
+        assert_ne!(closed.as_ps() % 1_000, 0);
+        // A watchdog of exactly the barrier's length lets it close; one
+        // picosecond less trips it, reporting the watchdog in whole ns.
+        assert_eq!(chip_barrier(&m, &inj(closed.as_ps())), Ok(closed));
+        match chip_barrier(&m, &inj(closed.as_ps() - 1)) {
+            Err(PimnetError::SyncTimeout {
+                timeout_ns,
+                missing,
+            }) => {
+                assert!(missing.is_empty());
+                assert_eq!(timeout_ns, (closed.as_ps() - 1) / 1_000);
+            }
             other => panic!("expected SyncTimeout, got {other:?}"),
         }
     }

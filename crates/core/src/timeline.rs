@@ -91,7 +91,9 @@ impl Timeline {
     ///
     /// * [`PimnetError::DeadDpu`] if a participant is hard-dead;
     /// * [`PimnetError::TransferFailed`] if a transfer's retry budget is
-    ///   exhausted at the configured error rate.
+    ///   exhausted at the configured error rate;
+    /// * [`PimnetError::InvalidMessage`] if the retries and their backoff
+    ///   run the timeline past the picosecond clock (`SimTime::MAX`).
     pub fn build_with_faults<S: ScheduleView>(
         schedule: &S,
         timing: &TimingModel,
@@ -208,21 +210,24 @@ impl Timeline {
                             *busy.entry(r, 0) += ser.as_ps();
                         }
                     }
-                    let (corrupted, backoff) = if faulty {
-                        let corrupted = injector
+                    let corrupted = if faulty {
+                        injector
                             .attempts_before_success(pi as u64, si as u64, ti as u64)
                             .ok_or(PimnetError::TransferFailed {
                                 phase: pi,
                                 step: si,
                                 transfer: ti,
-                                attempts: injector.config().max_retries + 1,
-                            })?;
-                        let backoff = SimTime::from_ns(injector.total_backoff_ns(corrupted));
-                        (corrupted, backoff)
+                                attempts: injector.config().max_retries.saturating_add(1),
+                            })?
                     } else {
-                        (0, SimTime::ZERO)
+                        0
                     };
-                    let extra = dur * u64::from(corrupted) + backoff;
+                    let (extra, end) = retry_chain(dur, corrupted, injector)
+                        .and_then(|extra| {
+                            let end = cursor.checked_add(dur.min(base))?.checked_add(extra)?;
+                            Some((extra, end))
+                        })
+                        .ok_or_else(|| clock_overflow(pi, si))?;
                     stretch = stretch.max(extra);
                     if corrupted > 0 && observe {
                         retries.push((pi, si, ti, corrupted, cursor));
@@ -235,11 +240,13 @@ impl Timeline {
                         dsts: t.dsts.to_vec(),
                         bytes: bytes.as_u64(),
                         start: cursor,
-                        end: (cursor + dur * u64::from(corrupted + 1) + backoff)
-                            .min(cursor + base + extra),
+                        end,
                     });
                 }
-                cursor += base + stretch;
+                cursor = cursor
+                    .checked_add(base)
+                    .and_then(|t| t.checked_add(stretch))
+                    .ok_or_else(|| clock_overflow(pi, si))?;
             }
         }
         let t = Timeline {
@@ -327,6 +334,24 @@ impl Timeline {
     }
 }
 
+/// The extra time a transfer of stand-alone serialization `dur` spends
+/// on `corrupted` re-sends plus the exponential backoff before each;
+/// `None` once that chain runs past the picosecond clock.
+fn retry_chain(dur: SimTime, corrupted: u32, injector: &FaultInjector) -> Option<SimTime> {
+    (1..=corrupted).try_fold(dur.checked_mul(u64::from(corrupted))?, |acc, attempt| {
+        acc.checked_add(SimTime::from_ps(injector.backoff_ps(attempt)))
+    })
+}
+
+/// The typed error of a timeline whose retries run past `SimTime::MAX`.
+fn clock_overflow(phase: usize, step: usize) -> PimnetError {
+    PimnetError::InvalidMessage {
+        reason: format!(
+            "retries in phase {phase} step {step} run the timeline past the picosecond clock"
+        ),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -403,6 +428,28 @@ mod tests {
         assert_eq!(a.windows.len(), plain.windows.len());
         for w in &a.windows {
             assert!(w.start >= a.sync && w.end <= a.end && w.start <= w.end);
+        }
+    }
+
+    #[test]
+    fn retry_chains_past_the_clock_are_a_typed_error() {
+        use pim_faults::{FaultConfig, FaultInjector};
+        // 200 re-sends at BER 0.9: some transfer retries past round 48,
+        // where a 100 ns backoff base doubles beyond u64 picoseconds.
+        let (s, _) = timeline(CollectiveKind::AllReduce, 64, 64);
+        let inj = FaultInjector::new(
+            FaultConfig {
+                transient_ber: 0.9,
+                max_retries: 200,
+                ..FaultConfig::none()
+            }
+            .with_seed(1),
+        );
+        match Timeline::build_with_faults(&s, &TimingModel::paper(), &inj, Probe::disabled()) {
+            Err(PimnetError::InvalidMessage { reason }) => {
+                assert!(reason.contains("picosecond clock"), "{reason}");
+            }
+            other => panic!("expected InvalidMessage, got {other:?}"),
         }
     }
 

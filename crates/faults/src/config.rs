@@ -27,16 +27,18 @@ pub struct FaultConfig {
     /// Hard-dead DPUs (never raise READY, never source or sink a
     /// transfer). Sorted, deduplicated on parse.
     pub dead_dpus: Vec<u32>,
-    /// Bounded retry budget per transfer; attempt 0 plus `max_retries`
-    /// re-sends before the step is declared failed.
+    /// Bounded retry budget: attempt 0 plus `max_retries` re-sends per
+    /// transfer before the step is declared failed, and the recovery
+    /// manager's retry rounds per step or barrier.
     pub max_retries: u32,
-    /// Base retry backoff in nanoseconds; attempt `k`'s re-send waits
-    /// `retry_backoff_ns << (k - 1)` (exponential).
-    pub retry_backoff_ns: u64,
-    /// READY/START watchdog: if the barrier has not closed after this many
-    /// nanoseconds (dead participant), the collective aborts with
-    /// `SyncTimeout` instead of hanging.
-    pub watchdog_timeout_ns: u64,
+    /// Base retry backoff in integer picoseconds; re-send (or recovery
+    /// round) `k` waits `backoff_base_ps << (k - 1)`, saturating (see
+    /// `FaultInjector::backoff_ps`).
+    pub backoff_base_ps: u64,
+    /// READY/START watchdog in integer picoseconds: if the barrier has not
+    /// closed after this long (dead participant, straggler overrun), the
+    /// collective aborts with `SyncTimeout` instead of hanging.
+    pub watchdog_ps: u64,
     /// Explicitly named permanent fabric faults (dead ring segments,
     /// crossbar ports, ranks). Schedule *repair*, not retry, handles these.
     pub permanent: PermanentFaultSet,
@@ -48,17 +50,6 @@ pub struct FaultConfig {
     /// these: arrivals invalidate schedules mid-run, flaps fail transfers
     /// during their window, bursts elevate the effective BER.
     pub timeline: FaultTimeline,
-    /// READY/START watchdog in integer picoseconds; overrides
-    /// `watchdog_timeout_ns` when set (see
-    /// [`effective_watchdog_ns`](Self::effective_watchdog_ns)).
-    pub watchdog_ps: Option<u64>,
-    /// Retry budget override for the recovery path; falls back to
-    /// `max_retries` when unset.
-    pub retry_budget: Option<u32>,
-    /// Backoff base in integer picoseconds; overrides `retry_backoff_ns`
-    /// when set (see
-    /// [`effective_backoff_base_ps`](Self::effective_backoff_base_ps)).
-    pub backoff_base_ps: Option<u64>,
 }
 
 impl FaultConfig {
@@ -72,47 +63,12 @@ impl FaultConfig {
             straggler_max_ns: 0,
             dead_dpus: Vec::new(),
             max_retries: 3,
-            retry_backoff_ns: 100,
-            watchdog_timeout_ns: 1_000_000, // 1 ms
+            backoff_base_ps: 100_000,   // 100 ns
+            watchdog_ps: 1_000_000_000, // 1 ms
             permanent: PermanentFaultSet::none(),
             perm_rates: PermanentFaultRates::default(),
             timeline: FaultTimeline::none(),
-            watchdog_ps: None,
-            retry_budget: None,
-            backoff_base_ps: None,
         }
-    }
-
-    /// The effective watchdog timeout in nanoseconds: the picosecond
-    /// override when set (rounded down, floor 1 ns), else the legacy
-    /// nanosecond knob. Defaults match pre-override behavior exactly.
-    #[must_use]
-    pub fn effective_watchdog_ns(&self) -> u64 {
-        self.watchdog_ps
-            .map(|ps| (ps / 1000).max(1))
-            .unwrap_or(self.watchdog_timeout_ns)
-    }
-
-    /// The effective watchdog timeout in picoseconds.
-    #[must_use]
-    pub fn effective_watchdog_ps(&self) -> u64 {
-        self.watchdog_ps
-            .unwrap_or_else(|| self.watchdog_timeout_ns.saturating_mul(1000))
-    }
-
-    /// The effective per-transfer retry budget (override, else
-    /// `max_retries`).
-    #[must_use]
-    pub fn effective_retry_budget(&self) -> u32 {
-        self.retry_budget.unwrap_or(self.max_retries)
-    }
-
-    /// The effective backoff base in picoseconds (override, else
-    /// `retry_backoff_ns` scaled).
-    #[must_use]
-    pub fn effective_backoff_base_ps(&self) -> u64 {
-        self.backoff_base_ps
-            .unwrap_or_else(|| self.retry_backoff_ns.saturating_mul(1000))
     }
 
     /// Returns the same config with a different master seed.
@@ -164,9 +120,10 @@ impl FaultConfig {
     /// straggler_prob = 0.05
     /// straggler_max_ns = 2000
     /// dead_dpus = 3, 17
+    /// # budgets: retries per transfer, backoff base and barrier watchdog
     /// max_retries = 3
-    /// retry_backoff_ns = 100
-    /// watchdog_timeout_ns = 1000000
+    /// backoff_base_ps = 100000
+    /// watchdog_ps = 1000000000
     /// # permanent fabric faults: explicit components and/or seeded rates
     /// perm_segments = r0c1b3E, r0c2b0W
     /// perm_ports = r0c1tx
@@ -174,13 +131,10 @@ impl FaultConfig {
     /// perm_segment_prob = 0.0
     /// perm_port_prob = 0.0
     /// perm_rank_prob = 0.0
-    /// # time-varying faults (recovery manager) + recovery budget overrides
+    /// # time-varying faults (recovery manager)
     /// arrivals = r0c1b3E@t=5000ps, rank2@t=12000ps
     /// flaps = r0c1b0W@t=2000ps+1500ps
     /// bursts = ber=0.4@t=1000ps+500ps
-    /// watchdog_ps = 2000000000
-    /// retry_budget = 8
-    /// backoff_base_ps = 100000
     /// ```
     ///
     /// # Errors
@@ -215,10 +169,8 @@ impl FaultConfig {
                     cfg.dead_dpus = ids;
                 }
                 "max_retries" => cfg.max_retries = value.parse().map_err(|e| bad(&e))?,
-                "retry_backoff_ns" => cfg.retry_backoff_ns = value.parse().map_err(|e| bad(&e))?,
-                "watchdog_timeout_ns" => {
-                    cfg.watchdog_timeout_ns = value.parse().map_err(|e| bad(&e))?;
-                }
+                "backoff_base_ps" => cfg.backoff_base_ps = value.parse().map_err(|e| bad(&e))?,
+                "watchdog_ps" => cfg.watchdog_ps = value.parse().map_err(|e| bad(&e))?,
                 "perm_segments" => {
                     for part in value.split(',').map(str::trim).filter(|p| !p.is_empty()) {
                         cfg.permanent
@@ -259,11 +211,6 @@ impl FaultConfig {
                 "bursts" => {
                     cfg.timeline.bursts =
                         FaultTimeline::parse_bursts(value).map_err(|e| bad(&e))?;
-                }
-                "watchdog_ps" => cfg.watchdog_ps = Some(value.parse().map_err(|e| bad(&e))?),
-                "retry_budget" => cfg.retry_budget = Some(value.parse().map_err(|e| bad(&e))?),
-                "backoff_base_ps" => {
-                    cfg.backoff_base_ps = Some(value.parse().map_err(|e| bad(&e))?);
                 }
                 _ => return Err(format!("line {}: unknown key `{key}`", lineno + 1)),
             }
@@ -328,22 +275,35 @@ mod tests {
              straggler_max_ns = 2000\n\
              dead_dpus = 17, 3, 17\n\
              max_retries = 5\n\
-             retry_backoff_ns = 250\n\
-             watchdog_timeout_ns = 9000\n",
+             backoff_base_ps = 250000\n\
+             watchdog_ps = 9000500\n",
         )
         .unwrap();
         assert_eq!(cfg.seed, 42);
         assert!((cfg.transient_ber - 0.01).abs() < 1e-12);
         assert_eq!(cfg.dead_dpus, vec![3, 17]); // sorted, deduped
         assert_eq!(cfg.max_retries, 5);
-        assert_eq!(cfg.retry_backoff_ns, 250);
-        assert_eq!(cfg.watchdog_timeout_ns, 9000);
+        assert_eq!(cfg.backoff_base_ps, 250_000);
+        assert_eq!(cfg.watchdog_ps, 9_000_500, "picosecond precision is kept");
+    }
+
+    #[test]
+    fn default_budgets_are_three_retries_100ns_backoff_and_a_1ms_watchdog() {
+        let cfg = FaultConfig::none();
+        assert_eq!(cfg.max_retries, 3);
+        assert_eq!(cfg.backoff_base_ps, 100_000);
+        assert_eq!(cfg.watchdog_ps, 1_000_000_000);
     }
 
     #[test]
     fn parse_rejects_bad_input() {
         assert!(FaultConfig::parse("nonsense").is_err());
-        assert!(FaultConfig::parse("mystery_key = 3").is_err());
+        assert_eq!(
+            FaultConfig::parse("seed = 1\nmystery_key = 3"),
+            Err("line 2: unknown key `mystery_key`".to_string())
+        );
+        assert!(FaultConfig::parse("watchdog_ps = -1").is_err());
+        assert!(FaultConfig::parse("backoff_base_ps = 18446744073709551616").is_err());
         assert!(FaultConfig::parse("transient_ber = 1.5").is_err());
         assert!(FaultConfig::parse("dead_dpus = 1, x").is_err());
     }
@@ -369,41 +329,19 @@ mod tests {
     }
 
     #[test]
-    fn parse_timeline_and_budget_keys() {
+    fn parse_timeline_keys() {
         let cfg = FaultConfig::parse(
             "arrivals = r0c1b3E@t=5000ps, rank2@t=12000ps\n\
              flaps = r0c1b0W@t=2000ps+1500ps\n\
-             bursts = ber=0.4@t=1000ps+500ps\n\
-             watchdog_ps = 2000000\n\
-             retry_budget = 8\n\
-             backoff_base_ps = 100000\n",
+             bursts = ber=0.4@t=1000ps+500ps\n",
         )
         .unwrap();
         assert_eq!(cfg.timeline.arrivals.len(), 2);
         assert_eq!(cfg.timeline.flaps.len(), 1);
         assert_eq!(cfg.timeline.bursts.len(), 1);
         assert!(cfg.is_active(), "a timeline alone activates the scenario");
-        assert_eq!(cfg.effective_watchdog_ps(), 2_000_000);
-        assert_eq!(cfg.effective_watchdog_ns(), 2_000);
-        assert_eq!(cfg.effective_retry_budget(), 8);
-        assert_eq!(cfg.effective_backoff_base_ps(), 100_000);
         assert!(FaultConfig::parse("arrivals = r0c1b3E").is_err());
         assert!(FaultConfig::parse("bursts = 0.4@t=0ps+1ps").is_err());
-    }
-
-    #[test]
-    fn effective_budgets_default_to_legacy_knobs() {
-        let cfg = FaultConfig::none();
-        assert_eq!(cfg.effective_watchdog_ns(), cfg.watchdog_timeout_ns);
-        assert_eq!(cfg.effective_watchdog_ps(), cfg.watchdog_timeout_ns * 1000);
-        assert_eq!(cfg.effective_retry_budget(), cfg.max_retries);
-        assert_eq!(cfg.effective_backoff_base_ps(), cfg.retry_backoff_ns * 1000);
-        // Sub-nanosecond watchdog override clamps to 1 ns rather than 0.
-        let cfg = FaultConfig {
-            watchdog_ps: Some(500),
-            ..FaultConfig::none()
-        };
-        assert_eq!(cfg.effective_watchdog_ns(), 1);
     }
 
     #[test]

@@ -204,38 +204,22 @@ impl FaultInjector {
         self.cfg.timeline.flap_down(segment, t_ps)
     }
 
-    /// Exponential backoff before recovery round `round` (1-based), in
-    /// integer picoseconds: `effective_backoff_base_ps() << (round - 1)`,
-    /// saturating.
+    /// Exponential backoff before re-send or recovery round `round`
+    /// (1-based), in integer picoseconds: `backoff_base_ps << (round - 1)`,
+    /// saturating at `u64::MAX` once a bit would shift out. Round 0 waits
+    /// nothing.
     #[must_use]
     pub fn backoff_ps(&self, round: u32) -> u64 {
-        if round == 0 {
+        let base = self.cfg.backoff_base_ps;
+        if round == 0 || base == 0 {
             return 0;
         }
-        self.cfg
-            .effective_backoff_base_ps()
-            .checked_shl(round - 1)
-            .unwrap_or(u64::MAX)
-    }
-
-    /// Exponential backoff before re-send `attempt` (1-based), in
-    /// nanoseconds: `retry_backoff_ns << (attempt - 1)`, saturating.
-    #[must_use]
-    pub fn backoff_ns(&self, attempt: u32) -> u64 {
-        if attempt == 0 {
-            return 0;
+        let shift = round - 1;
+        if shift > base.leading_zeros() {
+            u64::MAX
+        } else {
+            base << shift
         }
-        self.cfg
-            .retry_backoff_ns
-            .checked_shl(attempt - 1)
-            .unwrap_or(u64::MAX)
-    }
-
-    /// Total backoff spent reaching a clean send after `corrupted`
-    /// corrupted attempts (the sum of the per-re-send backoffs).
-    #[must_use]
-    pub fn total_backoff_ns(&self, corrupted: u32) -> u64 {
-        (1..=corrupted).fold(0u64, |acc, a| acc.saturating_add(self.backoff_ns(a)))
     }
 }
 
@@ -363,15 +347,44 @@ mod tests {
     #[test]
     fn backoff_is_exponential_and_saturating() {
         let inj = FaultInjector::new(FaultConfig {
-            retry_backoff_ns: 100,
+            backoff_base_ps: 100,
             ..FaultConfig::none()
         });
-        assert_eq!(inj.backoff_ns(0), 0);
-        assert_eq!(inj.backoff_ns(1), 100);
-        assert_eq!(inj.backoff_ns(2), 200);
-        assert_eq!(inj.backoff_ns(3), 400);
-        assert_eq!(inj.total_backoff_ns(3), 700);
-        assert_eq!(inj.backoff_ns(200), u64::MAX);
+        assert_eq!(inj.backoff_ps(0), 0);
+        assert_eq!(inj.backoff_ps(1), 100);
+        assert_eq!(inj.backoff_ps(2), 200);
+        assert_eq!(inj.backoff_ps(3), 400);
+        assert_eq!(inj.backoff_ps(200), u64::MAX);
+        let default = FaultInjector::none();
+        assert_eq!(default.backoff_ps(1), 100_000, "100 ns default base");
+    }
+
+    #[test]
+    fn backoff_never_decreases_and_saturates() {
+        for base in [1, 7, 100_000, 1 << 40, u64::MAX / 3, u64::MAX] {
+            let inj = FaultInjector::new(FaultConfig {
+                backoff_base_ps: base,
+                ..FaultConfig::none()
+            });
+            let mut prev = 0;
+            for round in 1..=200 {
+                let b = inj.backoff_ps(round);
+                assert!(b >= prev, "base {base}: round {round} gave {b} < {prev}");
+                let exact = u128::from(base) << (round - 1).min(127);
+                if round <= 64 && exact <= u128::from(u64::MAX) {
+                    assert_eq!(u128::from(b), exact, "base {base}, round {round}");
+                } else {
+                    assert_eq!(b, u64::MAX, "base {base}, round {round}");
+                }
+                prev = b;
+            }
+            assert_eq!(prev, u64::MAX);
+        }
+        let zero = FaultInjector::new(FaultConfig {
+            backoff_base_ps: 0,
+            ..FaultConfig::none()
+        });
+        assert!((0..=200).all(|r| zero.backoff_ps(r) == 0));
     }
 
     #[test]
@@ -407,25 +420,6 @@ mod tests {
             .map(|t| inj.corrupts_at(0, 0, t, 0, 0, 1))
             .collect();
         assert_ne!(r0, r1);
-    }
-
-    #[test]
-    fn backoff_ps_uses_the_effective_base() {
-        let inj = FaultInjector::new(FaultConfig {
-            retry_backoff_ns: 100,
-            ..FaultConfig::none()
-        });
-        assert_eq!(inj.backoff_ps(0), 0);
-        assert_eq!(inj.backoff_ps(1), 100_000, "derived from the ns knob");
-        assert_eq!(inj.backoff_ps(2), 200_000);
-        assert_eq!(inj.backoff_ps(200), u64::MAX);
-        let inj = FaultInjector::new(FaultConfig {
-            retry_backoff_ns: 100,
-            backoff_base_ps: Some(7),
-            ..FaultConfig::none()
-        });
-        assert_eq!(inj.backoff_ps(1), 7, "ps override wins");
-        assert_eq!(inj.backoff_ps(3), 28);
     }
 
     #[test]

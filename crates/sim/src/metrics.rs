@@ -322,7 +322,9 @@ impl MetricsReport {
         }
         self.recovery_steps += other.recovery_steps;
         self.recovery_retries += other.recovery_retries;
-        self.recovery_backoff_ps += other.recovery_backoff_ps;
+        self.recovery_backoff_ps = self
+            .recovery_backoff_ps
+            .saturating_add(other.recovery_backoff_ps);
         self.recovery_replans += other.recovery_replans;
         self.recovery_quarantines += other.recovery_quarantines;
         self.recovery_arrivals += other.recovery_arrivals;
@@ -643,11 +645,12 @@ impl Metrics {
         });
     }
 
-    /// One step-level recovery retry that waited `backoff_ps`.
+    /// One step-level recovery retry that waited `backoff_ps` (the total
+    /// saturates, like the recovery clock).
     pub fn recovery_retry(&self, backoff_ps: u64) {
         self.with(|r| {
             r.recovery_retries += 1;
-            r.recovery_backoff_ps += backoff_ps;
+            r.recovery_backoff_ps = r.recovery_backoff_ps.saturating_add(backoff_ps);
         });
     }
 

@@ -117,6 +117,15 @@ impl SimTime {
         }
     }
 
+    /// Checked multiplication by a count; `None` on overflow.
+    #[must_use]
+    pub const fn checked_mul(self, rhs: u64) -> Option<SimTime> {
+        match self.0.checked_mul(rhs) {
+            Some(v) => Some(SimTime(v)),
+            None => None,
+        }
+    }
+
     /// The larger of two times.
     #[must_use]
     pub fn max(self, other: SimTime) -> SimTime {

@@ -25,7 +25,7 @@ use pimnet_suite::faults::{FaultConfig, FaultInjector, PermanentFaultSet};
 use pimnet_suite::net::backends::PimnetBackend;
 use pimnet_suite::net::collective::CollectiveKind;
 use pimnet_suite::net::exec::{ExecMachine, ReduceOp};
-use pimnet_suite::net::recovery::{run_recovered, RecoveryConfig, RecoveryRequest};
+use pimnet_suite::net::recovery::{run_recovered, RecoveryRequest};
 use pimnet_suite::net::schedule::CommSchedule;
 use pimnet_suite::net::sync::{SyncModel, SyncScope};
 use pimnet_suite::net::timeline::Timeline;
@@ -268,7 +268,6 @@ fn observation_never_changes_a_result() {
                     injector: &injector,
                     system: &sys,
                     timing: &timing,
-                    config: RecoveryConfig::default(),
                 };
                 run_recovered(&req, init, p).map(|out| {
                     (

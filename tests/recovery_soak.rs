@@ -21,9 +21,7 @@ use pimnet_suite::faults::{
 };
 use pimnet_suite::net::collective::CollectiveKind;
 use pimnet_suite::net::exec::{run_collective, ExecMachine, ReduceOp};
-use pimnet_suite::net::recovery::{
-    run_recovered, RecoveryConfig, RecoveryOutcome, RecoveryRequest,
-};
+use pimnet_suite::net::recovery::{run_recovered, RecoveryOutcome, RecoveryRequest};
 use pimnet_suite::net::schedule::CommSchedule;
 use pimnet_suite::net::timing::TimingModel;
 use pimnet_suite::net::PimnetError;
@@ -96,7 +94,6 @@ fn run_one(kind: CollectiveKind, seed: u64) -> Result<RecoveryOutcome<u64>, Pimn
         injector: &injector,
         system: &sys,
         timing: &timing,
-        config: RecoveryConfig::default(),
     };
     run_recovered::<u64>(&req, input, Probe::disabled())
 }
@@ -208,7 +205,7 @@ fn finite_burst_windows_recover_bit_identically_for_every_kind() {
                 }],
                 ..FaultTimeline::none()
             },
-            backoff_base_ps: Some(2_000_000),
+            backoff_base_ps: 2_000_000,
             ..FaultConfig::none()
         });
         let req = RecoveryRequest {
@@ -220,7 +217,6 @@ fn finite_burst_windows_recover_bit_identically_for_every_kind() {
             injector: &injector,
             system: &sys,
             timing: &timing,
-            config: RecoveryConfig::default(),
         };
         let out = run_recovered::<u64>(&req, input, Probe::disabled()).unwrap();
         assert_eq!(out.plan_tier, 0, "{kind}: trail {:?}", out.error_trail);
@@ -255,7 +251,6 @@ fn mid_run_arrivals_stay_sound_for_every_kind() {
             injector: &injector,
             system: &sys,
             timing: &timing,
-            config: RecoveryConfig::default(),
         };
         let out = run_recovered::<u64>(&req, input, Probe::disabled()).unwrap();
         assert!(
@@ -285,7 +280,7 @@ fn declared_dead_rank_from_launch_still_plans_and_recovers() {
         }],
         ..FaultTimeline::none()
     };
-    cfg.backoff_base_ps = Some(800_000);
+    cfg.backoff_base_ps = 800_000;
     let injector = FaultInjector::new(cfg);
     let req = RecoveryRequest {
         kind: CollectiveKind::AllReduce,
@@ -296,7 +291,6 @@ fn declared_dead_rank_from_launch_still_plans_and_recovers() {
         injector: &injector,
         system: &sys,
         timing: &timing,
-        config: RecoveryConfig::default(),
     };
     let out = run_recovered::<u64>(&req, input, Probe::disabled()).unwrap();
     assert!(out.machine.is_some(), "trail: {:?}", out.error_trail);

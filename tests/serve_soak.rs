@@ -20,6 +20,7 @@ use pimnet_suite::arch::PimGeometry;
 use pimnet_suite::faults::{FaultConfig, FaultTimeline, TimelineRates};
 use pimnet_suite::net::serve::{
     sample_arrivals, serve, OverloadThresholds, QueuePolicy, RequestOutcome, ServeConfig,
+    QUARANTINE_PS,
 };
 use pimnet_suite::net::PimnetError;
 use pimnet_suite::sim::par;
@@ -216,7 +217,7 @@ fn quarantine_epochs_are_monotone_and_walls_are_respected() {
         assert!(q.epoch >= epochs[ti], "epochs must never regress");
         epochs[ti] = q.epoch;
         if q.entered {
-            walls[ti].push((q.at_ps, q.at_ps + cfg.quarantine_ps));
+            walls[ti].push((q.at_ps, q.at_ps + QUARANTINE_PS));
         }
     }
     // No request is *served* on a tenant inside its quarantine wall.
