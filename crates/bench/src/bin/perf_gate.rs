@@ -4,7 +4,7 @@
 //! matrix, the fig 12/13/14 sweeps, and the multi-tenant serving soak
 //! (whose request logs join the byte-identity check and whose clean
 //! p50/p99 latency and collectives/sec land in the JSON as
-//! `serve_*` keys, gated against the baseline) — three times:
+//! `serve_*` keys) — three times:
 //!
 //! 1. **sequential, cold cache** (1 worker) — the reference output;
 //! 2. **parallel, cold cache** (`workers` threads) — must be
@@ -17,15 +17,15 @@
 //! under parallel execution is the contract `pim_sim::par` sells.
 //! The gate also measures the fault-free overhead of the runtime
 //! recovery manager (plain executor vs `run_recovered` with an inactive
-//! injector, interleaved min-of-k), failing when it exceeds 1 % (override
-//! with `PIMNET_TRACE_TOLERANCE`, floored at 0.01), and the incremental
-//! re-lint speedup on a pinned single-step edit (delta re-verify vs
-//! batch analyzer, byte-identical reports required), failing below 5x
-//! (override with `PIMNET_DELTA_SPEEDUP_FLOOR`).
+//! injector, interleaved min-of-k), failing when it exceeds 1 %, and the
+//! incremental re-lint speedup on a pinned single-step edit (delta
+//! re-verify vs batch analyzer, byte-identical reports required),
+//! failing below 5x.
 //! Results land in `results/BENCH_perf.json`; when a committed baseline
 //! (`results/perf_baseline.json`) exists, the gate fails on a wall-time
-//! regression beyond the tolerance (default 25 %, override with
-//! `PIMNET_PERF_TOLERANCE=0.40`-style fractions).
+//! regression beyond 25 %. Every bound is a constant below. The serving
+//! metrics are simulated time, deterministic to the picosecond, so
+//! `tests/serve_soak.rs` pins them exactly instead of gating them here.
 //!
 //! On hosts with fewer than two available cores the sequential/parallel
 //! wall-time ratio is scheduler noise, not a speedup — the JSON then
@@ -49,6 +49,14 @@ use pimnet_bench::{results_dir, sweeps};
 /// enough that the parallel fan-out dominates the fixed costs.
 const CHAOS_PER_CELL: u64 = 4;
 const CHAOS_BASE_SEED: u64 = 0xC40;
+
+/// Largest wall-time regression against the baseline, as a fraction.
+const WALL_TOLERANCE: f64 = 0.25;
+/// Largest fault-free overhead of the recovery manager over the plain
+/// executor, as a fraction.
+const RECOVERY_OVERHEAD_LIMIT: f64 = 0.01;
+/// Smallest incremental re-lint speedup over the batch analyzer.
+const DELTA_SPEEDUP_FLOOR: f64 = 5.0;
 
 /// Interleaved min-of-k comparison of `plain` vs `variant`, sampled in
 /// rounds until the measured overhead drops to `budget` or the rounds
@@ -340,42 +348,32 @@ fn main() {
         );
     }
 
-    let trace_tolerance = std::env::var("PIMNET_TRACE_TOLERANCE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(0.01)
-        .max(0.01);
-    let recov_overhead = recovery_overhead(trace_tolerance);
+    let recov_overhead = recovery_overhead(RECOVERY_OVERHEAD_LIMIT);
     println!(
         "  fault-free recovery overhead: {:.2}% (limit {:.0}%)",
         recov_overhead * 100.0,
-        trace_tolerance * 100.0
+        RECOVERY_OVERHEAD_LIMIT * 100.0
     );
-    if recov_overhead > trace_tolerance {
+    if recov_overhead > RECOVERY_OVERHEAD_LIMIT {
         eprintln!(
             "FAIL: the recovery manager's fault-free fast path costs {:.2}% \
-             over the plain executor (limit {:.0}%; raise with \
-             PIMNET_TRACE_TOLERANCE on noisy machines)",
+             over the plain executor (limit {:.0}%; load on the host only \
+             inflates the minima, so re-run once before believing it)",
             recov_overhead * 100.0,
-            trace_tolerance * 100.0
+            RECOVERY_OVERHEAD_LIMIT * 100.0
         );
         std::process::exit(1);
     }
 
-    let delta_floor = std::env::var("PIMNET_DELTA_SPEEDUP_FLOOR")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(5.0);
     let (delta_speedup, delta_relinted) = delta_lint_speedup(5);
     println!(
         "  incremental re-lint: {delta_speedup:.1}x batch ({delta_relinted} of the \
-         schedule's steps re-linted; floor {delta_floor:.0}x)"
+         schedule's steps re-linted; floor {DELTA_SPEEDUP_FLOOR:.0}x)"
     );
-    if delta_speedup < delta_floor {
+    if delta_speedup < DELTA_SPEEDUP_FLOOR {
         eprintln!(
             "FAIL: incremental single-step re-lint is only {delta_speedup:.1}x \
-             faster than the batch analyzer (floor {delta_floor:.0}x; override \
-             with PIMNET_DELTA_SPEEDUP_FLOOR on noisy machines)"
+             faster than the batch analyzer (floor {DELTA_SPEEDUP_FLOOR:.0}x)"
         );
         std::process::exit(1);
     }
@@ -451,10 +449,6 @@ fn main() {
         );
         return;
     };
-    let tolerance = std::env::var("PIMNET_PERF_TOLERANCE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(0.25);
     let Some(base_ms) = json_number(&baseline, "wall_ms") else {
         eprintln!(
             "perf_gate: baseline has no wall_ms: {}",
@@ -462,47 +456,18 @@ fn main() {
         );
         std::process::exit(1);
     };
-    let limit = base_ms * (1.0 + tolerance);
+    let limit = base_ms * (1.0 + WALL_TOLERANCE);
     if par_ms > limit {
         eprintln!(
             "FAIL: wall time {par_ms:.1} ms exceeds baseline {base_ms:.1} ms \
              by more than {:.0}% (limit {limit:.1} ms)",
-            tolerance * 100.0
+            WALL_TOLERANCE * 100.0
         );
         std::process::exit(1);
-    }
-    // The serving metrics are *simulated* time — deterministic, so any
-    // drift is a model change, not machine noise. The wall-clock
-    // tolerance still applies so an intentional re-pin stays a
-    // one-line --update-baseline, but the gate catches silent tail
-    // regressions in the serving engine itself.
-    if let Some(base_p99) = json_number(&baseline, "serve_p99_us") {
-        let p99_limit = base_p99 * (1.0 + tolerance);
-        if serve.p99_us > p99_limit {
-            eprintln!(
-                "FAIL: serving p99 {:.3} us exceeds baseline {base_p99:.3} us \
-                 by more than {:.0}% (limit {p99_limit:.3} us)",
-                serve.p99_us,
-                tolerance * 100.0
-            );
-            std::process::exit(1);
-        }
-    }
-    if let Some(base_cps) = json_number(&baseline, "serve_collectives_per_sec") {
-        let cps_floor = base_cps * (1.0 - tolerance);
-        if serve.collectives_per_sec < cps_floor {
-            eprintln!(
-                "FAIL: serving throughput {:.1} collectives/s fell below \
-                 baseline {base_cps:.1} by more than {:.0}% (floor {cps_floor:.1})",
-                serve.collectives_per_sec,
-                tolerance * 100.0
-            );
-            std::process::exit(1);
-        }
     }
     println!(
         "within budget: {par_ms:.1} ms vs baseline {base_ms:.1} ms \
          (+{:.0}% tolerance)",
-        tolerance * 100.0
+        WALL_TOLERANCE * 100.0
     );
 }

@@ -10,13 +10,12 @@
 //!    breakdown must equal the full walk *bit-for-bit* — any inexact
 //!    cell is a hard failure.
 //! 2. **Raw speed**: at 256 DPUs the boosted path must price at least
-//!    10x faster than the full path for every collective (override the
-//!    floor with `PIMNET_BOOST_SPEEDUP_FLOOR`).
+//!    10x faster than the full path for every collective.
 //!
 //! Results land in `results/BENCH_scaling.json`. When a committed
 //! baseline (`results/scaling_baseline.json`) exists, the gate also
 //! fails if the minimum 256-DPU speedup fell below the baseline's by
-//! more than `PIMNET_PERF_TOLERANCE` (default 25 %). The gated quantity
+//! more than 25 %. Both bounds are constants below. The gated quantity
 //! is a same-machine *ratio*, so the baseline transfers across hosts —
 //! unlike wall-times, which the JSON reports but does not gate.
 //!
@@ -30,6 +29,12 @@ use pimnet_bench::{results_dir, sweeps};
 /// Timed repetitions per cell: enough for a stable minimum, cheap enough
 /// that the whole gate stays in single-digit seconds.
 const REPS: u32 = 30;
+
+/// Smallest boosted-over-full pricing speedup at 256 DPUs, per collective.
+const BOOST_SPEEDUP_FLOOR: f64 = 10.0;
+/// Largest fall of the minimum 256-DPU speedup below the baseline's, as
+/// a fraction.
+const SPEEDUP_TOLERANCE: f64 = 0.25;
 
 /// Extracts `"key": <number>` from a flat JSON object (same shape and
 /// reader as `perf_gate`).
@@ -83,10 +88,6 @@ fn main() {
         std::process::exit(1);
     }
 
-    let floor = std::env::var("PIMNET_BOOST_SPEEDUP_FLOOR")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(10.0);
     let at_256: Vec<&sweeps::ScalingCell> = cells.iter().filter(|c| c.dpus == 256).collect();
     let min_speedup = at_256
         .iter()
@@ -98,17 +99,16 @@ fn main() {
         .fold(f64::INFINITY, f64::min);
     println!(
         "  x256: min speedup {min_speedup:.1}x, min transfer reduction \
-         {min_reduction:.1}x (floor {floor:.0}x)"
+         {min_reduction:.1}x (floor {BOOST_SPEEDUP_FLOOR:.0}x)"
     );
-    if min_speedup < floor {
+    if min_speedup < BOOST_SPEEDUP_FLOOR {
         let worst = at_256
             .iter()
             .min_by(|a, b| a.speedup.total_cmp(&b.speedup))
             .expect("256-DPU cells exist");
         eprintln!(
             "FAIL: {} x256 boosted pricing is only {:.1}x faster than the \
-             full path (floor {floor:.0}x; override with \
-             PIMNET_BOOST_SPEEDUP_FLOOR on noisy machines)",
+             full path (floor {BOOST_SPEEDUP_FLOOR:.0}x)",
             worst.kind, worst.speedup
         );
         std::process::exit(1);
@@ -167,10 +167,6 @@ fn main() {
         );
         return;
     };
-    let tolerance = std::env::var("PIMNET_PERF_TOLERANCE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(0.25);
     let Some(base_speedup) = json_number(&baseline, "min_speedup_x256") else {
         eprintln!(
             "scaling_gate: baseline has no min_speedup_x256: {}",
@@ -178,20 +174,20 @@ fn main() {
         );
         std::process::exit(1);
     };
-    let speedup_floor = base_speedup * (1.0 - tolerance);
+    let speedup_floor = base_speedup * (1.0 - SPEEDUP_TOLERANCE);
     if min_speedup < speedup_floor {
         eprintln!(
             "FAIL: min 256-DPU boost speedup {min_speedup:.1}x fell below \
              baseline {base_speedup:.1}x by more than {:.0}% (floor \
              {speedup_floor:.1}x; re-pin with --update-baseline after an \
              intentional change)",
-            tolerance * 100.0
+            SPEEDUP_TOLERANCE * 100.0
         );
         std::process::exit(1);
     }
     println!(
         "within budget: min 256-DPU speedup {min_speedup:.1}x vs baseline \
          {base_speedup:.1}x (-{:.0}% tolerance)",
-        tolerance * 100.0
+        SPEEDUP_TOLERANCE * 100.0
     );
 }

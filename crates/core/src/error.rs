@@ -47,7 +47,8 @@ pub enum PimnetError {
         step: usize,
         /// Transfer index within the step.
         transfer: usize,
-        /// Attempts made (the original send plus every retry).
+        /// Attempts made (the original send plus every retry), saturating
+        /// at `u32::MAX`.
         attempts: u32,
     },
     /// The READY/START barrier did not close before the watchdog fired —

@@ -330,7 +330,11 @@ impl<T: Element> ExecMachine<T> {
     /// Models one transfer crossing the wire: serialize, corrupt per the
     /// injector, CRC-check, retry. Returns once an attempt arrives clean.
     /// Re-sends are recorded into `probe` as `exec-retry` instants at the
-    /// step's `logical` ordinal (a no-op on the disabled probe).
+    /// step's `logical` ordinal (a no-op on the disabled probe). A
+    /// non-empty transfer the injector
+    /// [always corrupts](FaultInjector::always_corrupts) fails at once:
+    /// every attempt would flip a bit, and CRC-32 catches every single-bit
+    /// flip.
     fn transmit(
         &self,
         payload: &[T],
@@ -344,6 +348,15 @@ impl<T: Element> ExecMachine<T> {
             .iter()
             .flat_map(|e| e.wire_bits().to_le_bytes())
             .collect();
+        let failed = || PimnetError::TransferFailed {
+            phase: pi,
+            step: si,
+            transfer: ti,
+            attempts: injector.max_attempts(),
+        };
+        if !wire.is_empty() && injector.always_corrupts() {
+            return Err(failed());
+        }
         let sent_crc = pim_faults::crc32(&wire);
         let mut attempt = 0u32;
         loop {
@@ -364,12 +377,7 @@ impl<T: Element> ExecMachine<T> {
             }
             stats.corrupted += 1;
             if attempt >= injector.config().max_retries {
-                return Err(PimnetError::TransferFailed {
-                    phase: pi,
-                    step: si,
-                    transfer: ti,
-                    attempts: attempt + 1,
-                });
+                return Err(failed());
             }
             attempt += 1;
             stats.retries += 1;
@@ -760,6 +768,22 @@ mod tests {
         let mut m = ExecMachine::init(&s, |id| input(id, 16));
         match m.run_with_faults(&s, ReduceOp::Sum, &inj) {
             Err(PimnetError::TransferFailed { attempts, .. }) => assert_eq!(attempts, 3),
+            other => panic!("expected TransferFailed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn certain_corruption_fails_at_once_under_the_largest_budget() {
+        use pim_faults::{FaultConfig, FaultInjector};
+        let s = build(CollectiveKind::AllReduce, 8, 16);
+        let inj = FaultInjector::new(FaultConfig {
+            transient_ber: 1.0,
+            max_retries: u32::MAX,
+            ..FaultConfig::none()
+        });
+        let mut m = ExecMachine::init(&s, |id| input(id, 16));
+        match m.run_with_faults(&s, ReduceOp::Sum, &inj) {
+            Err(PimnetError::TransferFailed { attempts, .. }) => assert_eq!(attempts, u32::MAX),
             other => panic!("expected TransferFailed, got {other:?}"),
         }
     }

@@ -588,19 +588,24 @@ pub fn run_recovered<T: Element>(
                         }
                         // CRC under the (possibly burst-elevated) BER; the
                         // per-transfer attempt budget is the same knob as the
-                        // step budget.
+                        // step budget. A BER of 1 or more fails every attempt,
+                        // so the walk is skipped.
                         if !payload.is_empty() {
+                            let failed = PimnetError::TransferFailed {
+                                phase: pi,
+                                step: si,
+                                transfer: ti,
+                                attempts: inj.max_attempts(),
+                            };
+                            if inj.always_corrupts_at(t_ps) {
+                                return Err(failed);
+                            }
                             let mut attempt = 0u32;
                             while inj
                                 .corrupts_at(t_ps, pi as u64, si as u64, ti as u64, attempt, round)
                             {
                                 if attempt >= step_budget {
-                                    return Err(PimnetError::TransferFailed {
-                                        phase: pi,
-                                        step: si,
-                                        transfer: ti,
-                                        attempts: attempt + 1,
-                                    });
+                                    return Err(failed);
                                 }
                                 attempt += 1;
                             }
@@ -945,6 +950,42 @@ mod tests {
         assert!(out.stats.step_retries >= 48, "{:?}", out.stats);
         let (ref_s, ref_m) = reference();
         assert_eq!(check_outcome(&out, &ref_s, &ref_m), Ok(()));
+    }
+
+    #[test]
+    fn certain_corruption_skips_the_attempt_walk_under_the_largest_budget() {
+        let g = PimGeometry::paper_scaled(N);
+        let system = SystemConfig::paper_scaled(N);
+        let timing = TimingModel::paper();
+        // A BER-1.0 burst the default backoff outlasts in a few rounds.
+        // Inside it every transfer fails without drawing, so the largest
+        // budget ends exactly like a small one.
+        let run = |max_retries| {
+            let injector = FaultInjector::new(FaultConfig {
+                timeline: FaultTimeline {
+                    bursts: vec![TransientBurst {
+                        from_ps: 0,
+                        until_ps: 1_000_000,
+                        ber: 1.0,
+                    }],
+                    ..FaultTimeline::none()
+                },
+                max_retries,
+                ..FaultConfig::none()
+            });
+            let req = request(&g, &system, &timing, &injector);
+            let probe = Probe::enabled();
+            let out = run_recovered(&req, input, &probe).unwrap();
+            (out, probe.trace.drain())
+        };
+        let (huge, huge_trace) = run(u32::MAX);
+        let (small, small_trace) = run(8);
+        assert_eq!(huge.plan_tier, 0, "trail: {:?}", huge.error_trail);
+        assert!(huge.stats.step_retries >= 1, "burst never forced a retry");
+        assert_eq!(huge.stats, small.stats);
+        assert_eq!(huge.end_ps, small.end_ps);
+        assert_eq!(huge_trace, small_trace);
+        assert_bit_identical(&reference().0, huge.machine.as_ref().unwrap());
     }
 
     #[test]

@@ -527,7 +527,8 @@ impl ServeReport {
 /// function of `(cfg.seed, tenants)`, independent of engine state.
 /// Per-tenant gaps are `mean_gap/2 + hash % mean_gap`, so the mean is
 /// honored while the sequence stays coordinate-hashed (no sequential
-/// RNG state to get reordered).
+/// RNG state to get reordered). Every gap is at least 1 ps, so the
+/// trace ends at the horizon even for a 0- or 1-ps mean gap.
 #[must_use]
 pub fn sample_arrivals(cfg: &ServeConfig) -> Vec<Request> {
     let mut all: Vec<Request> = Vec::new();
@@ -536,7 +537,8 @@ pub fn sample_arrivals(cfg: &ServeConfig) -> Vec<Request> {
         let mut seq = 0u64;
         loop {
             let gap = (t.mean_gap_ps / 2)
-                .saturating_add(hash_coords(cfg.seed, &[ti as u64, seq]) % t.mean_gap_ps.max(1));
+                .saturating_add(hash_coords(cfg.seed, &[ti as u64, seq]) % t.mean_gap_ps.max(1))
+                .max(1);
             at = at.saturating_add(gap);
             if at >= cfg.horizon_ps {
                 break;
@@ -659,7 +661,8 @@ struct Engine<'a> {
 ///
 /// # Errors
 ///
-/// Configuration errors (no tenants, zero-element requests) surface as
+/// Configuration errors (no tenants, zero-element requests, a zero-depth
+/// queue, a zero mean arrival gap) surface as
 /// [`PimnetError::InvalidMessage`]; per-request service errors never
 /// abort the run — they land in that request's typed outcome.
 pub fn serve(cfg: &ServeConfig) -> Result<ServeReport, PimnetError> {
@@ -687,6 +690,11 @@ pub fn serve_probed(cfg: &ServeConfig, probe: &Probe) -> Result<ServeReport, Pim
         if t.queue_capacity == 0 {
             return Err(PimnetError::InvalidMessage {
                 reason: format!("tenant {} has a zero-depth queue", t.name),
+            });
+        }
+        if t.mean_gap_ps == 0 {
+            return Err(PimnetError::InvalidMessage {
+                reason: format!("tenant {} has a zero mean arrival gap", t.name),
             });
         }
     }
@@ -1544,6 +1552,30 @@ mod tests {
         };
         epochs.quarantines = vec![q(2), q(1)];
         assert!(check_report(&cfg, &epochs).unwrap_err().contains("epoch"));
+    }
+
+    #[test]
+    fn a_zero_mean_gap_is_a_typed_config_error() {
+        let mut cfg = tiny_cfg(7);
+        cfg.tenants[1].mean_gap_ps = 0;
+        match serve(&cfg) {
+            Err(PimnetError::InvalidMessage { reason }) => {
+                assert!(reason.contains(&cfg.tenants[1].name), "{reason}");
+                assert!(reason.contains("zero mean arrival gap"), "{reason}");
+            }
+            other => panic!("expected InvalidMessage, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_arrival_clock_advances_at_least_a_picosecond_per_request() {
+        let mut cfg = tiny_cfg(1);
+        cfg.tenants.truncate(1);
+        cfg.horizon_ps = 1000;
+        cfg.tenants[0].mean_gap_ps = 1;
+        assert!(sample_arrivals(&cfg).len() <= 1000);
+        cfg.tenants[0].mean_gap_ps = 0;
+        assert!(sample_arrivals(&cfg).len() <= 1000);
     }
 
     #[test]

@@ -217,7 +217,7 @@ impl Timeline {
                                 phase: pi,
                                 step: si,
                                 transfer: ti,
-                                attempts: injector.config().max_retries.saturating_add(1),
+                                attempts: injector.max_attempts(),
                             })?
                     } else {
                         0

@@ -130,11 +130,51 @@ impl FaultInjector {
     /// transfer)` goes through clean, capped at the retry budget.
     ///
     /// Returns `None` if every allowed attempt (the original plus
-    /// `max_retries` re-sends) is corrupted — the transfer fails.
+    /// `max_retries` re-sends) is corrupted — the transfer fails. A
+    /// transfer that [always corrupts](Self::always_corrupts) fails
+    /// without walking its budget.
     #[must_use]
     pub fn attempts_before_success(&self, phase: u64, step: u64, transfer: u64) -> Option<u32> {
+        if self.always_corrupts() {
+            return None;
+        }
         (0..=self.cfg.max_retries)
             .find(|&attempt| !self.transient_corrupts(phase, step, transfer, attempt))
+    }
+
+    /// Attempts a failed transfer made: the original send plus
+    /// `max_retries` re-sends, saturating at `u32::MAX`. Every retry
+    /// walker reports this as `TransferFailed::attempts`.
+    #[must_use]
+    pub fn max_attempts(&self) -> u32 {
+        self.cfg.max_retries.saturating_add(1)
+    }
+
+    /// `true` when [`transient_corrupts`](Self::transient_corrupts) holds
+    /// for every attempt of every transfer: a draw corrupts when
+    /// `unit(h) < ber`, and `unit` stays below 1, so a BER of at least 1
+    /// corrupts every draw. Retry walkers fail a non-empty transfer
+    /// outright instead of drawing `max_retries + 1` times.
+    #[must_use]
+    pub fn always_corrupts(&self) -> bool {
+        self.cfg.transient_ber >= 1.0
+    }
+
+    /// [`always_corrupts`](Self::always_corrupts) for
+    /// [`corrupts_at`](Self::corrupts_at): the effective BER at `t_ps` is
+    /// at least 1, so every attempt of every round corrupts.
+    #[must_use]
+    pub fn always_corrupts_at(&self, t_ps: u64) -> bool {
+        self.ber_at(t_ps) >= 1.0
+    }
+
+    /// The static `transient_ber` or the timeline's burst BER at `t_ps`,
+    /// whichever is higher.
+    fn ber_at(&self, t_ps: u64) -> f64 {
+        match self.cfg.timeline.burst_ber(t_ps) {
+            Some(b) => b.max(self.cfg.transient_ber),
+            None => self.cfg.transient_ber,
+        }
     }
 
     /// Extra nanoseconds DPU `dpu` straggles past the compute deadline for
@@ -177,10 +217,7 @@ impl FaultInjector {
         attempt: u32,
         round: u32,
     ) -> bool {
-        let ber = match self.cfg.timeline.burst_ber(t_ps) {
-            Some(b) => b.max(self.cfg.transient_ber),
-            None => self.cfg.transient_ber,
-        };
+        let ber = self.ber_at(t_ps);
         if ber <= 0.0 {
             return false;
         }
@@ -266,6 +303,20 @@ mod tests {
             .filter(|&i| inj.transient_corrupts(0, i, 0, 0))
             .count();
         assert!((1_500..2_500).contains(&hits), "p=0.2 gave {hits}/10000");
+    }
+
+    #[test]
+    fn certain_corruption_fails_without_walking_the_budget() {
+        let inj = FaultInjector::new(FaultConfig {
+            transient_ber: 1.0,
+            max_retries: u32::MAX,
+            ..FaultConfig::none()
+        });
+        assert!(inj.always_corrupts());
+        assert_eq!(inj.attempts_before_success(0, 0, 0), None);
+        assert_eq!(inj.max_attempts(), u32::MAX);
+        assert!(!lossy(3, 0.999).always_corrupts());
+        assert_eq!(lossy(3, 0.5).max_attempts(), 4);
     }
 
     #[test]

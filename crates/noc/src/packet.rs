@@ -135,7 +135,7 @@ pub fn inject_retransmissions(
                 phase: p.stage.0,
                 step: p.stage.1,
                 transfer: p.id,
-                attempts: injector.config().max_retries + 1,
+                attempts: injector.max_attempts(),
             })?;
         // Dependencies were expressed against original ids; repoint them
         // at the dependees' final attempts (all earlier in `out`).
@@ -279,6 +279,24 @@ mod tests {
             inject_retransmissions(&packets, &inj),
             Err(pimnet::PimnetError::TransferFailed { .. })
         ));
+    }
+
+    #[test]
+    fn certain_corruption_fails_at_once_under_the_largest_budget() {
+        use pim_faults::{FaultConfig, FaultInjector};
+        let s = schedule(CollectiveKind::AllToAll, 8, 8);
+        let packets = packets_from_schedule(&s);
+        let inj = FaultInjector::new(FaultConfig {
+            transient_ber: 1.0,
+            max_retries: u32::MAX,
+            ..FaultConfig::none()
+        });
+        match inject_retransmissions(&packets, &inj) {
+            Err(pimnet::PimnetError::TransferFailed { attempts, .. }) => {
+                assert_eq!(attempts, u32::MAX);
+            }
+            other => panic!("expected TransferFailed, got {other:?}"),
+        }
     }
 
     #[test]

@@ -5,14 +5,17 @@
 //! * strongly-typed physical units ([`Bytes`], [`Bandwidth`], [`Frequency`],
 //!   [`Cycles`]) whose arithmetic is exact integer math,
 //! * a picosecond-resolution simulated clock ([`SimTime`]),
-//! * a deterministic discrete-event engine ([`engine::Engine`]) with
-//!   strictly-ordered event dispatch,
+//! * a seeded random source ([`SimRng`]) and the coordinate hash the
+//!   fault injector draws from ([`rng::hash_coords`]),
 //! * a deterministic fan-out helper ([`par`]) that runs independent work
 //!   items on a scoped thread pool and returns results in input order,
 //! * a deterministic observability layer: structured event tracing
 //!   ([`trace`]), typed counters ([`metrics`]), and the [`Probe`] handle
-//!   bundling both for instrumented (`*_probed`) code paths,
-//! * small statistics helpers ([`stats`]).
+//!   bundling both for instrumented code paths.
+//!
+//! There is no event queue: PIMnet schedules every collective statically,
+//! so the layers above price a collective by walking its schedule (or, for
+//! the credit NoC, by stepping cycle by cycle) and never queue an event.
 //!
 //! Everything above (the architecture model, PIMnet itself, the NoC
 //! simulator, the workloads) is built on these types, so simulation results
@@ -32,17 +35,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod engine;
 pub mod metrics;
 pub mod par;
 pub mod probe;
 pub mod rng;
-pub mod stats;
 mod time;
 pub mod trace;
 mod units;
 
-pub use engine::Engine;
 pub use metrics::{Metrics, MetricsReport};
 pub use probe::Probe;
 pub use rng::SimRng;

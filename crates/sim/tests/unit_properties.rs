@@ -115,36 +115,3 @@ fn div_ceil_covers() {
         assert!((n - 1) * chunk < bytes);
     }
 }
-
-#[test]
-fn engine_event_order_is_total_under_interleaving() {
-    // Schedule events from inside events; the dispatch order must follow
-    // (time, insertion) no matter how they were created.
-    use pim_sim::Engine;
-    let mut engine: Engine<Vec<(u64, u32)>> = Engine::new();
-    for i in 0..8u32 {
-        engine.schedule(
-            SimTime::from_ns(10),
-            move |log: &mut Vec<(u64, u32)>, eng| {
-                log.push((10, i));
-                eng.schedule_in(SimTime::from_ns(u64::from(8 - i)), move |log, _| {
-                    log.push((10 + u64::from(8 - i), i));
-                });
-            },
-        );
-    }
-    let mut log = Vec::new();
-    engine.run(&mut log);
-    // First wave in insertion order.
-    assert_eq!(
-        log[..8].iter().map(|&(_, i)| i).collect::<Vec<_>>(),
-        (0..8).collect::<Vec<_>>()
-    );
-    // Second wave in time order (reverse insertion, since delay = 8 - i).
-    assert_eq!(
-        log[8..].iter().map(|&(_, i)| i).collect::<Vec<_>>(),
-        (0..8).rev().collect::<Vec<_>>()
-    );
-    // Times are globally non-decreasing.
-    assert!(log.windows(2).all(|w| w[0].0 <= w[1].0));
-}

@@ -1,11 +1,10 @@
 //! Typed errors for the executable reference kernels.
 //!
 //! The workload suite carries *functional* models (COO SpMV, pooled
-//! embedding lookup, hash join, the event-driven program runner) next to
-//! the analytic timing models. Their failure modes — mismatched shapes,
-//! out-of-range indices, degenerate partition counts — are caller errors,
-//! not bugs, so they surface as [`WorkloadError`] values instead of
-//! panics.
+//! embedding lookup, hash join) next to the analytic timing models.
+//! Their failure modes — mismatched shapes, out-of-range indices,
+//! degenerate partition counts — are caller errors, not bugs, so they
+//! surface as [`WorkloadError`] values instead of panics.
 
 use std::error::Error;
 use std::fmt;
@@ -40,13 +39,6 @@ pub enum WorkloadError {
         /// Which kernel rejected the partition count.
         what: &'static str,
     },
-    /// The event-driven runner finished a compute phase with completion
-    /// events still outstanding — a lost-event bug surfaced as an error
-    /// rather than a poisoned timeline.
-    LostCompletions {
-        /// DPU completions that never arrived.
-        missing: u32,
-    },
     /// The collective backend rejected a communication phase.
     Backend(PimnetError),
 }
@@ -66,12 +58,6 @@ impl fmt::Display for WorkloadError {
             }
             WorkloadError::ZeroPartitions { what } => {
                 write!(f, "{what}: cannot partition into zero parts")
-            }
-            WorkloadError::LostCompletions { missing } => {
-                write!(
-                    f,
-                    "event-driven run lost {missing} compute completion event(s)"
-                )
             }
             WorkloadError::Backend(e) => write!(f, "collective backend: {e}"),
         }
@@ -113,8 +99,6 @@ mod tests {
         assert!(e.to_string().contains("index 10 out of bounds"));
         let e = WorkloadError::ZeroPartitions { what: "hash join" };
         assert!(e.to_string().contains("zero parts"));
-        let e = WorkloadError::LostCompletions { missing: 3 };
-        assert!(e.to_string().contains("3 compute completion"));
     }
 
     #[test]

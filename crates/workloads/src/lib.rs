@@ -31,7 +31,6 @@
 
 pub mod bfs;
 pub mod cc;
-pub mod des;
 pub mod emb;
 pub mod error;
 pub mod gemv;

@@ -216,6 +216,8 @@ pub fn run_program(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mlp::Mlp;
+    use pim_sim::SimRng;
     use pimnet::backends::{BaselineHostBackend, PimnetBackend};
 
     fn toy_program() -> Program {
@@ -276,6 +278,61 @@ mod tests {
         assert!(r.total() >= r.compute);
         assert!((0.0..=1.0).contains(&r.comm_fraction()));
         assert!(r.to_string().contains("comm"));
+    }
+
+    /// Plays `program` with every DPU's compute time drawn (seeded)
+    /// uniformly from `mean × [1 − imbalance, 1 + imbalance]`: a compute
+    /// phase ends when its slowest DPU does, and a collective then runs
+    /// at the backend's skew-free price.
+    fn sampled_end(
+        program: &Program,
+        system: &SystemConfig,
+        backend: &dyn CollectiveBackend,
+        seed: u64,
+    ) -> SimTime {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut cursor = SimTime::ZERO;
+        for phase in &program.phases {
+            match phase {
+                Phase::Compute { per_dpu, imbalance } => {
+                    let mean = system.dpu.compute_time(per_dpu).as_secs_f64();
+                    let mut last = cursor;
+                    for _ in 0..system.geometry.dpus_per_channel() {
+                        let f = 1.0 + rng.gen_range(-*imbalance..=*imbalance);
+                        last = last.max(cursor + SimTime::from_secs_f64(mean * f));
+                    }
+                    cursor = last;
+                }
+                Phase::Collective {
+                    kind,
+                    bytes_per_dpu,
+                    elem_bytes,
+                } => {
+                    let spec =
+                        CollectiveSpec::new(*kind, *bytes_per_dpu).with_elem_bytes(*elem_bytes);
+                    cursor += backend.collective(&spec).unwrap().total();
+                }
+            }
+        }
+        cursor
+    }
+
+    #[test]
+    fn imbalance_model_matches_sampled_completions() {
+        let sys = SystemConfig::paper();
+        let backend = PimnetBackend::paper();
+        let program = Mlp::new(1024).program(&sys);
+        let model = run_program(&program, &sys, &backend, Probe::disabled())
+            .unwrap()
+            .total();
+        let sampled = sampled_end(&program, &sys, &backend, 7);
+        let ratio = sampled.ratio(model);
+        // The model charges the *max* of the imbalance band; a sampled run
+        // lands at or below it, and never under the mean.
+        assert!(
+            (0.9..=1.02).contains(&ratio),
+            "sampled {sampled} vs model {model} (ratio {ratio:.3})"
+        );
     }
 
     #[test]

@@ -53,10 +53,7 @@ hot_paths=(
     crates/core/src/recovery.rs
     crates/core/src/resilience.rs
     # The flat SoA layout (schedule/soa.rs) and the boost planner
-    # (schedule/boost.rs) are covered by the schedule directory above;
-    # the calendar-queue event core must stay hash-free too — bucket
-    # drain order is FIFO-within-priority by contract.
-    crates/sim/src/engine.rs
+    # (schedule/boost.rs) are covered by the schedule directory above.
     # Per-resource tallies (timing, timeline, boost facts, repair claims)
     # go through the dense `topology::Occupancy` table, drained in
     # resource order.

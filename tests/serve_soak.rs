@@ -15,6 +15,9 @@
 //!    is served on a tenant inside its quarantine wall.
 //! 5. **Fault composition** — a seeded fault timeline routed through
 //!    the recovery manager keeps every guarantee above.
+//! 6. **Pinned metrics** — the serving soak's p50/p99 latency and
+//!    collectives/s, which perf_gate reports, are pinned to the
+//!    picosecond.
 
 use pimnet_suite::arch::PimGeometry;
 use pimnet_suite::faults::{FaultConfig, FaultTimeline, TimelineRates};
@@ -251,4 +254,29 @@ fn fault_storms_compose_with_every_policy() {
             policy.name()
         );
     }
+}
+
+/// perf_gate's serving numbers, pinned exactly. They are simulated time,
+/// so any drift is a change to the serving model, not machine noise.
+/// Rendered as perf_gate prints them (p50 1.630 us, p99 13.037 us,
+/// 34670.9 collectives/s) they equal the `serve_*` keys of
+/// `results/perf_baseline.json` and the `209,clean` row of
+/// `results/serve_soak.csv`.
+#[test]
+fn perf_gate_serving_metrics_are_pinned_exactly() {
+    let s = pimnet_bench::sweeps::serve_soak(3, 1, 0xD1, 2);
+    assert_eq!(s.unsound, 0);
+    assert_eq!(s.total, 68);
+    // The clean cell served 34 requests by 980 648 957 ps, with median
+    // and tail latencies of 1 629 634 ps and 13 037 072 ps.
+    assert_eq!(s.p50_us, 1_629_634.0 / 1e6);
+    assert_eq!(s.p99_us, 13_037_072.0 / 1e6);
+    assert_eq!(s.collectives_per_sec, 34.0 / (980_648_957.0 / 1e12));
+    assert_eq!(
+        format!(
+            "{:.3} {:.3} {:.1}",
+            s.p50_us, s.p99_us, s.collectives_per_sec
+        ),
+        "1.630 13.037 34670.9"
+    );
 }
