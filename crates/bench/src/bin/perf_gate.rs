@@ -17,11 +17,10 @@
 //! under parallel execution is the contract `pim_sim::par` sells.
 //! The gate also measures the fault-free overhead of the runtime
 //! recovery manager (plain executor vs `run_recovered` with an inactive
-//! injector, interleaved min-of-k), failing when it exceeds 1 %, and the
-//! incremental re-lint speedup on a pinned single-step edit (delta
-//! re-verify vs batch analyzer, byte-identical reports required),
-//! failing below 5x.
-//! Results land in `results/BENCH_perf.json`; when a committed baseline
+//! injector, interleaved min-of-k), failing when it exceeds 1 %. The
+//! incremental re-lint speedup is gated by `layer_ledger`.
+//! Results land in `results/BENCH_perf.json`, with the host's core
+//! count as `available_parallelism`; when a committed baseline
 //! (`results/perf_baseline.json`) exists, the gate fails on a wall-time
 //! regression beyond 25 %. Every bound is a constant below. The serving
 //! metrics are simulated time, deterministic to the picosecond, so
@@ -43,7 +42,7 @@ use pimnet::analysis::presets;
 use pimnet::collective::CollectiveKind;
 use pimnet::schedule::cache::{self, ScheduleRequest};
 use pimnet::schedule::CommSchedule;
-use pimnet_bench::{results_dir, sweeps};
+use pimnet_bench::{json_number, results_dir, sweeps};
 
 /// Seeds per chaos-soak cell — small enough to keep the gate fast, large
 /// enough that the parallel fan-out dominates the fixed costs.
@@ -55,8 +54,6 @@ const WALL_TOLERANCE: f64 = 0.25;
 /// Largest fault-free overhead of the recovery manager over the plain
 /// executor, as a fraction.
 const RECOVERY_OVERHEAD_LIMIT: f64 = 0.01;
-/// Smallest incremental re-lint speedup over the batch analyzer.
-const DELTA_SPEEDUP_FLOOR: f64 = 5.0;
 
 /// Interleaved min-of-k comparison of `plain` vs `variant`, sampled in
 /// rounds until the measured overhead drops to `budget` or the rounds
@@ -152,76 +149,6 @@ fn recovery_overhead(budget: f64) -> f64 {
     measured_overhead(budget, plain, recovered)
 }
 
-/// Measures the incremental re-lint speedup on a pinned cell: one
-/// repair-shaped edit (a rewritten resource path, payload spans
-/// untouched) to the 256-DPU AllReduce schedule, re-proven by
-/// `analysis::reverify_delta` against the already-verified base vs a
-/// batch `analysis::run_all` over the whole mutated schedule. Min over
-/// `reps` for both sides; the delta report must be byte-identical to the
-/// batch report or the gate fails outright.
-fn delta_lint_speedup(reps: u32) -> (f64, usize) {
-    use std::sync::Arc;
-
-    use pim_arch::geometry::PimGeometry;
-    use pimnet::analysis;
-    use pimnet::schedule::CommSchedule;
-
-    const DPUS: u32 = 256;
-    const ELEMS: usize = 256;
-    let g = PimGeometry::paper_scaled(DPUS);
-    let s = CommSchedule::build(CollectiveKind::AllReduce, &g, ELEMS, 4).expect("schedule");
-    let base = analysis::verify_full(&s);
-
-    // The same edit shape `lint_sweep` times: dirty exactly one step by
-    // duplicating a resource on its middle routed transfer.
-    let sites: Vec<(usize, usize, usize)> = s
-        .phases
-        .iter()
-        .enumerate()
-        .flat_map(|(pi, p)| {
-            p.steps.iter().enumerate().flat_map(move |(si, st)| {
-                st.transfers
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, t)| !t.resources.is_empty())
-                    .map(move |(ti, _)| (pi, si, ti))
-            })
-        })
-        .collect();
-    let (pi, si, ti) = sites[sites.len() / 2];
-    let mut m = s.clone();
-    let t = &mut m.phases[pi].steps[si].transfers[ti];
-    t.resources
-        .push(*t.resources.last().expect("routed transfer"));
-    let mutated = Arc::new(m);
-
-    let mut batch_s = f64::INFINITY;
-    let mut batch_report = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let report = analysis::run_all(&mutated);
-        batch_s = batch_s.min(t0.elapsed().as_secs_f64());
-        batch_report = Some(report);
-    }
-    let mut delta_s = f64::INFINITY;
-    let mut relinted = 0usize;
-    let mut delta_report = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let (summary, stats) = analysis::reverify_delta(&base, mutated.clone());
-        delta_s = delta_s.min(t0.elapsed().as_secs_f64());
-        relinted = stats.relinted;
-        delta_report = Some(summary.report.clone());
-    }
-    let batch = batch_report.expect("reps >= 1");
-    let delta = delta_report.expect("reps >= 1");
-    if batch.to_string() != delta.to_string() || batch.to_json() != delta.to_json() {
-        eprintln!("FAIL: incremental re-lint report diverged from the batch analyzer");
-        std::process::exit(1);
-    }
-    (batch_s / delta_s.max(1e-12), relinted)
-}
-
 /// Tenants and seeds-per-mode of the pinned serving workload.
 const SERVE_TENANTS: usize = 3;
 const SERVE_PER_MODE: u64 = 1;
@@ -261,19 +188,6 @@ fn timed(workers: usize) -> (String, sweeps::ServeSummary, f64) {
     let start = Instant::now();
     let (csv, serve) = workload(workers);
     (csv, serve, start.elapsed().as_secs_f64() * 1e3)
-}
-
-/// Extracts `"key": <number>` from a flat JSON object (the only shape
-/// this tool reads or writes — no external parser needed).
-fn json_number(json: &str, key: &str) -> Option<f64> {
-    let at = json.find(&format!("\"{key}\""))?;
-    let rest = &json[at..];
-    let colon = rest.find(':')?;
-    let tail = rest[colon + 1..].trim_start();
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
 }
 
 fn main() {
@@ -365,19 +279,6 @@ fn main() {
         std::process::exit(1);
     }
 
-    let (delta_speedup, delta_relinted) = delta_lint_speedup(5);
-    println!(
-        "  incremental re-lint: {delta_speedup:.1}x batch ({delta_relinted} of the \
-         schedule's steps re-linted; floor {DELTA_SPEEDUP_FLOOR:.0}x)"
-    );
-    if delta_speedup < DELTA_SPEEDUP_FLOOR {
-        eprintln!(
-            "FAIL: incremental single-step re-lint is only {delta_speedup:.1}x \
-             faster than the batch analyzer (floor {DELTA_SPEEDUP_FLOOR:.0}x)"
-        );
-        std::process::exit(1);
-    }
-
     if serve.unsound > 0 {
         eprintln!(
             "FAIL: the pinned serving workload violated its soundness \
@@ -408,7 +309,6 @@ fn main() {
         );
     }
     let _ = writeln!(json, "  \"recovery_overhead_frac\": {recov_overhead:.4},");
-    let _ = writeln!(json, "  \"delta_lint_speedup\": {delta_speedup:.2},");
     let _ = writeln!(json, "  \"serve_requests\": {},", serve.total);
     let _ = writeln!(json, "  \"serve_p50_us\": {:.3},", serve.p50_us);
     let _ = writeln!(json, "  \"serve_p99_us\": {:.3},", serve.p99_us);
@@ -417,6 +317,7 @@ fn main() {
         "  \"serve_collectives_per_sec\": {:.1},",
         serve.collectives_per_sec
     );
+    let _ = writeln!(json, "  \"available_parallelism\": {cores},");
     let _ = writeln!(json, "  \"workers\": {workers}");
     json.push('}');
     json.push('\n');

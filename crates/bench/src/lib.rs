@@ -115,26 +115,18 @@ impl Table {
     }
 }
 
-/// Minimal wall-clock micro-benchmark runner for the `benches/` harnesses.
-///
-/// Runs `f` for a couple of warm-up iterations, then measures `iters`
-/// timed iterations and prints the mean per-iteration time. The closure's
-/// return value is folded into a black-box sink so the optimizer cannot
-/// delete the work.
-pub fn bench<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) {
-    assert!(iters > 0, "bench: zero iterations");
-    for _ in 0..2.min(iters) {
-        std::hint::black_box(f());
-    }
-    let start = std::time::Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(f());
-    }
-    let per_iter = start.elapsed().as_secs_f64() / f64::from(iters);
-    println!(
-        "{name:<40} {:>12.3} us/iter  ({iters} iters)",
-        per_iter * 1e6
-    );
+/// Extracts `"key": <number>` from a flat JSON object — the only shape
+/// the gates read or write, so no external parser is needed.
+#[must_use]
+pub fn json_number(json: &str, key: &str) -> Option<f64> {
+    let at = json.find(&format!("\"{key}\""))?;
+    let rest = &json[at..];
+    let colon = rest.find(':')?;
+    let tail = rest[colon + 1..].trim_start();
+    let end = tail
+        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
+        .unwrap_or(tail.len());
+    tail[..end].parse().ok()
 }
 
 /// Where CSV outputs land (`$PIMNET_RESULTS_DIR` or `./results`).
@@ -176,6 +168,15 @@ mod tests {
         assert!(s.contains("== demo =="));
         assert!(s.contains("long-header"));
         assert!(s.lines().count() >= 5);
+    }
+
+    #[test]
+    fn committed_baselines_carry_the_keys_their_gates_read() {
+        let perf = include_str!("../../../results/perf_baseline.json");
+        let layers = include_str!("../../../results/layers_baseline.json");
+        assert!(json_number(perf, "wall_ms").is_some_and(|v| v > 0.0));
+        assert!(json_number(layers, "min_speedup_x256").is_some_and(|v| v > 0.0));
+        assert_eq!(json_number(layers, "no_such_key"), None);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use pimnet::exec::{ExecMachine, ReduceOp};
 use pimnet::recovery::{check_outcome, run_recovered, RecoveryRequest, RecoveryStats};
 use pimnet::resilience::{plan_degraded, DegradedPlan};
 use pimnet::schedule::cache::{self, ScheduleRequest};
-use pimnet::schedule::{validate, BoostPlan, CommSchedule};
+use pimnet::schedule::{validate, CommSchedule};
 use pimnet::timing::TimingModel;
 use pimnet::FabricConfig;
 
@@ -1143,127 +1143,6 @@ pub fn serve_soak(tenants: usize, per_mode: u64, base: u64, workers: usize) -> S
     }
     summary.table = table;
     summary
-}
-
-/// Geometries the boost-mode scaling sweep prices.
-pub const SCALING_GEOMETRIES: [u32; 3] = [8, 64, 256];
-/// Elements per node of every scaling cell — divisible everywhere, so
-/// the boosted reconstruction must be bit-exact in every cell.
-pub const SCALING_ELEMS: usize = 1024;
-
-/// One cell of the boost-mode scaling sweep: repeated warm-cache pricing
-/// (timeline + timing breakdown) of one collective at one geometry, full
-/// schedule vs boost plan.
-#[derive(Debug, Clone)]
-pub struct ScalingCell {
-    /// Collective priced.
-    pub kind: CollectiveKind,
-    /// Total DPUs.
-    pub dpus: u32,
-    /// Min wall time of one full pricing pass (ms).
-    pub full_ms: f64,
-    /// Min wall time of one boosted pricing pass (ms).
-    pub boost_ms: f64,
-    /// `full_ms / boost_ms`.
-    pub speedup: f64,
-    /// Transfer-count reduction of the thin slice.
-    pub reduction: f64,
-    /// The boosted breakdown equalled the full walk bit-for-bit.
-    pub exact: bool,
-}
-
-/// Prices every Table V collective at [`SCALING_GEOMETRIES`] through the
-/// full path (`Timeline::build` + `time_schedule`) and the boosted path
-/// ([`pimnet::schedule::boost`] timeline + breakdown), `reps` times each,
-/// keeping the per-cell minimum wall time.
-///
-/// Schedules and plans are prewarmed through the cache on `workers`
-/// threads (the fan-out idiom of the other sweeps); the timed passes run
-/// sequentially so the two paths see identical, uncontended conditions —
-/// the speedup is a same-machine ratio, not an absolute.
-#[must_use]
-pub fn scaling_cells(reps: u32, workers: usize) -> Vec<ScalingCell> {
-    use std::time::Instant;
-
-    let items: Vec<(CollectiveKind, u32)> = CollectiveKind::ALL
-        .iter()
-        .flat_map(|&kind| SCALING_GEOMETRIES.iter().map(move |&d| (kind, d)))
-        .collect();
-    // Warm the schedule + plan caches in parallel; measurement below then
-    // never builds.
-    par::map_ordered_with(workers, items.clone(), |(kind, dpus)| {
-        let req = ScheduleRequest::new(kind, &PimGeometry::paper_scaled(dpus), SCALING_ELEMS, 4);
-        cache::get::<BoostPlan>(&req, Probe::disabled()).expect("boost plan builds");
-    });
-
-    let timing = TimingModel::paper();
-    items
-        .into_iter()
-        .map(|(kind, dpus)| {
-            let req =
-                ScheduleRequest::new(kind, &PimGeometry::paper_scaled(dpus), SCALING_ELEMS, 4);
-            let s = cache::get::<CommSchedule>(&req, Probe::disabled()).expect("schedule builds");
-            let plan = cache::get::<BoostPlan>(&req, Probe::disabled()).expect("plan builds");
-
-            let full_bd = timing.time_schedule(s.as_ref(), SimTime::ZERO);
-            let boost_bd = plan.breakdown(&timing, SimTime::ZERO);
-            let exact = full_bd == boost_bd;
-
-            let mut full_s = f64::INFINITY;
-            let mut boost_s = f64::INFINITY;
-            for _ in 0..reps.max(1) {
-                let t0 = Instant::now();
-                let tl = pimnet::timeline::Timeline::build(s.as_ref(), &timing);
-                let bd = timing.time_schedule(s.as_ref(), SimTime::ZERO);
-                std::hint::black_box((tl.end, bd));
-                full_s = full_s.min(t0.elapsed().as_secs_f64());
-
-                let t1 = Instant::now();
-                let tl = plan.timeline(&timing);
-                let bd = plan.breakdown(&timing, SimTime::ZERO);
-                std::hint::black_box((tl.end, bd));
-                boost_s = boost_s.min(t1.elapsed().as_secs_f64());
-            }
-            ScalingCell {
-                kind,
-                dpus,
-                full_ms: full_s * 1e3,
-                boost_ms: boost_s * 1e3,
-                speedup: full_s / boost_s.max(1e-12),
-                reduction: plan.reduction(),
-                exact,
-            }
-        })
-        .collect()
-}
-
-/// Renders [`scaling_cells`] as the scaling-gate table.
-#[must_use]
-pub fn scaling_table(cells: &[ScalingCell]) -> Table {
-    let mut t = Table::new(
-        "Boost-mode scaling: full vs boosted pricing (warm cache, min wall time)",
-        &[
-            "collective",
-            "DPUs",
-            "full_ms",
-            "boost_ms",
-            "speedup",
-            "reduction",
-            "exact",
-        ],
-    );
-    for c in cells {
-        t.row([
-            c.kind.to_string(),
-            c.dpus.to_string(),
-            format!("{:.4}", c.full_ms),
-            format!("{:.4}", c.boost_ms),
-            x(c.speedup),
-            x(c.reduction),
-            if c.exact { "yes" } else { "NO" }.to_string(),
-        ]);
-    }
-    t
 }
 
 #[cfg(test)]

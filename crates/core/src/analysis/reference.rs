@@ -130,7 +130,7 @@ fn random_step(rng: &mut SimRng, buffer_len: usize) -> CommStep {
 /// one long writer over many short readers.
 pub(super) fn random_schedule(seed: u64) -> CommSchedule {
     let mut rng = SimRng::seed_from_u64(seed);
-    let kind = if seed % 2 == 0 {
+    let kind = if seed.is_multiple_of(2) {
         CollectiveKind::AllReduce
     } else {
         CollectiveKind::AllGather

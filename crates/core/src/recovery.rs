@@ -39,6 +39,7 @@ use pim_arch::SystemConfig;
 use pim_faults::permanent::{PermanentFaultSet, PortId, PortSide, SegmentId};
 use pim_faults::timeline::{Arrival, ArrivalKind};
 use pim_faults::{FaultConfig, FaultInjector, HealthConfig, HealthTracker, LinkHealth};
+use pim_sim::metrics::ladder_name;
 use pim_sim::trace::codes;
 use pim_sim::{Probe, SimTime};
 
@@ -126,12 +127,7 @@ impl<T> RecoveryOutcome<T> {
     /// [`DegradedPlan::tier_name`](crate::resilience::DegradedPlan::tier_name).
     #[must_use]
     pub fn tier_name(&self) -> &'static str {
-        match self.plan_tier {
-            0 => "full",
-            1 => "repaired",
-            2 => "shrunk",
-            _ => "host-fallback",
-        }
+        ladder_name(self.plan_tier)
     }
 }
 
@@ -365,6 +361,7 @@ pub fn run_recovered<T: Element>(
     let base_cfg = req.injector.config();
     let step_budget = base_cfg.max_retries;
     let sync = SyncModel::from_fabric(&req.timing.fabric);
+    let watchdog = SimTime::from_ps(base_cfg.watchdog_ps);
     let mut health = HealthTracker::new(HealthConfig::default());
     let mut stats = RecoveryStats::default();
     let mut trail: Vec<PimnetError> = Vec::new();
@@ -414,15 +411,7 @@ pub fn run_recovered<T: Element>(
             probe,
         )?;
         let tier = plan.tier();
-        if probe.is_active() {
-            let excluded = plan.error_trail().len() as u64;
-            probe.trace.instant(
-                SimTime::from_ps(t_ps),
-                codes::PLAN_TIER,
-                [u64::from(tier), excluded, 0, 0],
-            );
-            probe.metrics.degraded_tier(tier);
-        }
+        plan.record(SimTime::from_ps(t_ps), probe);
         let (schedule, map) = match plan {
             DegradedPlan::Full(s) => (s, None),
             DegradedPlan::Repaired { schedule, .. } => (schedule, None),
@@ -542,7 +531,11 @@ pub fn run_recovered<T: Element>(
                         }
                         Err(e) => {
                             round += 1;
-                            if round > step_budget {
+                            // When the fastest barrier any straggler
+                            // re-roll can draw overruns the watchdog, no
+                            // retry can pass: escalate now.
+                            let fastest = SimTime::from_ns(inj.min_straggler_delay_ns());
+                            if round > step_budget || sync.barrier(scope, fastest) > watchdog {
                                 end = DriveEnd::Escalate(e);
                                 break 'drive;
                             }
@@ -670,7 +663,13 @@ pub fn run_recovered<T: Element>(
                             break 'drive;
                         }
                         round += 1;
-                        if round > step_budget {
+                        let dt = inj.backoff_ps(round);
+                        // A BER of at least 1 at a clock the backoff cannot
+                        // move fails every later round the same way.
+                        let certain = flapped.is_empty()
+                            && inj.always_corrupts_at(t_ps)
+                            && t_ps.saturating_add(dt) == t_ps;
+                        if round > step_budget || certain {
                             if flapped.is_empty() {
                                 // Persistent corruption with no component
                                 // to route around: the fabric itself is
@@ -705,7 +704,6 @@ pub fn run_recovered<T: Element>(
                             end = DriveEnd::Replan;
                             break 'drive;
                         }
-                        let dt = inj.backoff_ps(round);
                         t_ps = t_ps.saturating_add(dt);
                         stats.step_retries += 1;
                         stats.backoff_ps = stats.backoff_ps.saturating_add(dt);
@@ -986,6 +984,83 @@ mod tests {
         assert_eq!(huge.end_ps, small.end_ps);
         assert_eq!(huge_trace, small_trace);
         assert_bit_identical(&reference().0, huge.machine.as_ref().unwrap());
+    }
+
+    #[test]
+    fn certain_corruption_at_a_frozen_clock_escalates_at_once() {
+        let g = PimGeometry::paper_scaled(N);
+        let system = SystemConfig::paper_scaled(N);
+        let timing = TimingModel::paper();
+        // A BER-1.0 burst and a zero backoff: the clock never leaves the
+        // burst, so every retry round would fail like the first one.
+        let run = |max_retries| {
+            let injector = FaultInjector::new(FaultConfig {
+                timeline: FaultTimeline {
+                    bursts: vec![TransientBurst {
+                        from_ps: 0,
+                        until_ps: 1_000_000,
+                        ber: 1.0,
+                    }],
+                    ..FaultTimeline::none()
+                },
+                max_retries,
+                backoff_base_ps: 0,
+                ..FaultConfig::none()
+            });
+            let req = request(&g, &system, &timing, &injector);
+            run_recovered(&req, input, Probe::disabled()).unwrap()
+        };
+        let huge = run(u32::MAX);
+        assert_eq!(huge.plan_tier, 3);
+        assert_eq!(huge.stats.step_retries, 0);
+        assert!(huge
+            .error_trail
+            .iter()
+            .any(|e| matches!(e, PimnetError::TransferFailed { .. })));
+        let small = run(8);
+        assert_eq!(
+            (small.plan_tier, small.stats, small.end_ps),
+            (huge.plan_tier, huge.stats, huge.end_ps)
+        );
+    }
+
+    #[test]
+    fn a_barrier_no_straggler_roll_can_close_escalates_at_once() {
+        let g = PimGeometry::paper_scaled(N);
+        let system = SystemConfig::paper_scaled(N);
+        let timing = TimingModel::paper();
+        let (schedule, _) = reference();
+        let sync = SyncModel::from_fabric(&timing.fabric);
+        let straggler_free = sync.barrier(timing.scope_of(&schedule), SimTime::ZERO);
+        // A 1-ps watchdog that the straggler-free READY/START barrier
+        // alone overruns; and a watchdog that only a straggler-free
+        // barrier meets, with every DPU straggling at probability 1.
+        for (straggler_prob, watchdog_ps) in [(0.5, 1), (1.0, straggler_free.as_ps())] {
+            let run = |max_retries| {
+                let injector = FaultInjector::new(FaultConfig {
+                    straggler_prob,
+                    straggler_max_ns: 50,
+                    max_retries,
+                    watchdog_ps,
+                    ..FaultConfig::none()
+                });
+                let req = request(&g, &system, &timing, &injector);
+                run_recovered(&req, input, Probe::disabled()).unwrap()
+            };
+            let huge = run(u32::MAX);
+            assert_eq!(huge.plan_tier, 3);
+            assert_eq!(huge.stats.step_retries, 0);
+            assert_eq!(huge.stats.backoff_ps, 0);
+            assert!(huge
+                .error_trail
+                .iter()
+                .any(|e| matches!(e, PimnetError::SyncTimeout { .. })));
+            let small = run(8);
+            assert_eq!(
+                (small.plan_tier, small.stats, small.end_ps),
+                (huge.plan_tier, huge.stats, huge.end_ps)
+            );
+        }
     }
 
     #[test]

@@ -39,6 +39,7 @@ use pim_arch::geometry::PimGeometry;
 use pim_arch::SystemConfig;
 use pim_faults::permanent::PermanentFaultSet;
 use pim_faults::FaultInjector;
+use pim_sim::metrics::ladder_name;
 use pim_sim::trace::codes;
 use pim_sim::{Bytes, Probe, SimTime};
 
@@ -126,12 +127,28 @@ impl DegradedPlan {
     /// Human-readable tier name for reports.
     #[must_use]
     pub fn tier_name(&self) -> &'static str {
-        match self {
-            DegradedPlan::Full(_) => "full",
-            DegradedPlan::Repaired { .. } => "repaired",
-            DegradedPlan::Shrunk { .. } => "shrunk",
-            DegradedPlan::HostFallback { .. } => "host-fallback",
+        ladder_name(self.tier())
+    }
+
+    /// Records this plan's rung in `probe` at simulated time `at`: a
+    /// `plan-tier` trace event `[tier, excluded DPUs, 0, 0]` and
+    /// [`pim_sim::MetricsReport::degraded_tier`]. The planner and the
+    /// recovery manager both record through here.
+    pub fn record(&self, at: SimTime, probe: &Probe) {
+        if !probe.is_active() {
+            return;
         }
+        let tier = self.tier();
+        let excluded = match self {
+            DegradedPlan::Full(_) | DegradedPlan::Repaired { .. } => 0,
+            DegradedPlan::Shrunk { excluded, .. } | DegradedPlan::HostFallback { excluded, .. } => {
+                excluded.len() as u64
+            }
+        };
+        probe
+            .trace
+            .instant(at, codes::PLAN_TIER, [u64::from(tier), excluded, 0, 0]);
+        probe.metrics.degraded_tier(tier);
     }
 }
 
@@ -373,21 +390,7 @@ pub fn plan_degraded_probed(
         0,
         probe,
     )?;
-    if probe.is_active() {
-        let tier = plan.tier();
-        let excluded = match &plan {
-            DegradedPlan::Full(_) | DegradedPlan::Repaired { .. } => 0,
-            DegradedPlan::Shrunk { excluded, .. } | DegradedPlan::HostFallback { excluded, .. } => {
-                excluded.len() as u64
-            }
-        };
-        probe.trace.instant(
-            SimTime::ZERO,
-            codes::PLAN_TIER,
-            [u64::from(tier), excluded, 0, 0],
-        );
-        probe.metrics.degraded_tier(tier);
-    }
+    plan.record(SimTime::ZERO, probe);
     Ok(plan)
 }
 

@@ -194,6 +194,14 @@ impl FaultInjector {
         1 + hash_coords(h, &[1]) % self.cfg.straggler_max_ns
     }
 
+    /// The smallest delay [`straggler_delay_ns`](Self::straggler_delay_ns)
+    /// draws for a live DPU at any epoch: 1 ns when a probability of at
+    /// least 1 makes every DPU straggle, else 0.
+    #[must_use]
+    pub fn min_straggler_delay_ns(&self) -> u64 {
+        u64::from(self.cfg.straggler_prob >= 1.0 && self.cfg.straggler_max_ns > 0)
+    }
+
     /// The time-varying fault timeline (empty when the scenario is
     /// static).
     #[must_use]
@@ -393,6 +401,21 @@ mod tests {
                 .len()
                 > 1
         );
+    }
+
+    #[test]
+    fn min_straggler_delay_bounds_every_draw() {
+        for (prob, max_ns, min) in [(0.5, 100, 0), (1.0, 100, 1), (1.0, 0, 0), (2.0, 7, 1)] {
+            let inj = FaultInjector::new(FaultConfig {
+                straggler_prob: prob,
+                straggler_max_ns: max_ns,
+                ..FaultConfig::none()
+            });
+            assert_eq!(inj.min_straggler_delay_ns(), min, "p={prob} max={max_ns}");
+            for (dpu, epoch) in (0..200).zip(0..) {
+                assert!(inj.straggler_delay_ns(dpu, epoch) >= min);
+            }
+        }
     }
 
     #[test]

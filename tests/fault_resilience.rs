@@ -18,6 +18,7 @@ use pimnet_suite::arch::SystemConfig;
 use pimnet_suite::faults::{FaultConfig, FaultInjector, PermanentFaultSet};
 use pimnet_suite::net::collective::CollectiveKind;
 use pimnet_suite::net::exec::{ExecMachine, ReduceOp};
+use pimnet_suite::net::recovery::{run_recovered, RecoveryRequest};
 use pimnet_suite::net::resilience::{plan_degraded, plan_degraded_probed, DegradedPlan};
 use pimnet_suite::net::schedule::CommSchedule;
 use pimnet_suite::net::timeline::Timeline;
@@ -344,6 +345,53 @@ fn degraded_runs_tag_their_ladder_tier_in_the_metrics_report() {
             "{name}: event carries the rung"
         );
     }
+}
+
+#[test]
+fn planner_and_recovery_manager_record_the_same_plan_tier() {
+    // A dead rank shrinks AllReduce@256 to 128 DPUs. Both recorders put
+    // the excluded DPUs in arg 1, so the same plan traces the same event.
+    let g = PimGeometry::paper_scaled(256);
+    let sys = SystemConfig::paper_scaled(256);
+    let timing = TimingModel::paper();
+    let inj = FaultInjector::new(FaultConfig {
+        permanent: PermanentFaultSet::parse_tokens("rank1").unwrap(),
+        ..FaultConfig::none()
+    });
+    let plan_tier_args = |probe: &Probe| -> Vec<[u64; 4]> {
+        let trace = probe.trace.drain();
+        trace
+            .events
+            .iter()
+            .filter(|e| e.code == codes::PLAN_TIER)
+            .map(|e| e.args)
+            .collect()
+    };
+
+    let planner = Probe::enabled();
+    let plan =
+        plan_degraded_probed(CollectiveKind::AllReduce, &g, 32, 4, &inj, &sys, &planner).unwrap();
+    let manager = Probe::enabled();
+    let req = RecoveryRequest {
+        kind: CollectiveKind::AllReduce,
+        geometry: &g,
+        elems_per_node: 32,
+        elem_bytes: 4,
+        op: ReduceOp::Sum,
+        injector: &inj,
+        system: &sys,
+        timing: &timing,
+    };
+    let out = run_recovered(&req, |id: DpuId| vec![u64::from(id.0); 32], &manager).unwrap();
+
+    assert_eq!(plan.tier_name(), "shrunk");
+    assert_eq!(out.tier_name(), plan.tier_name());
+    assert_eq!(plan_tier_args(&planner), vec![[2, 128, 0, 0]]);
+    assert_eq!(plan_tier_args(&manager), vec![[2, 128, 0, 0]]);
+    assert_eq!(
+        manager.metrics.snapshot().degraded_tier,
+        planner.metrics.snapshot().degraded_tier
+    );
 }
 
 #[test]
