@@ -3,11 +3,12 @@
 //!
 //! Every cell runs `pimnet::schedule::autotune::tune` for one
 //! `(collective, geometry, payload)` request: the tuner enumerates its
-//! deterministic candidate compositions, re-proves each with the full
-//! analysis suite (any diagnostic disqualifies), prices the survivors
-//! and the paper incumbent through the boost-plan timing path, and keeps
-//! the winner — the paper schedule keeps ties, so `tuned_us <= paper_us`
-//! on every row by construction.
+//! deterministic candidate compositions, prices them and the paper
+//! incumbent through the boost-plan timing path, proves the candidates
+//! cheaper than the paper with the full analysis suite, cheapest first
+//! (any diagnostic disqualifies), and keeps the first clean one — the
+//! paper schedule keeps ties, so `tuned_us <= paper_us` on every row by
+//! construction.
 //!
 //! The table is a pure function of the pinned matrix: cells fan out over
 //! `pim_sim::par` with ordered collection and the schedule cache dedups

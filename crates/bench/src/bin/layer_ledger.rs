@@ -9,8 +9,10 @@
 //!
 //! * build, flatten (`FlatSchedule::from_schedule`) and validate;
 //! * batch `analysis::run_all` and the one-step `analysis::reverify_delta`
-//!   of a repair-shaped edit, against the base's `verify_full` proof
-//!   (timed once: the delta needs it anyway);
+//!   of a repair-shaped edit, against the base's `verify_full` proof;
+//! * that `verify_full` proof itself, the cost a tune pays per candidate
+//!   it proves: min of [`VERIFY_REPS`] calls, since one call would charge
+//!   first-touch cost to whichever cell ran first;
 //! * `boost::plan`, full pricing (`Timeline::build` + `time_schedule`)
 //!   and boosted pricing (`plan.timeline` + `plan.breakdown`);
 //! * exec, on the 256-element cells only: AllGather at 256 DPUs and 1024
@@ -66,6 +68,9 @@ const EXEC_ELEMS: usize = 256;
 /// speedups the baseline pins.
 const BOOST_ELEMS: usize = 1024;
 const DEFAULT_REPS: u32 = 10;
+/// Calls of the base's `verify_full` per cell. Fewer than `reps`: one
+/// call per cell sums to about 1.5 s over the sweep.
+const VERIFY_REPS: u32 = 3;
 
 /// The cell whose batch/delta re-lint ratio is gated: (kind, DPUs, elems).
 const DELTA_CELL: (CollectiveKind, u32, usize) = (CollectiveKind::AllReduce, 256, 256);
@@ -201,7 +206,7 @@ fn main() {
                 let mutated = Arc::new(
                     mutate_middle_step(&s).expect("preset schedules have routed transfers"),
                 );
-                let (verify_us, base) = min_us(1, || analysis::verify_full(&s));
+                let (verify_us, base) = min_us(VERIFY_REPS, || analysis::verify_full(&s));
                 let ((batch_us, batch), (delta_us, (delta, stats))) = min_us_pair(
                     reps,
                     || analysis::run_all(mutated.as_ref()),

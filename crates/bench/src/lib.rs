@@ -177,6 +177,20 @@ mod tests {
         assert!(json_number(perf, "wall_ms").is_some_and(|v| v > 0.0));
         assert!(json_number(layers, "min_speedup_x256").is_some_and(|v| v > 0.0));
         assert_eq!(json_number(layers, "no_such_key"), None);
+        // Every key of the perf baseline is one perf_gate writes: a key it
+        // stopped writing reads as a gated figure that nothing checks.
+        let gate = include_str!("bin/perf_gate.rs");
+        let keys: Vec<&str> = perf
+            .lines()
+            .filter_map(|line| line.trim().strip_prefix('"')?.split('"').next())
+            .collect();
+        assert!(keys.contains(&"wall_ms"), "no keys parsed from {perf}");
+        for key in keys {
+            assert!(
+                gate.contains(&format!("\\\"{key}\\\"")),
+                "results/perf_baseline.json carries `{key}`, which perf_gate does not write"
+            );
+        }
     }
 
     #[test]

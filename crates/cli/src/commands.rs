@@ -79,9 +79,10 @@ USAGE:
   paper's Table V one: the spec names one per-tier algorithm per dimension,
   bank_chip_rank, each of ring|direct|dbtree|rabenseifner (e.g.
   --algo ring_direct_dbtree). schedule --autotune sweeps the composition
-  candidates for the requested (kind, geometry, payload), re-proves each
-  with the analysis passes, prices survivors via the boost path, and uses
-  the winner (the paper schedule keeps ties).
+  candidates for the requested (kind, geometry, payload), prices each via
+  the boost path, proves the ones cheaper than the paper schedule with the
+  analysis passes, cheapest first, and uses the first clean one (the paper
+  schedule keeps ties).
 
   lint runs the static analyzer (structural, sync, hazard, dataflow passes)
   over a schedule without executing it, and exits non-zero on any
@@ -511,9 +512,10 @@ fn schedule(flags: &Flags) -> Result<(), String> {
             let choice =
                 cache::get::<TunedChoice>(&req, Probe::disabled()).map_err(|e| e.to_string())?;
             println!(
-                "autotune: {} candidates swept, {} rejected; winner {} \
+                "autotune: {} candidates swept, {} proven, {} rejected; winner {} \
                  (paper {}, tuned {}, speedup {:.2}x)",
                 choice.candidates,
+                choice.proven,
                 choice.rejected,
                 choice.spec(),
                 choice.paper_time,

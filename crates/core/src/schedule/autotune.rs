@@ -3,18 +3,29 @@
 //! The paper commits to one schedule per collective (Table V). This
 //! module instead *searches*: for one `(collective kind, geometry,
 //! payload)` request it sweeps a deterministic candidate set of per-tier
-//! algorithm [`Composition`]s × chunk splits, **re-proves** every
-//! candidate with the full four-pass [`crate::analysis`] suite
+//! algorithm [`Composition`]s × chunk splits, prices every candidate
+//! through the same boost-plan timing path the sweeps use, proves the
+//! ones that could win with the full four-pass [`crate::analysis`] suite
 //! (rejecting anything with a diagnostic — the tuner never trades
-//! correctness for speed), prices the survivors through the same
-//! boost-plan timing path the sweeps use, and memoizes the winner in the
-//! schedule cache under a composition-aware key.
+//! correctness for speed), and memoizes the winner in the schedule cache
+//! under a composition-aware key.
 //!
 //! The paper's own Table V schedule ([`Composition::paper`], under its
 //! own cache key) is the incumbent: it is priced first, outside the
 //! candidate list, and wins all ties, so [`TunedChoice::tuned_time`] is
 //! never worse than [`TunedChoice::paper_time`] *by construction* —
 //! tuning can only help.
+//!
+//! # Price first, prove lazily
+//!
+//! Only a candidate strictly cheaper than the incumbent can win, and the
+//! cheapest clean one does. So the sweep builds, validates and prices
+//! every candidate, sorts the ones cheaper than the paper by (price,
+//! sweep index), and proves them in that order, stopping at the first
+//! clean one. That is the winner a sweep proving every candidate would
+//! pick, at a fraction of the proofs: a request the paper keeps proves
+//! nothing, and one that tunes away proves its winner plus any cheaper
+//! candidate found unclean.
 //!
 //! # Candidate grammar
 //!
@@ -68,7 +79,12 @@ pub struct TunedChoice {
     /// Composed candidates enumerated for this request (excluding the
     /// paper incumbent).
     pub candidates: usize,
-    /// Candidates rejected because analysis reported a diagnostic.
+    /// Candidates proven by the analysis suite: the ones cheaper than the
+    /// paper incumbent, cheapest first, up to the first clean one.
+    pub proven: usize,
+    /// Candidates that failed to build or validate, or were proven and
+    /// found unclean. One that does not beat the paper, or sorts after
+    /// the winner, is never proven, so it is never rejected.
     pub rejected: usize,
 }
 
@@ -189,16 +205,63 @@ fn price(schedule: &CommSchedule, timing: &TimingModel) -> SimTime {
         .total()
 }
 
-/// Tunes one request: sweeps [`candidates`], proves each with the full
-/// analysis suite, prices the survivors and the paper incumbent, and
+/// Which priced candidate wins, and the proofs it took to find out.
+#[derive(Debug, PartialEq, Eq)]
+struct Selection {
+    /// `(sweep index, price)` of the winner; `None` when the paper
+    /// incumbent keeps the request.
+    winner: Option<(usize, SimTime)>,
+    /// Candidates proven.
+    proven: usize,
+    /// Proven candidates found unclean.
+    rejected: usize,
+}
+
+/// Picks the cheapest clean candidate strictly cheaper than `paper_time`,
+/// the lower sweep index on a tie. `priced` holds the `(sweep index,
+/// price)` of every candidate that built and validated, and `prove(i)`
+/// says whether candidate `i` is clean. Only candidates cheaper than the
+/// paper are proven, in (price, sweep index) order, and the first clean
+/// one wins: the pick of a sweep that proves every candidate and takes
+/// the minimum.
+fn select(
+    priced: &[(usize, SimTime)],
+    paper_time: SimTime,
+    mut prove: impl FnMut(usize) -> bool,
+) -> Selection {
+    let mut order: Vec<(SimTime, usize)> = priced
+        .iter()
+        .filter(|&&(_, t)| t < paper_time)
+        .map(|&(i, t)| (t, i))
+        .collect();
+    order.sort_unstable();
+    let mut pick = Selection {
+        winner: None,
+        proven: 0,
+        rejected: 0,
+    };
+    for (t, i) in order {
+        pick.proven += 1;
+        if prove(i) {
+            pick.winner = Some((i, t));
+            break;
+        }
+        pick.rejected += 1;
+    }
+    pick
+}
+
+/// Tunes one request: sweeps [`candidates`], prices every one that builds
+/// and validates, proves the ones cheaper than the paper incumbent with
+/// the full analysis suite, cheapest first, until one is clean, and
 /// memoizes the winner in the schedule cache. Warm calls are a map
 /// lookup. This is [`cache::get`] of a [`TunedChoice`] with no probe.
 ///
 /// # Errors
 ///
-/// Whatever the paper builder, composed builder or validator return for
-/// this request. Candidates that fail to *build* or *prove* are skipped,
-/// not errors; the paper incumbent failing is an error.
+/// Whatever the paper builder or validator return for this request.
+/// Candidates that fail to build, validate or prove are skipped, not
+/// errors; the paper incumbent failing is an error.
 pub fn tune(
     kind: CollectiveKind,
     geometry: &PimGeometry,
@@ -224,54 +287,79 @@ pub(crate) fn sweep(req: &ScheduleRequest<'_>, probe: &Probe) -> Result<TunedCho
     let paper_time = price(&paper, &timing);
 
     let cands = candidates(req.kind, &req.geometry, req.elems_per_node);
-    let mut best: Option<(Composition, usize)> = None;
-    let mut best_schedule = paper;
-    let mut best_time = paper_time;
-    let mut rejected = 0usize;
-
-    for &(comp, chunks) in &cands {
-        let candidate = ScheduleRequest {
+    let request = |i: usize| {
+        let (comp, chunks) = cands[i];
+        ScheduleRequest {
             algo: Algo::Composed(comp, chunks),
             ..*req
-        };
-        // Re-prove the candidate: any diagnostic at all disqualifies it.
-        match cache::get::<Proof>(&candidate, probe) {
-            Ok(p) if p.summary.report.is_clean() => {}
-            _ => {
-                rejected += 1;
-                continue;
-            }
         }
-        let schedule = cache::get::<CommSchedule>(&candidate, probe)?;
-        let t = price(&schedule, &timing);
-        // Strict improvement only: the incumbent (and earlier
-        // candidates) keep ties, making the sweep order a total
-        // tie-break and the winner deterministic.
-        if t < best_time {
-            best = Some((comp, chunks));
-            best_schedule = schedule;
-            best_time = t;
+    };
+    // Build, validate and price every candidate; one that fails to build
+    // or validate is rejected unproven.
+    let built: Vec<Option<Arc<CommSchedule>>> = (0..cands.len())
+        .map(|i| cache::get::<CommSchedule>(&request(i), probe).ok())
+        .collect();
+    let priced: Vec<(usize, SimTime)> = built
+        .iter()
+        .enumerate()
+        .filter_map(|(i, s)| Some((i, price(s.as_deref()?, &timing))))
+        .collect();
+    // Any diagnostic at all disqualifies a candidate.
+    let pick = select(&priced, paper_time, |i| {
+        matches!(cache::get::<Proof>(&request(i), probe),
+            Ok(p) if p.summary.report.is_clean())
+    });
+    let (winner, schedule, tuned_time) = match pick.winner {
+        Some((i, t)) => {
+            let schedule = built[i].clone().expect("only built candidates are priced");
+            (Some(cands[i]), schedule, t)
         }
-    }
+        None => (None, paper, paper_time),
+    };
 
     Ok(TunedChoice {
         kind: req.kind,
         geometry: req.geometry,
         elems_per_node: req.elems_per_node,
         elem_bytes: req.elem_bytes,
-        winner: best,
-        schedule: best_schedule,
-        tuned_time: best_time,
+        winner,
+        schedule,
+        tuned_time,
         paper_time,
         candidates: cands.len(),
-        rejected,
+        proven: pick.proven,
+        rejected: cands.len() - priced.len() + pick.rejected,
     })
 }
 
 #[cfg(test)]
 mod tests {
+    use pim_sim::SimRng;
+
     use super::*;
     use crate::analysis;
+
+    /// `(sweep index, price)` pairs from prices in picoseconds.
+    fn priced(ps: &[u64]) -> Vec<(usize, SimTime)> {
+        ps.iter()
+            .map(|&p| SimTime::from_ps(p))
+            .enumerate()
+            .collect()
+    }
+
+    /// The eager reference: prove every candidate, then take the cheapest
+    /// clean one strictly below the paper, the lower sweep index on a tie.
+    fn eager(
+        priced: &[(usize, SimTime)],
+        paper_time: SimTime,
+        clean: &[bool],
+    ) -> Option<(usize, SimTime)> {
+        priced
+            .iter()
+            .copied()
+            .filter(|&(i, t)| clean[i] && t < paper_time)
+            .min_by_key(|&(i, t)| (t, i))
+    }
 
     #[test]
     fn candidate_order_is_deterministic_and_deduped() {
@@ -326,5 +414,110 @@ mod tests {
         assert!(choice.winner.is_none());
         assert_eq!(choice.spec(), "paper");
         assert_eq!(choice.tuned_time, choice.paper_time);
+    }
+
+    #[test]
+    fn an_unclean_cheapest_candidate_is_skipped_and_rejected() {
+        let clean = [true, false, true, true];
+        let mut proved = Vec::new();
+        let pick = select(&priced(&[30, 10, 20, 50]), SimTime::from_ps(40), |i| {
+            proved.push(i);
+            clean[i]
+        });
+        assert_eq!(proved, [1, 2], "proof order is cheapest first");
+        assert_eq!(
+            pick,
+            Selection {
+                winner: Some((2, SimTime::from_ps(20))),
+                proven: 2,
+                rejected: 1,
+            }
+        );
+    }
+
+    #[test]
+    fn price_ties_go_to_the_lower_sweep_index() {
+        // Listed out of sweep order: the sort breaks the tie, not the
+        // order the candidates arrive in.
+        let at = SimTime::from_ps(10);
+        let priced = [(3, at), (2, at), (1, at), (0, SimTime::from_ps(12))];
+        let clean = [true, false, true, true];
+        let mut proved = Vec::new();
+        let pick = select(&priced, SimTime::from_ps(11), |i| {
+            proved.push(i);
+            clean[i]
+        });
+        assert_eq!(proved, [1, 2]);
+        assert_eq!(
+            pick,
+            Selection {
+                winner: Some((2, at)),
+                proven: 2,
+                rejected: 1,
+            }
+        );
+    }
+
+    #[test]
+    fn nothing_is_proven_when_no_candidate_beats_the_paper() {
+        // A candidate priced at the paper's time does not beat it either:
+        // the incumbent keeps ties.
+        let none = Selection {
+            winner: None,
+            proven: 0,
+            rejected: 0,
+        };
+        let pick = select(&priced(&[50, 40, 60]), SimTime::from_ps(40), |i| {
+            panic!("proved candidate {i}, which cannot win")
+        });
+        assert_eq!(pick, none);
+        assert_eq!(select(&[], SimTime::from_ps(40), |_| true), none);
+    }
+
+    #[test]
+    fn lazy_selection_picks_what_proving_everything_picks() {
+        let mut rng = SimRng::seed_from_u64(0xA070_7E57);
+        for case in 0..4000 {
+            let n = rng.below(12) as usize;
+            // Few distinct prices, so ties with each other and with the
+            // paper are common; a candidate that failed to build is
+            // missing from the priced list.
+            let priced: Vec<(usize, SimTime)> = (0..n)
+                .filter_map(|i| {
+                    let price = SimTime::from_ps(1 + rng.below(8));
+                    rng.gen_bool(0.9).then_some((i, price))
+                })
+                .collect();
+            let clean: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.6)).collect();
+            let paper_time = SimTime::from_ps(1 + rng.below(9));
+
+            let mut proved = Vec::new();
+            let pick = select(&priced, paper_time, |i| {
+                proved.push(i);
+                clean[i]
+            });
+            let want = eager(&priced, paper_time, &clean);
+            assert_eq!(pick.winner, want, "case {case}: {priced:?} {clean:?}");
+
+            // Proven exactly: every candidate cheaper than the paper that
+            // sorts before the winner, and the winner.
+            let cheaper = |&&(j, u): &&(usize, SimTime)| {
+                u < paper_time && want.is_none_or(|(w, t)| (u, j) <= (t, w))
+            };
+            let mut expected: Vec<(SimTime, usize)> = priced
+                .iter()
+                .filter(cheaper)
+                .map(|&(j, u)| (u, j))
+                .collect();
+            expected.sort_unstable();
+            let expected: Vec<usize> = expected.into_iter().map(|(_, j)| j).collect();
+            assert_eq!(proved, expected, "case {case}: proof order");
+            assert_eq!(pick.proven, proved.len());
+            assert_eq!(
+                pick.rejected,
+                proved.len() - usize::from(want.is_some()),
+                "case {case}: only unclean proofs are rejected"
+            );
+        }
     }
 }

@@ -1039,9 +1039,10 @@ impl Engine<'_> {
                     ),
                 });
             }
-            // Opt-in tuned admission: every composed candidate was
-            // re-proved by the tuner and the paper incumbent keeps ties,
-            // so a tuned tenant never prices worse than the paper.
+            // Opt-in tuned admission: the tuner proves a composed
+            // candidate clean before it can win, and the paper incumbent
+            // keeps ties, so a tuned tenant never prices worse than the
+            // paper.
             let algo = if t.autotune { Algo::Tuned } else { Algo::Paper };
             let s = cache::get::<CommSchedule>(&ScheduleRequest { algo, ..paper }, self.probe)?;
             Ok(state

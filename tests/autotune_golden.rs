@@ -6,8 +6,12 @@
 //! CSV: rerun `cargo run --release -p pimnet-bench --bin autotune_sweep`).
 
 use pim_arch::geometry::PimGeometry;
+use pim_sim::{Probe, SimTime};
 use pimnet_bench::sweeps;
-use pimnet_suite::net::schedule::{autotune, cache};
+use pimnet_suite::net::collective::CollectiveKind;
+use pimnet_suite::net::schedule::cache::{Algo, Proof, ScheduleRequest};
+use pimnet_suite::net::schedule::{autotune, boost, cache, CommSchedule, Composition};
+use pimnet_suite::net::timing::TimingModel;
 
 /// The committed sweep output, pinned at compile time.
 const GOLDEN: &str = include_str!("../results/fig12_best.csv");
@@ -65,7 +69,7 @@ fn golden_rows_never_price_worse_than_paper_and_one_cell_tunes() {
 #[test]
 fn tuner_is_deterministic_per_request() {
     let g = PimGeometry::paper_scaled(64);
-    let kind = pimnet_suite::net::collective::CollectiveKind::AllReduce;
+    let kind = CollectiveKind::AllReduce;
     let a = autotune::tune(kind, &g, 64, 4).unwrap();
     cache::clear();
     let b = autotune::tune(kind, &g, 64, 4).unwrap();
@@ -73,5 +77,83 @@ fn tuner_is_deterministic_per_request() {
     assert_eq!(a.tuned_time, b.tuned_time);
     assert_eq!(a.paper_time, b.paper_time);
     assert_eq!(a.candidates, b.candidates);
+    assert_eq!(a.proven, b.proven);
     assert_eq!(a.rejected, b.rejected);
+}
+
+#[test]
+fn fig12_best_proves_only_the_cells_that_tune_away() {
+    // A cell the paper keeps proves nothing; every cell that tunes away
+    // finds its winner clean at the first proof.
+    let proven: usize = sweeps::fig12_best_cells()
+        .into_iter()
+        .map(|(kind, dpus, elems)| {
+            let g = PimGeometry::paper_scaled(dpus);
+            autotune::tune(kind, &g, elems, 4).unwrap().proven
+        })
+        .sum();
+    let tuned_rows = GOLDEN
+        .lines()
+        .skip(1)
+        .filter(|line| line.split(',').nth(6) != Some("paper"))
+        .count();
+    assert_eq!(tuned_rows, 10);
+    assert_eq!(proven, tuned_rows, "proofs run over the fig12_best cells");
+}
+
+/// The tuner's pick the eager way: prove every candidate, price the
+/// clean ones through the boost plan, and keep the strictly cheapest
+/// (earliest in sweep order on a tie) over the paper schedule. Returns
+/// `(winner, tuned time, paper time, candidates)`.
+fn eager_tune(
+    kind: CollectiveKind,
+    g: &PimGeometry,
+    elems: usize,
+) -> (Option<(Composition, usize)>, SimTime, SimTime, usize) {
+    let timing = TimingModel::paper();
+    let price = |req: &ScheduleRequest<'_>| {
+        let s = cache::get::<CommSchedule>(req, Probe::disabled()).unwrap();
+        boost::plan(&s).breakdown(&timing, SimTime::ZERO).total()
+    };
+    let paper = ScheduleRequest::new(kind, g, elems, 4);
+    let paper_time = price(&paper);
+    let cands = autotune::candidates(kind, g, elems);
+    let (mut winner, mut tuned_time) = (None, paper_time);
+    for &(comp, chunks) in &cands {
+        let req = ScheduleRequest {
+            algo: Algo::Composed(comp, chunks),
+            ..paper
+        };
+        match cache::get::<Proof>(&req, Probe::disabled()) {
+            Ok(p) if p.summary.report.is_clean() => {}
+            _ => continue,
+        }
+        let t = price(&req);
+        if t < tuned_time {
+            (winner, tuned_time) = (Some((comp, chunks)), t);
+        }
+    }
+    (winner, tuned_time, paper_time, cands.len())
+}
+
+#[test]
+fn lazy_tuner_matches_an_eager_reference_on_ragged_payloads() {
+    for kind in sweeps::FIG12_BEST_KINDS {
+        for dpus in [8, 64] {
+            let g = PimGeometry::paper_scaled(dpus);
+            for elems in [104, 640] {
+                let choice = autotune::tune(kind, &g, elems, 4).unwrap();
+                assert_eq!(
+                    (
+                        choice.winner,
+                        choice.tuned_time,
+                        choice.paper_time,
+                        choice.candidates
+                    ),
+                    eager_tune(kind, &g, elems),
+                    "{kind} x{dpus} e{elems}: lazy pick differs from the eager one"
+                );
+            }
+        }
+    }
 }

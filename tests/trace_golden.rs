@@ -216,60 +216,36 @@ lint-delta,2,8,0,28
 lint-full,2,8,2,0
 cache-miss,2,8,104,4
 cache-miss,2,8,104,4
-lint-full,2,8,14,0
-cache-hit,2,8,104,4
-lint-full,2,8,2,0
-cache-hit,2,8,104,4
-lint-full,2,8,6,0
-cache-hit,2,8,104,4
-lint-full,2,8,6,0
-cache-hit,2,8,104,4
-lint-full,2,8,28,0
-cache-hit,2,8,104,4
-lint-full,2,8,4,0
-cache-hit,2,8,104,4
-lint-full,2,8,12,0
-cache-hit,2,8,104,4
-lint-full,2,8,12,0
-cache-hit,2,8,104,4
+cache-miss,2,8,104,4
+cache-miss,2,8,104,4
+cache-miss,2,8,104,4
+cache-miss,2,8,104,4
+cache-miss,2,8,104,4
+cache-miss,2,8,104,4
+cache-miss,2,8,104,4
+cache-miss,2,8,104,4
 lint-full,2,8,14,0
 cache-miss,2,8,48,4
 cache-hit,2,8,48,4
-lint-full,2,8,14,0
-cache-hit,2,8,48,4
-lint-full,2,8,2,0
-cache-hit,2,8,48,4
-lint-full,2,8,6,0
-cache-hit,2,8,48,4
-lint-full,2,8,6,0
-cache-hit,2,8,48,4
-lint-full,2,8,28,0
-cache-hit,2,8,48,4
-lint-full,2,8,4,0
-cache-hit,2,8,48,4
-lint-full,2,8,12,0
-cache-hit,2,8,48,4
-lint-full,2,8,12,0
-cache-hit,2,8,48,4
+cache-miss,2,8,48,4
+cache-miss,2,8,48,4
+cache-miss,2,8,48,4
+cache-miss,2,8,48,4
+cache-miss,2,8,48,4
+cache-miss,2,8,48,4
+cache-miss,2,8,48,4
+cache-miss,2,8,48,4
 lint-full,2,8,14,0
 cache-miss,2,8,16,4
 cache-hit,2,8,16,4
-lint-full,2,8,14,0
-cache-hit,2,8,16,4
-lint-full,2,8,2,0
-cache-hit,2,8,16,4
-lint-full,2,8,6,0
-cache-hit,2,8,16,4
-lint-full,2,8,6,0
-cache-hit,2,8,16,4
-lint-full,2,8,28,0
-cache-hit,2,8,16,4
-lint-full,2,8,4,0
-cache-hit,2,8,16,4
-lint-full,2,8,12,0
-cache-hit,2,8,16,4
-lint-full,2,8,12,0
-cache-hit,2,8,16,4
+cache-miss,2,8,16,4
+cache-miss,2,8,16,4
+cache-miss,2,8,16,4
+cache-miss,2,8,16,4
+cache-miss,2,8,16,4
+cache-miss,2,8,16,4
+cache-miss,2,8,16,4
+cache-miss,2,8,16,4
 lint-full,2,8,14,0
 cache-hit,2,8,48,4
 lint-full,2,8,14,0
@@ -295,7 +271,7 @@ fn cache_event_stream_is_pinned() {
     let m = probe.metrics.snapshot();
     assert_eq!(
         (m.cache_hits, m.cache_misses),
-        (30, 9),
+        (6, 33),
         "hit/miss counts drifted"
     );
 }
