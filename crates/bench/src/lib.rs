@@ -177,20 +177,29 @@ mod tests {
         assert!(json_number(perf, "wall_ms").is_some_and(|v| v > 0.0));
         assert!(json_number(layers, "min_speedup_x256").is_some_and(|v| v > 0.0));
         assert_eq!(json_number(layers, "no_such_key"), None);
-        // Every key of the perf baseline is one perf_gate writes: a key it
+        // Every key of a baseline is one its harness writes: a key it
         // stopped writing reads as a gated figure that nothing checks.
-        let gate = include_str!("bin/perf_gate.rs");
-        let keys: Vec<&str> = perf
-            .lines()
-            .filter_map(|line| line.trim().strip_prefix('"')?.split('"').next())
-            .collect();
-        assert!(keys.contains(&"wall_ms"), "no keys parsed from {perf}");
-        for key in keys {
+        let writes_every_key = |baseline: &str, file: &str, harness: &str, source: &str| {
+            let keys: Vec<&str> = baseline
+                .lines()
+                .filter_map(|line| line.trim().strip_prefix('"')?.split('"').next())
+                .collect();
+            assert!(keys.len() >= 3, "no keys parsed from {baseline}");
             assert!(
-                gate.contains(&format!("\\\"{key}\\\"")),
-                "results/perf_baseline.json carries `{key}`, which perf_gate does not write"
+                baseline.lines().filter(|l| l.contains(':')).count() == keys.len(),
+                "results/{file} holds a value that is not a top-level key"
             );
-        }
+            for key in keys {
+                assert!(
+                    source.contains(&format!("\\\"{key}\\\"")),
+                    "results/{file} carries `{key}`, which {harness} does not write"
+                );
+            }
+        };
+        let gate = include_str!("bin/perf_gate.rs");
+        let ledger = include_str!("bin/layer_ledger.rs");
+        writes_every_key(perf, "perf_baseline.json", "perf_gate", gate);
+        writes_every_key(layers, "layers_baseline.json", "layer_ledger", ledger);
     }
 
     #[test]

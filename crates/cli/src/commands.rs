@@ -1,6 +1,7 @@
 //! Subcommand implementations.
 
 use std::fmt::Write as _;
+use std::io::{self, Write};
 
 use pim_arch::SystemConfig;
 use pim_sim::{Bytes, Probe, SimTime};
@@ -143,30 +144,69 @@ USAGE:
   request log against --log, exiting non-zero on the first divergence:
   a pinned log file is a replayable contract for the whole engine.";
 
-/// Dispatches a parsed command line.
-pub fn dispatch(argv: &[String]) -> Result<(), String> {
+/// Why a command stopped early.
+#[derive(Debug)]
+pub enum CliError {
+    /// Bad input or a failed run: reported as `error: …` with the usage.
+    Message(String),
+    /// Writing the command's output failed; a reader that closed the pipe
+    /// early shows up here as [`io::ErrorKind::BrokenPipe`].
+    Output(io::Error),
+}
+
+impl From<String> for CliError {
+    fn from(message: String) -> Self {
+        CliError::Message(message)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(message: &str) -> Self {
+        CliError::Message(message.to_string())
+    }
+}
+
+impl From<io::Error> for CliError {
+    fn from(e: io::Error) -> Self {
+        CliError::Output(e)
+    }
+}
+
+impl std::fmt::Display for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CliError::Message(m) => f.write_str(m),
+            CliError::Output(e) => write!(f, "writing to stdout: {e}"),
+        }
+    }
+}
+
+/// Dispatches a parsed command line. The command's standard output goes
+/// to `out` (warnings and errors stay on stderr), and a failed write stops
+/// the command with [`CliError::Output`].
+pub fn dispatch(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let Some((cmd, rest)) = argv.split_first() else {
         return Err("no command given".into());
     };
     let flags = Flags::parse(rest)?;
     match cmd.as_str() {
-        "collective" => collective(&flags),
-        "workload" => workload(&flags),
-        "suite" => suite(),
-        "schedule" => schedule(&flags),
-        "noc" => noc(&flags),
-        "faults" => faults(&flags),
-        "repair" => repair(&flags),
-        "lint" => lint(&flags),
-        "trace" => trace(&flags),
-        "soak" => soak(&flags),
-        "serve" => serve(&flags),
-        "replay" => replay(&flags),
+        "collective" => collective(&flags, out),
+        "workload" => workload(&flags, out),
+        "suite" => suite(out),
+        "schedule" => schedule(&flags, out),
+        "noc" => noc(&flags, out),
+        "faults" => faults(&flags, out),
+        "repair" => repair(&flags, out),
+        "lint" => lint(&flags, out),
+        "trace" => trace(&flags, out),
+        "soak" => soak(&flags, out),
+        "serve" => serve(&flags, out),
+        "replay" => replay(&flags, out),
         "help" | "--help" | "-h" => {
-            println!("{USAGE}");
+            writeln!(out, "{USAGE}")?;
             Ok(())
         }
-        other => Err(format!("unknown command '{other}'")),
+        other => Err(format!("unknown command '{other}'").into()),
     }
 }
 
@@ -363,7 +403,7 @@ fn accept(flags: &Flags, known: &[&str]) -> Flags {
     flags.only(known)
 }
 
-fn collective(flags: &Flags) -> Result<(), String> {
+fn collective(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let flags = &accept(flags, &["kind", "kb", "dpus", "backend"]);
     let kind = parse_kind(flags.require("kind")?)?;
     let kb: u64 = flags.num_or("kb", 32)?;
@@ -372,7 +412,7 @@ fn collective(flags: &Flags) -> Result<(), String> {
     let sys = system_for(dpus)?;
     let spec = CollectiveSpec::new(kind, Bytes::kib(kb));
 
-    println!("{kind}, {kb} KiB/DPU, {dpus} DPUs:");
+    writeln!(out, "{kind}, {kb} KiB/DPU, {dpus} DPUs:")?;
     let mut baseline = None;
     for bk in backends {
         let backend = sys.backend(bk);
@@ -384,9 +424,9 @@ fn collective(flags: &Flags) -> Result<(), String> {
                 let vs = baseline
                     .map(|b| format!("  ({:.2}x vs baseline)", b.ratio(r.total())))
                     .unwrap_or_default();
-                println!("  {:<18} {}{vs}", bk.to_string(), r);
+                writeln!(out, "  {:<18} {}{vs}", bk.to_string(), r)?;
             }
-            Err(e) => println!("  {:<18} unsupported: {e}", bk.to_string()),
+            Err(e) => writeln!(out, "  {:<18} unsupported: {e}", bk.to_string())?,
         }
     }
     Ok(())
@@ -398,7 +438,7 @@ fn find_workload(name: &str) -> Option<Box<dyn pim_workloads::Workload>> {
         .find(|w| w.name().eq_ignore_ascii_case(name))
 }
 
-fn workload(flags: &Flags) -> Result<(), String> {
+fn workload(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let flags = &accept(flags, &["name", "backend"]);
     let name = flags.require("name")?;
     let w = find_workload(name).ok_or_else(|| format!("unknown workload '{name}'"))?;
@@ -406,12 +446,13 @@ fn workload(flags: &Flags) -> Result<(), String> {
     let sys = SystemConfig::paper();
     let pimnet = PimnetSystem::paper();
     let program = w.program(&sys);
-    println!(
+    writeln!(
+        out,
         "{} ({} phases, {} of collective payload per DPU):",
         w.name(),
         program.phases.len(),
         program.total_collective_bytes()
-    );
+    )?;
     for bk in backends {
         let backend = pimnet.backend(bk);
         if !program
@@ -419,7 +460,7 @@ fn workload(flags: &Flags) -> Result<(), String> {
             .iter()
             .all(|&k| backend.supports(k))
         {
-            println!("  {:<18} unsupported collective", bk.to_string());
+            writeln!(out, "  {:<18} unsupported collective", bk.to_string())?;
             continue;
         }
         let r = pim_workloads::program::run_program(
@@ -429,17 +470,17 @@ fn workload(flags: &Flags) -> Result<(), String> {
             Probe::disabled(),
         )
         .map_err(|e| e.to_string())?;
-        println!("  {:<18} {}", bk.to_string(), r);
+        writeln!(out, "  {:<18} {}", bk.to_string(), r)?;
     }
     Ok(())
 }
 
-fn suite() -> Result<(), String> {
+fn suite(out: &mut dyn Write) -> Result<(), CliError> {
     let sys = SystemConfig::paper();
     let pimnet = PimnetSystem::paper();
     let base = pimnet.backend(BackendKind::Baseline);
     let pim = pimnet.backend(BackendKind::Pimnet);
-    println!("workload suite, PIMnet vs baseline (256 DPUs):");
+    writeln!(out, "workload suite, PIMnet vs baseline (256 DPUs):")?;
     for w in pim_workloads::paper_suite() {
         let program = w.program(&sys);
         let b =
@@ -448,13 +489,14 @@ fn suite() -> Result<(), String> {
         let p =
             pim_workloads::program::run_program(&program, &sys, pim.as_ref(), Probe::disabled())
                 .map_err(|e| e.to_string())?;
-        println!(
+        writeln!(
+            out,
             "  {:<10} baseline {:>12}  pimnet {:>12}  speedup {:>7.2}x",
             w.name(),
             b.total().to_string(),
             p.total().to_string(),
             b.total().ratio(p.total())
-        );
+        )?;
     }
     Ok(())
 }
@@ -476,7 +518,7 @@ fn metrics_probe(flags: &Flags) -> pim_sim::Probe {
     }
 }
 
-fn schedule(flags: &Flags) -> Result<(), String> {
+fn schedule(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let flags = &accept(
         flags,
         &[
@@ -493,7 +535,7 @@ fn schedule(flags: &Flags) -> Result<(), String> {
         .eq_ignore_ascii_case("true");
     let algo_spec = flags.require("algo").ok();
     if autotune && algo_spec.is_some() {
-        return Err("--algo and --autotune are mutually exclusive".to_string());
+        return Err("--algo and --autotune are mutually exclusive".into());
     }
     let algo = if autotune {
         Algo::Tuned
@@ -511,7 +553,8 @@ fn schedule(flags: &Flags) -> Result<(), String> {
         Algo::Tuned => {
             let choice =
                 cache::get::<TunedChoice>(&req, Probe::disabled()).map_err(|e| e.to_string())?;
-            println!(
+            writeln!(
+                out,
                 "autotune: {} candidates swept, {} proven, {} rejected; winner {} \
                  (paper {}, tuned {}, speedup {:.2}x)",
                 choice.candidates,
@@ -521,22 +564,26 @@ fn schedule(flags: &Flags) -> Result<(), String> {
                 choice.paper_time,
                 choice.tuned_time,
                 choice.speedup()
-            );
+            )?;
         }
-        Algo::Composed(comp, _) => println!("algo: composed schedule {comp} (bank_chip_rank)"),
+        Algo::Composed(comp, _) => {
+            writeln!(out, "algo: composed schedule {comp} (bank_chip_rank)")?
+        }
         Algo::Paper => {}
     }
     let report = pimnet::schedule::validate::validate(&s).map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        out,
         "{kind} on {dpus} DPUs, {elems} elements/DPU: {} phases, {} steps, \
          {} transfers, {} on the wire",
         s.phases.len(),
         s.step_count(),
         s.transfer_count(),
         s.total_wire_bytes()
-    );
+    )?;
     for (i, phase) in s.phases.iter().enumerate() {
-        println!(
+        writeln!(
+            out,
             "  phase {i}: {:<11} {} steps{}",
             phase.label.to_string(),
             phase.steps.len(),
@@ -545,45 +592,50 @@ fn schedule(flags: &Flags) -> Result<(), String> {
             } else {
                 ""
             }
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "validation: max sharing ring={} chip={} bus={}",
         report.max_ring_sharing, report.max_chip_sharing, report.max_bus_sharing
-    );
+    )?;
     let compiled = pimnet::isa::compile(&s).map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        out,
         "offload: {} PIM instructions across {dpus} DPUs ({} per DPU)",
         compiled.instruction_count(),
         compiled.instruction_count() / dpus as usize
-    );
+    )?;
     let energy = pimnet::energy::EnergyModel::default_45nm();
-    println!(
+    writeln!(
+        out,
         "energy: {:.2} uJ over PIMnet (per-tier {:?})",
         energy.schedule_energy_uj(&s),
         energy.breakdown_uj(&s)
-    );
+    )?;
     if flags.get_or("boost", "false").eq_ignore_ascii_case("true") {
         let timing = pimnet::timing::TimingModel::paper();
         let plan = pimnet::schedule::boost::plan(&s);
         let boosted = plan.breakdown(&timing, pim_sim::SimTime::ZERO);
-        println!(
+        writeln!(
+            out,
             "boost: {} of {} transfers kept ({:.1}x reduction), \
              reconstructed total {}",
             plan.kept_transfers,
             plan.total_transfers,
             plan.reduction(),
             boosted.total()
-        );
+        )?;
     }
     if let Ok(path) = flags.require("timeline") {
         let timeline = pimnet::timeline::Timeline::build(&s, &pimnet::timing::TimingModel::paper());
         std::fs::write(path, timeline.to_csv()).map_err(|e| e.to_string())?;
-        println!(
+        writeln!(
+            out,
             "timeline: {} transfer windows ending at {} -> {path}",
             timeline.windows.len(),
             timeline.end
-        );
+        )?;
     }
     let probe = metrics_probe(flags);
     if probe.is_active() {
@@ -594,12 +646,12 @@ fn schedule(flags: &Flags) -> Result<(), String> {
             &probe,
         )
         .map_err(|e| e.to_string())?;
-        println!("{}", probe.metrics.snapshot().render());
+        writeln!(out, "{}", probe.metrics.snapshot().render())?;
     }
     Ok(())
 }
 
-fn noc(flags: &Flags) -> Result<(), String> {
+fn noc(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let flags = &accept(
         flags,
         &[
@@ -631,24 +683,32 @@ fn noc(flags: &Flags) -> Result<(), String> {
     let credit =
         pim_noc::simulate_credit(&s, &ready, &cfg, &injector, &probe).map_err(|e| e.to_string())?;
     let sched = pim_noc::simulate_scheduled(&s, &ready, &cfg, Probe::disabled());
-    println!("{kind} on {dpus} DPUs, {elems} elements/DPU, ±10% jitter around {jitter_us} us:");
-    println!("  credit-based : {credit}");
-    println!(
+    writeln!(
+        out,
+        "{kind} on {dpus} DPUs, {elems} elements/DPU, ±10% jitter around {jitter_us} us:"
+    )?;
+    writeln!(out, "  credit-based : {credit}")?;
+    writeln!(
+        out,
         "                 p50 latency {}, p99 {}, busiest link {:.1}% utilized",
         credit.p50_latency,
         credit.p99_latency,
         credit.max_link_utilization * 100.0
-    );
-    println!("  PIM-control  : {sched}");
+    )?;
+    writeln!(out, "  PIM-control  : {sched}")?;
     let gain = 1.0 - sched.completion.as_secs_f64() / credit.completion.as_secs_f64();
-    println!("  PIM control changes completion by {:+.1}%", gain * 100.0);
+    writeln!(
+        out,
+        "  PIM control changes completion by {:+.1}%",
+        gain * 100.0
+    )?;
     if probe.is_active() {
-        println!("{}", probe.metrics.snapshot().render());
+        writeln!(out, "{}", probe.metrics.snapshot().render())?;
     }
     Ok(())
 }
 
-fn faults(flags: &Flags) -> Result<(), String> {
+fn faults(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let flags = &accept(
         flags,
         &[
@@ -666,10 +726,10 @@ fn faults(flags: &Flags) -> Result<(), String> {
             "metrics",
         ],
     );
-    let mut out = String::new();
-    let result = faults_report(flags, &mut out);
-    print!("{out}");
-    result
+    let mut report = String::new();
+    let result = faults_report(flags, &mut report);
+    out.write_all(report.as_bytes())?;
+    Ok(result?)
 }
 
 /// The `faults` report, written to `out` up to the first error.
@@ -803,7 +863,7 @@ fn faults_report(flags: &Flags, out: &mut String) -> Result<(), String> {
     Ok(())
 }
 
-fn repair(flags: &Flags) -> Result<(), String> {
+fn repair(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let flags = &accept(
         flags,
         &[
@@ -824,34 +884,37 @@ fn repair(flags: &Flags) -> Result<(), String> {
     let sys = system_for(dpus)?;
     let g = sys.system().geometry;
     let faults = injector.permanent_faults(g.ranks_per_channel, g.chips_per_rank, g.banks_per_chip);
-    println!("{kind} on {dpus} DPUs, {elems} elements/DPU");
-    println!("permanent faults: {faults}");
+    writeln!(out, "{kind} on {dpus} DPUs, {elems} elements/DPU")?;
+    writeln!(out, "permanent faults: {faults}")?;
     let unusable = pimnet::schedule::repair::unusable_dpus(&g, &faults);
     if !unusable.is_empty() {
-        println!(
+        writeln!(
+            out,
             "  {} DPU(s) unreachable even by repair: {unusable:?}",
             unusable.len()
-        );
+        )?;
     }
     let s = CommSchedule::build(kind, &g, elems, 4).map_err(|e| e.to_string())?;
     let timing = pimnet::timing::TimingModel::paper();
     match pimnet::timeline::Timeline::build_repaired(&s, &timing, &faults, &probe) {
         Ok((timeline, report)) => {
-            println!(
+            writeln!(
+                out,
                 "  repair: {} rerouted (+{} hops), {} remapped to buddy ports, \
                  +{} serialization steps",
                 report.rerouted_transfers,
                 report.extra_hops,
                 report.remapped_transfers,
                 report.extra_steps
-            );
+            )?;
             let clean = pimnet::timeline::Timeline::build(&s, &timing);
-            println!(
+            writeln!(
+                out,
                 "  timing: fault-free {} -> repaired {}  ({:.2}x)",
                 clean.end,
                 timeline.end,
                 timeline.end.as_secs_f64() / clean.end.as_secs_f64()
-            );
+            )?;
             // Verify: the repaired schedule must produce bit-identical
             // results to the fault-free plan.
             let repaired = pimnet::schedule::repair::repair(&s, &faults)
@@ -861,28 +924,29 @@ fn repair(flags: &Flags) -> Result<(), String> {
             clean_m.run(&s, pimnet::exec::ReduceOp::Sum);
             let mut rep_m = pimnet::exec::ExecMachine::init(&repaired.schedule, init);
             rep_m.run(&repaired.schedule, pimnet::exec::ReduceOp::Sum);
-            println!(
+            writeln!(
+                out,
                 "  exec: repaired result bit-identical to fault-free run: {}",
                 clean_m == rep_m
-            );
+            )?;
             if clean_m != rep_m {
                 return Err("repaired run diverged from the clean run".into());
             }
         }
         Err(e) => {
-            println!("  repair failed: {e}");
+            writeln!(out, "  repair failed: {e}")?;
             // Show where the ladder lands instead.
             let plan =
                 pimnet::resilience::plan_degraded(kind, &g, elems, 4, &injector, sys.system())
                     .map_err(|e| e.to_string())?;
-            println!("  degradation ladder lands on: {}", plan.tier_name());
+            writeln!(out, "  degradation ladder lands on: {}", plan.tier_name())?;
             for e in plan.error_trail() {
-                println!("    trail: {e}");
+                writeln!(out, "    trail: {e}")?;
             }
         }
     }
     if probe.is_active() {
-        println!("{}", probe.metrics.snapshot().render());
+        writeln!(out, "{}", probe.metrics.snapshot().render())?;
     }
     Ok(())
 }
@@ -950,7 +1014,7 @@ fn lint_one(
     Ok((pimnet::analysis::run_all(&r.schedule), Some(repair_note)))
 }
 
-fn lint(flags: &Flags) -> Result<(), String> {
+fn lint(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let flags = &accept(
         flags,
         &[
@@ -973,7 +1037,7 @@ fn lint(flags: &Flags) -> Result<(), String> {
         .get_or("all-presets", "false")
         .eq_ignore_ascii_case("true")
     {
-        return lint_all_presets(json);
+        return lint_all_presets(json, out);
     }
     let kind = parse_kind(flags.get_or("kind", "allreduce"))?;
     let dpus: u32 = flags.num_or("dpus", 64)?;
@@ -982,15 +1046,15 @@ fn lint(flags: &Flags) -> Result<(), String> {
     let sys = system_for(dpus)?;
     let (report, note) = lint_one(kind, &sys.system().geometry, elems, &injector, incremental)?;
     if json {
-        println!("{}", report.to_json());
+        writeln!(out, "{}", report.to_json())?;
     } else {
         if let Some(n) = note {
-            println!("{n}");
+            writeln!(out, "{n}")?;
         }
-        println!("{report}");
+        writeln!(out, "{report}")?;
     }
     if report.has_errors() {
-        Err(format!("lint failed: {} error(s)", report.error_count()))
+        Err(format!("lint failed: {} error(s)", report.error_count()).into())
     } else {
         Ok(())
     }
@@ -1006,7 +1070,7 @@ fn lint(flags: &Flags) -> Result<(), String> {
 /// the `perf_gate` harness) and fans out over `pim_sim::par`
 /// (`PIMNET_THREADS` workers); ordered result collection keeps the
 /// output byte-identical to the sequential run.
-fn lint_all_presets(json: bool) -> Result<(), String> {
+fn lint_all_presets(json: bool, out: &mut dyn Write) -> Result<(), CliError> {
     use pimnet::analysis::presets;
     let results = pim_sim::par::map_ordered(presets::cases(), |case| (case, case.run()));
     let mut failures = 0usize;
@@ -1019,28 +1083,28 @@ fn lint_all_presets(json: bool) -> Result<(), String> {
                     failures += 1;
                 }
                 if json {
-                    println!("{}", report.to_json());
+                    writeln!(out, "{}", report.to_json())?;
                 } else if report.is_clean() {
-                    println!("ok   {}", case.label());
+                    writeln!(out, "ok   {}", case.label())?;
                 } else {
-                    println!("FAIL {}\n{report}", case.label());
+                    writeln!(out, "FAIL {}\n{report}", case.label())?;
                 }
             }
             // Unreachable DPUs: no full-size schedule exists for this
             // storm. A clean preset failing to build is a real error.
             Err(e) if case.storm_seed.is_some() => {
                 if !json {
-                    println!("skip {}: {e}", case.label());
+                    writeln!(out, "skip {}: {e}", case.label())?;
                 }
             }
-            Err(e) => return Err(e),
+            Err(e) => return Err(e.into()),
         }
     }
     if failures > 0 {
-        Err(format!("lint failed on {failures} of {checked} preset(s)"))
+        Err(format!("lint failed on {failures} of {checked} preset(s)").into())
     } else {
         if !json {
-            println!("all {checked} linted preset(s) clean");
+            writeln!(out, "all {checked} linted preset(s) clean")?;
         }
         Ok(())
     }
@@ -1069,7 +1133,7 @@ fn trace_one(
     Ok((probe.trace.drain(), probe.metrics.snapshot()))
 }
 
-fn trace(flags: &Flags) -> Result<(), String> {
+fn trace(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let flags = &accept(
         flags,
         &[
@@ -1108,11 +1172,12 @@ fn trace(flags: &Flags) -> Result<(), String> {
     // Without --out, stdout carries the JSON and the summary moves to
     // stderr so the output stays pipeable.
     let to_file = flags.require("out").is_ok();
-    let say = |line: String| {
+    let mut say = |line: String| -> io::Result<()> {
         if to_file {
-            println!("{line}");
+            writeln!(out, "{line}")
         } else {
             eprintln!("{line}");
+            Ok(())
         }
     };
     for (name, t) in &parts {
@@ -1121,9 +1186,9 @@ fn trace(flags: &Flags) -> Result<(), String> {
             t.events.len(),
             t.dropped,
             t.fingerprint()
-        ));
+        ))?;
     }
-    say(format!("metrics:\n{}", merged.render()));
+    say(format!("metrics:\n{}", merged.render()))?;
     if let Ok(path) = flags.require("csv") {
         let mut csv = String::new();
         for (name, t) in &parts {
@@ -1131,13 +1196,13 @@ fn trace(flags: &Flags) -> Result<(), String> {
             csv.push_str(&t.to_csv());
         }
         std::fs::write(path, csv).map_err(|e| e.to_string())?;
-        say(format!("csv -> {path}"));
+        say(format!("csv -> {path}"))?;
     }
     if let Ok(path) = flags.require("out") {
         std::fs::write(path, &json).map_err(|e| e.to_string())?;
-        println!("chrome trace ({} part(s)) -> {path}", parts.len());
+        writeln!(out, "chrome trace ({} part(s)) -> {path}", parts.len())?;
     } else {
-        print!("{json}");
+        write!(out, "{json}")?;
     }
     Ok(())
 }
@@ -1237,7 +1302,7 @@ fn soak_seed(ctx: &SoakCtx<'_>, seed: u64) -> SoakRow {
     }
 }
 
-fn soak(flags: &Flags) -> Result<(), String> {
+fn soak(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let flags = &accept(
         flags,
         &[
@@ -1325,16 +1390,22 @@ fn soak(flags: &Flags) -> Result<(), String> {
             violations.push(format!("seed {}: {why}", r.seed));
         }
     }
-    println!(
+    writeln!(
+        out,
         "recovery soak: {kind} on {dpus} DPUs, {elems} elements/DPU, {seeds} seed(s) from {}",
         base.seed
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  tiers: full {}  repaired {}  shrunk {}  host-fallback {}  unplannable {}",
         tiers[0], tiers[1], tiers[2], tiers[3], unplannable
-    );
-    println!("  verified bit-identical at tier <= 1: {verified}/{eligible}");
-    println!(
+    )?;
+    writeln!(
+        out,
+        "  verified bit-identical at tier <= 1: {verified}/{eligible}"
+    )?;
+    writeln!(
+        out,
         "  totals: {} steps, {} retries ({} ps backing off), {} replans, \
          {} quarantines, {} arrivals applied, {} checkpoints",
         totals.steps_executed,
@@ -1344,8 +1415,12 @@ fn soak(flags: &Flags) -> Result<(), String> {
         totals.quarantines,
         totals.arrivals_applied,
         totals.checkpoints
-    );
-    println!("  worst recovered clock: {:.1} us", worst_end as f64 / 1e6);
+    )?;
+    writeln!(
+        out,
+        "  worst recovered clock: {:.1} us",
+        worst_end as f64 / 1e6
+    )?;
     if let Ok(path) = flags.require("csv") {
         let mut csv = String::from(
             "seed,tier,steps,retries,backoff_ps,replans,quarantines,arrivals,\
@@ -1369,7 +1444,7 @@ fn soak(flags: &Flags) -> Result<(), String> {
             ));
         }
         std::fs::write(path, csv).map_err(|e| e.to_string())?;
-        println!("csv -> {path}");
+        writeln!(out, "csv -> {path}")?;
     }
     if violations.is_empty() {
         Ok(())
@@ -1378,7 +1453,8 @@ fn soak(flags: &Flags) -> Result<(), String> {
             "soak found {} unsound run(s): {}",
             violations.len(),
             violations.join("; ")
-        ))
+        )
+        .into())
     }
 }
 
@@ -1454,53 +1530,57 @@ fn serve_config(flags: &Flags) -> Result<pimnet::serve::ServeConfig, String> {
     Ok(cfg)
 }
 
-fn serve(flags: &Flags) -> Result<(), String> {
+fn serve(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let flags = &accept(flags, SERVE_FLAGS);
     let cfg = serve_config(flags)?;
     let probe = metrics_probe(flags);
     let report = pimnet::serve::serve_probed(&cfg, &probe).map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        out,
         "serving: {} tenant(s), policy {}, seed {}, horizon {:.0} us",
         cfg.tenants.len(),
         cfg.policy.name(),
         cfg.seed,
         cfg.horizon_ps as f64 / 1e6
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  requests {}: served {}  host-fallback {}  shed {}  quarantined {}",
         report.log.len(),
         report.count("served"),
         report.count("host-fallback"),
         report.count("shed"),
         report.count("quarantined")
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  latency: p50 {:.1} us  p99 {:.1} us  throughput {:.1} collectives/s",
         report.percentile_ps(50.0) as f64 / 1e6,
         report.percentile_ps(99.0) as f64 / 1e6,
         report.collectives_per_sec()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  overload ladder peak: level {} ({} step(s)); quarantine events: {}",
         report.peak_level(),
         report.ladder.len(),
         report.quarantines.len()
-    );
-    println!("  end clock: {:.1} us", report.end_ps as f64 / 1e6);
+    )?;
+    writeln!(out, "  end clock: {:.1} us", report.end_ps as f64 / 1e6)?;
     if probe.is_active() {
-        println!("{}", probe.metrics.snapshot().render());
+        writeln!(out, "{}", probe.metrics.snapshot().render())?;
     }
     if let Ok(path) = flags.require("log") {
         std::fs::write(path, report.render_log(&cfg)).map_err(|e| e.to_string())?;
-        println!("request log -> {path}");
+        writeln!(out, "request log -> {path}")?;
     }
     // The engine guarantees the serving contract by construction; the
     // CLI re-proves it from the outside so a regression fails the command.
     pimnet::serve::check_report(&cfg, &report)
-        .map_err(|why| format!("serve found a soundness violation: {why}"))
+        .map_err(|why| format!("serve found a soundness violation: {why}").into())
 }
 
-fn replay(flags: &Flags) -> Result<(), String> {
+fn replay(flags: &Flags, out: &mut dyn Write) -> Result<(), CliError> {
     let flags = &accept(flags, SERVE_FLAGS);
     let path = flags.require("log")?;
     let pinned = std::fs::read_to_string(path)
@@ -1509,11 +1589,12 @@ fn replay(flags: &Flags) -> Result<(), String> {
     let report = pimnet::serve::serve(&cfg).map_err(|e| e.to_string())?;
     let fresh = report.render_log(&cfg);
     if fresh == pinned {
-        println!(
+        writeln!(
+            out,
             "replay verified: {} request(s), {} bytes match {path}",
             report.log.len(),
             fresh.len()
-        );
+        )?;
         return Ok(());
     }
     let diverged = fresh
@@ -1529,7 +1610,8 @@ fn replay(flags: &Flags) -> Result<(), String> {
          {} byte(s), the fresh run produced {}",
         pinned.len(),
         fresh.len()
-    ))
+    )
+    .into())
 }
 
 #[cfg(test)]
@@ -1537,7 +1619,8 @@ mod tests {
     use super::*;
 
     fn run(args: &[&str]) -> Result<(), String> {
-        dispatch(&args.iter().map(|s| (*s).to_string()).collect::<Vec<_>>())
+        let argv: Vec<String> = args.iter().map(|s| (*s).to_string()).collect();
+        dispatch(&argv, &mut io::sink()).map_err(|e| e.to_string())
     }
 
     #[test]

@@ -14,16 +14,29 @@
 
 #![forbid(unsafe_code)]
 
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
+
+use commands::CliError;
 
 mod args;
 mod commands;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match commands::dispatch(&argv) {
+    let mut out = std::io::stdout().lock();
+    let result =
+        commands::dispatch(&argv, &mut out).and_then(|()| out.flush().map_err(CliError::Output));
+    match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        // The reader closed the pipe (`| head`): it wants no more output,
+        // which is not a failure.
+        Err(CliError::Output(e)) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e @ CliError::Output(_)) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+        Err(e @ CliError::Message(_)) => {
             eprintln!("error: {e}");
             eprintln!();
             eprintln!("{}", commands::USAGE);

@@ -501,13 +501,18 @@ pub fn reverify_delta(
 
 /// [`reverify_delta`] for a repaired schedule, with an identity fast
 /// path: an identity repair changed nothing, so the base summary is
-/// returned as-is (rebound to the repaired schedule's allocation).
+/// returned as-is. The fast path tries [`Arc::ptr_eq`] (the cache shares
+/// the base allocation with an identity repair) before comparing
+/// contents. Otherwise the summary proves the repair's own allocation:
+/// handing it over is an `Arc` bump, not a copy.
 #[must_use]
 pub fn reverify_repair(
     base: &AnalysisSummary,
     repaired: &RepairedSchedule,
 ) -> (AnalysisSummary, DeltaStats) {
-    if repaired.report.is_identity() && *base.schedule == repaired.schedule {
+    if repaired.report.is_identity()
+        && (Arc::ptr_eq(&base.schedule, &repaired.schedule) || base.schedule == repaired.schedule)
+    {
         let stats = DeltaStats {
             steps_total: base.records.len(),
             reused_prefix: base.records.len(),
@@ -516,7 +521,7 @@ pub fn reverify_repair(
         };
         return (base.clone(), stats);
     }
-    reverify_delta(base, Arc::new(repaired.schedule.clone()))
+    reverify_delta(base, repaired.schedule.clone())
 }
 
 #[cfg(test)]

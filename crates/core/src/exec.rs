@@ -197,9 +197,10 @@ impl<T: Element> ExecMachine<T> {
     }
 
     /// Runs the schedule (in either layout) under a fault scenario: every
-    /// non-local transfer is serialized to its wire image, CRC-checked at
-    /// the receiver, and re-sent (up to the configured retry budget)
-    /// whenever the injector corrupts an attempt.
+    /// non-local transfer's wire image is CRC-checked at the receiver
+    /// (streamed, never built: see `transmit`), and the transfer is re-sent
+    /// (up to the configured retry budget) whenever the injector corrupts
+    /// an attempt.
     ///
     /// Because corrupted attempts are always *detected* (the CRC catches
     /// the injected flip) and the clean re-send carries the original
@@ -327,11 +328,17 @@ impl<T: Element> ExecMachine<T> {
         Ok(())
     }
 
-    /// Models one transfer crossing the wire: serialize, corrupt per the
+    /// Models one transfer crossing the wire: CRC, corrupt per the
     /// injector, CRC-check, retry. Returns once an attempt arrives clean.
-    /// Re-sends are recorded into `probe` as `exec-retry` instants at the
-    /// step's `logical` ordinal (a no-op on the disabled probe). A
-    /// non-empty transfer the injector
+    ///
+    /// The wire image is the payload's [`wire_bits`](Element::wire_bits)
+    /// words, 8 little-endian bytes each; it is CRC'd as that stream of
+    /// words ([`wire_crc`]) and never materialized. A corrupted attempt
+    /// flips one bit of the image, at the position the injector draws over
+    /// its `8 × payload.len()` bytes, and CRCs the same stream with that
+    /// word's bit flipped. Re-sends are recorded into `probe` as
+    /// `exec-retry` instants at the step's `logical` ordinal (a no-op on
+    /// the disabled probe). A non-empty transfer the injector
     /// [always corrupts](FaultInjector::always_corrupts) fails at once:
     /// every attempt would flip a bit, and CRC-32 catches every single-bit
     /// flip.
@@ -344,31 +351,26 @@ impl<T: Element> ExecMachine<T> {
         probe: &Probe,
         logical: u64,
     ) -> Result<(), PimnetError> {
-        let wire: Vec<u8> = payload
-            .iter()
-            .flat_map(|e| e.wire_bits().to_le_bytes())
-            .collect();
+        let wire_len = WIRE_WORD_BYTES * payload.len();
         let failed = || PimnetError::TransferFailed {
             phase: pi,
             step: si,
             transfer: ti,
             attempts: injector.max_attempts(),
         };
-        if !wire.is_empty() && injector.always_corrupts() {
+        if wire_len > 0 && injector.always_corrupts() {
             return Err(failed());
         }
-        let sent_crc = pim_faults::crc32(&wire);
+        let sent_crc = wire_crc(payload, None);
         let mut attempt = 0u32;
         loop {
             stats.crc_checks += 1;
-            let corrupted = !wire.is_empty()
+            let corrupted = wire_len > 0
                 && injector.transient_corrupts(pi as u64, si as u64, ti as u64, attempt);
             let received_crc = if corrupted {
-                let (byte, bit) =
-                    injector.flip_position(pi as u64, si as u64, ti as u64, attempt, wire.len());
-                let mut damaged = wire.clone();
-                damaged[byte] ^= 1 << bit;
-                pim_faults::crc32(&damaged)
+                let flip =
+                    injector.flip_position(pi as u64, si as u64, ti as u64, attempt, wire_len);
+                wire_crc(payload, Some(flip))
             } else {
                 sent_crc
             };
@@ -413,6 +415,31 @@ impl<T: Element> ExecMachine<T> {
     pub fn nodes(&self) -> usize {
         self.buffers.len()
     }
+}
+
+/// Bytes of one element on the wire: its [`Element::wire_bits`] word.
+const WIRE_WORD_BYTES: usize = std::mem::size_of::<u64>();
+
+/// CRC-32 of `payload`'s wire image, streamed word by word. `flip` is a
+/// `(byte, bit)` position in the image, counted as the 8 little-endian
+/// bytes of each word in turn, whose bit arrives inverted.
+fn wire_crc<T: Element>(payload: &[T], flip: Option<(usize, u32)>) -> u32 {
+    let (word, mask) = flip.map_or((usize::MAX, 0), |(byte, bit)| {
+        (
+            byte / WIRE_WORD_BYTES,
+            1u64 << (8 * (byte % WIRE_WORD_BYTES) as u32 + bit),
+        )
+    });
+    let mut crc = pim_faults::Crc32::new();
+    crc.update_words(payload.iter().enumerate().map(|(i, e)| {
+        let bits = e.wire_bits();
+        if i == word {
+            bits ^ mask
+        } else {
+            bits
+        }
+    }));
+    crc.finish()
 }
 
 /// Reusable staging arena for one step's concurrent transfers.
@@ -848,6 +875,60 @@ mod tests {
                 let expected = step.transfers.iter().filter(|t| !t.is_local()).count();
                 assert_eq!(wire_count.get(), expected);
             }
+        }
+    }
+
+    /// The wire model as a buffer: every element's `wire_bits` as 8
+    /// little-endian bytes, one bit flipped, CRC'd in one shot.
+    fn materialized_wire_crc<T: Element>(payload: &[T], flip: Option<(usize, u32)>) -> u32 {
+        let mut wire: Vec<u8> = payload
+            .iter()
+            .flat_map(|e| e.wire_bits().to_le_bytes())
+            .collect();
+        if let Some((byte, bit)) = flip {
+            wire[byte] ^= 1 << bit;
+        }
+        pim_faults::crc32(&wire)
+    }
+
+    #[test]
+    fn streamed_wire_crc_equals_the_materialized_wire() {
+        let payload: Vec<u64> = input(DpuId(3), 5);
+        let floats = [1.5f32, -0.0, f32::NAN];
+        let signed = [-1i8, 7, i8::MIN];
+        assert_eq!(
+            wire_crc(&payload, None),
+            materialized_wire_crc(&payload, None)
+        );
+        assert_eq!(
+            wire_crc(&floats, None),
+            materialized_wire_crc(&floats, None)
+        );
+        assert_eq!(
+            wire_crc(&signed, None),
+            materialized_wire_crc(&signed, None)
+        );
+        assert_eq!(
+            wire_crc::<u64>(&[], None),
+            materialized_wire_crc::<u64>(&[], None)
+        );
+        for byte in 0..WIRE_WORD_BYTES * payload.len() {
+            for bit in 0..8 {
+                let flip = Some((byte, bit));
+                assert_eq!(
+                    wire_crc(&payload, flip),
+                    materialized_wire_crc(&payload, flip),
+                    "flip at byte {byte} bit {bit}"
+                );
+                assert_ne!(wire_crc(&payload, flip), wire_crc(&payload, None));
+            }
+        }
+        for byte in 0..WIRE_WORD_BYTES * floats.len() {
+            let flip = Some((byte, (byte % 8) as u32));
+            assert_eq!(
+                wire_crc(&floats, flip),
+                materialized_wire_crc(&floats, flip)
+            );
         }
     }
 

@@ -34,6 +34,8 @@
 //!
 //! [`FaultTimeline`]: pim_faults::FaultTimeline
 
+use std::sync::Arc;
+
 use pim_arch::geometry::{DpuId, PimGeometry};
 use pim_arch::SystemConfig;
 use pim_faults::permanent::{PermanentFaultSet, PortId, PortSide, SegmentId};
@@ -373,7 +375,7 @@ pub fn run_recovered<T: Element>(
     // Checkpointed state surviving a replan: (schedule, map, machine,
     // completed-step count).
     #[allow(clippy::type_complexity)]
-    let mut resume: Option<(CommSchedule, Option<Vec<u32>>, ExecMachine<T>, usize)> = None;
+    let mut resume: Option<(Arc<CommSchedule>, Option<Vec<u32>>, ExecMachine<T>, usize)> = None;
 
     let escalate = |e: PimnetError,
                     mut stats: RecoveryStats,

@@ -35,6 +35,8 @@
 //! failure — instead of a panic, so a long-running experiment can log the
 //! degradation and keep going.
 
+use std::sync::Arc;
+
 use pim_arch::geometry::PimGeometry;
 use pim_arch::SystemConfig;
 use pim_faults::permanent::PermanentFaultSet;
@@ -52,23 +54,27 @@ use crate::schedule::CommSchedule;
 use crate::timing::CommBreakdown;
 
 /// How a collective survived its dead DPUs and permanent fabric faults.
+///
+/// Every schedule a plan holds is the schedule cache's own allocation:
+/// planning copies no schedule, and a Repaired plan shares its schedule
+/// with the cached repair, the faulted schedule product and the proof.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DegradedPlan {
     /// No participant is dead; the original schedule stands.
-    Full(CommSchedule),
+    Full(Arc<CommSchedule>),
     /// Every participant survives, but the schedule was rewritten around
     /// permanent fabric faults (rerouted rings, borrowed crossbar ports,
     /// serialized steps). Results are bit-identical to the full plan.
     Repaired {
         /// The repaired, re-validated schedule.
-        schedule: CommSchedule,
+        schedule: Arc<CommSchedule>,
         /// What the repair changed and what it costs.
         report: repair::RepairReport,
     },
     /// Re-planned on the largest power-of-two alive subset.
     Shrunk {
         /// The degraded schedule (over logical DPU ids `0..n`).
-        schedule: CommSchedule,
+        schedule: Arc<CommSchedule>,
         /// Logical id → physical alive DPU id.
         logical_to_physical: Vec<u32>,
         /// Physical DPUs excluded from the collective: the dead ones plus
@@ -95,7 +101,7 @@ impl DegradedPlan {
         match self {
             DegradedPlan::Full(s)
             | DegradedPlan::Repaired { schedule: s, .. }
-            | DegradedPlan::Shrunk { schedule: s, .. } => Some(s),
+            | DegradedPlan::Shrunk { schedule: s, .. } => Some(s.as_ref()),
             DegradedPlan::HostFallback { .. } => None,
         }
     }
@@ -234,9 +240,7 @@ pub fn plan_degraded_probed_at_epoch(
         // parameters, so recall them from the schedule cache: chaos
         // sweeps re-plan identical (kind, geometry, payload) points once
         // per seed.
-        let schedule = cache::get::<CommSchedule>(&req, Probe::disabled())?
-            .as_ref()
-            .clone();
+        let schedule = cache::get::<CommSchedule>(&req, Probe::disabled())?;
         if permanent.is_empty() {
             return Ok(DegradedPlan::Full(schedule));
         }
@@ -343,8 +347,7 @@ pub fn plan_degraded_probed_at_epoch(
             geometry: shrunk_geometry,
             ..req
         };
-        match cache::get::<CommSchedule>(&shrunk_req, Probe::disabled()).map(|s| s.as_ref().clone())
-        {
+        match cache::get::<CommSchedule>(&shrunk_req, Probe::disabled()) {
             Ok(schedule) => {
                 let logical_to_physical: Vec<u32> = alive[..shrunk_n as usize].to_vec();
                 let mut excluded = dead;
@@ -571,6 +574,71 @@ mod tests {
         }
         assert_eq!(plan.tier(), 1);
         assert!(plan.error_trail().is_empty());
+    }
+
+    #[test]
+    fn plans_share_the_cached_schedule_allocations() {
+        let (g, sys) = (
+            PimGeometry::paper_scaled(64),
+            SystemConfig::paper_scaled(64),
+        );
+        let kind = CollectiveKind::AllReduce;
+        let base_req = ScheduleRequest::new(kind, &g, 48, 4);
+        let quiet = Probe::disabled();
+        let base = cache::get::<CommSchedule>(&base_req, quiet).unwrap();
+        let full = plan_degraded(kind, &g, 48, 4, &FaultInjector::none(), &sys).unwrap();
+        match &full {
+            DegradedPlan::Full(s) => assert!(Arc::ptr_eq(s, &base)),
+            other => panic!("expected Full, got tier {}", other.tier_name()),
+        }
+        // A fault the schedule never routes over repairs to the identity:
+        // still the Full tier, on the cached base's allocation.
+        let bcast = ScheduleRequest::new(CollectiveKind::Broadcast, &g, 48, 4);
+        let untouched = FaultInjector::new(FaultConfig {
+            permanent: PermanentFaultSet::parse_tokens("r0c0b1W").unwrap(),
+            ..FaultConfig::none()
+        });
+        match plan_degraded(bcast.kind, &g, 48, 4, &untouched, &sys).unwrap() {
+            DegradedPlan::Full(s) => assert!(Arc::ptr_eq(
+                &s,
+                &cache::get::<CommSchedule>(&bcast, quiet).unwrap()
+            )),
+            other => panic!("expected Full, got tier {}", other.tier_name()),
+        }
+
+        let inj = FaultInjector::new(FaultConfig {
+            permanent: PermanentFaultSet::parse_tokens("r0c0b2E, r0c3tx").unwrap(),
+            ..FaultConfig::none()
+        });
+        let plan = plan_degraded(kind, &g, 48, 4, &inj, &sys).unwrap();
+        let DegradedPlan::Repaired { schedule, .. } = &plan else {
+            panic!("expected Repaired, got tier {}", plan.tier_name());
+        };
+        let permanent =
+            inj.permanent_faults(g.ranks_per_channel, g.chips_per_rank, g.banks_per_chip);
+        let req = ScheduleRequest {
+            faults: Some(&permanent),
+            ..base_req
+        };
+        let repaired = cache::get::<RepairedSchedule>(&req, quiet).unwrap();
+        let faulted = cache::get::<CommSchedule>(&req, quiet).unwrap();
+        let proof = cache::get::<Proof>(&req, quiet).unwrap();
+        assert!(Arc::ptr_eq(schedule, &repaired.schedule));
+        assert!(Arc::ptr_eq(schedule, &faulted));
+        assert!(Arc::ptr_eq(schedule, proof.summary.schedule()));
+
+        let shrunk = plan_degraded(kind, &g, 48, 4, &injector(vec![9]), &sys).unwrap();
+        let shrunk_req = ScheduleRequest {
+            geometry: PimGeometry::paper_scaled(32),
+            ..base_req
+        };
+        match &shrunk {
+            DegradedPlan::Shrunk { schedule, .. } => assert!(Arc::ptr_eq(
+                schedule,
+                &cache::get::<CommSchedule>(&shrunk_req, quiet).unwrap()
+            )),
+            other => panic!("expected Shrunk, got tier {}", other.tier_name()),
+        }
     }
 
     #[test]

@@ -444,13 +444,15 @@ pub fn get<P: Product>(req: &ScheduleRequest<'_>, probe: &Probe) -> Result<Arc<P
 }
 
 /// [`get_or_build`] for one product type: the entry under `key` always
-/// holds a `P`, because the key's tag names the product.
+/// holds a `P`, because the key's tag names the product. `build` returns
+/// the `Arc` to publish, so a product that is another product's part
+/// (the faulted schedule is its repair's) shares that allocation.
 fn memo<P: Any + Send + Sync>(
     key: Key,
     probe: &Probe,
-    build: impl Fn() -> Result<P, PimnetError>,
+    build: impl Fn() -> Result<Arc<P>, PimnetError>,
 ) -> Result<Arc<P>, PimnetError> {
-    let entry = get_or_build(key, probe, || Ok(Arc::new(build()?) as Entry))?;
+    let entry = get_or_build(key, probe, || Ok(build()? as Entry))?;
     Ok(entry
         .downcast()
         .expect("a product tag always holds the same type"))
@@ -475,7 +477,7 @@ impl Product for CommSchedule {
                     _ => CommSchedule::build(kind, g, elems, bytes)?,
                 };
                 validate::validate(&schedule)?;
-                Ok(schedule)
+                Ok(Arc::new(schedule))
             }),
         }
     }
@@ -485,7 +487,13 @@ impl Product for RepairedSchedule {
     fn lookup(req: &ScheduleRequest<'_>, probe: &Probe) -> Result<Arc<Self>, PimnetError> {
         memo(req.key(Tag::Repaired), probe, || {
             let base = get::<CommSchedule>(&req.unfaulted(), probe)?;
-            repair::repair(&base, req.faults.unwrap_or(&PermanentFaultSet::none()))
+            let mut r = repair::repair(&base, req.faults.unwrap_or(&PermanentFaultSet::none()))?;
+            // An identity repair rewrote nothing: share the base schedule
+            // instead of holding a second copy of it.
+            if r.report.is_identity() && *r.schedule == *base {
+                r.schedule = base;
+            }
+            Ok(Arc::new(r))
         })
     }
 }
@@ -494,7 +502,7 @@ impl Product for BoostPlan {
     fn lookup(req: &ScheduleRequest<'_>, probe: &Probe) -> Result<Arc<Self>, PimnetError> {
         memo(req.key(Tag::Boost), probe, || {
             let schedule = get::<CommSchedule>(req, probe)?;
-            Ok(boost::plan(&schedule))
+            Ok(Arc::new(boost::plan(&schedule)))
         })
     }
 }
@@ -504,7 +512,9 @@ impl Product for TunedChoice {
     /// [`Algo::Tuned`], and concurrent tuners of one request dedup to a
     /// single sweep.
     fn lookup(req: &ScheduleRequest<'_>, probe: &Probe) -> Result<Arc<Self>, PimnetError> {
-        memo(req.key(Tag::Tuned), probe, || autotune::sweep(req, probe))
+        memo(req.key(Tag::Tuned), probe, || {
+            autotune::sweep(req, probe).map(Arc::new)
+        })
     }
 }
 
@@ -806,16 +816,17 @@ mod tests {
         };
         let repaired = get::<RepairedSchedule>(&faulted, Probe::disabled()).unwrap();
         assert_eq!(*repaired, repair::repair(&plain, &faults).unwrap());
-        // A faulted request's schedule is the repaired one.
+        // A faulted request's schedule is the repaired one, shared.
         let schedule = get::<CommSchedule>(&faulted, Probe::disabled()).unwrap();
-        assert_eq!(*schedule, repaired.schedule);
-        // The identity repair of an empty set is the plain schedule.
+        assert!(Arc::ptr_eq(&schedule, &repaired.schedule));
+        // The identity repair of an empty set is the plain schedule's
+        // allocation.
         let none = ScheduleRequest {
             faults: Some(&PermanentFaultSet::none()),
             ..req
         };
         let identity = get::<RepairedSchedule>(&none, Probe::disabled()).unwrap();
-        assert_eq!(identity.schedule, *plain);
+        assert!(Arc::ptr_eq(&identity.schedule, &plain));
         // A cold boost plan over a warm schedule builds only the plan.
         let p = Probe::enabled();
         let boosted = get::<BoostPlan>(&req, &p).unwrap();

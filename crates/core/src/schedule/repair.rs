@@ -38,6 +38,8 @@
 //! panicking. [`unusable_dpus`] is the planner's predictor for that fall:
 //! the DPUs that *cannot* be kept even by repair.
 
+use std::sync::Arc;
+
 use pim_arch::geometry::PimGeometry;
 use pim_faults::permanent::{PermanentFaultSet, PortId, PortSide, SegmentId};
 
@@ -70,8 +72,12 @@ impl RepairReport {
 /// A repaired schedule plus the account of what the repair cost.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepairedSchedule {
-    /// The rewritten, re-validated schedule.
-    pub schedule: CommSchedule,
+    /// The rewritten, re-validated schedule, shared: the schedule cache's
+    /// faulted [`CommSchedule`] product, the Repaired plan of
+    /// [`crate::resilience::plan_degraded`] and the proof's summary all
+    /// hold this one allocation. The cached product of an identity repair
+    /// holds the base schedule's.
+    pub schedule: Arc<CommSchedule>,
     /// What changed.
     pub report: RepairReport,
 }
@@ -209,6 +215,98 @@ fn claim(used: &mut Occupancy<usize>, i: usize, t: &Transfer) {
     }
 }
 
+/// One read of a sub-step: `transfer` reads `span` of `node`.
+#[derive(Debug, Clone, Copy)]
+struct Read {
+    node: u32,
+    span: super::Span,
+    transfer: u32,
+}
+
+/// One read node's slice of [`ReadIndex::reads`], with the length of its
+/// longest read.
+#[derive(Debug, Clone, Copy)]
+struct NodeReads {
+    node: u32,
+    lo: usize,
+    hi: usize,
+    longest: usize,
+}
+
+/// The reads of the transfers left to place, sorted by source node, then
+/// span start, then transfer: the split's hazard rule asks it which
+/// transfers read what a writer overwrites.
+///
+/// A read that can overlap span `s` on node `n` starts before `s.end()`
+/// and, being no longer than `n`'s longest read `L`, no earlier than
+/// `s.start - L`; two `partition_point`s over `n`'s slice bound that
+/// range, as in the analysis fold's access index.
+#[derive(Debug, Default)]
+struct ReadIndex {
+    reads: Vec<Read>,
+    nodes: Vec<NodeReads>,
+}
+
+impl ReadIndex {
+    /// Rebuilds the index over `transfers`, reusing the buffers.
+    fn build(&mut self, transfers: &[Transfer]) {
+        self.reads.clear();
+        self.nodes.clear();
+        self.reads
+            .extend(transfers.iter().enumerate().map(|(i, t)| Read {
+                node: t.src.0,
+                span: t.src_span,
+                transfer: i as u32,
+            }));
+        self.reads
+            .sort_unstable_by_key(|r| (r.node, r.span.start, r.transfer));
+        let mut lo = 0;
+        while let Some(first) = self.reads.get(lo) {
+            let node = first.node;
+            let hi = lo + self.reads[lo..].partition_point(|r| r.node == node);
+            let longest = self.reads[lo..hi]
+                .iter()
+                .map(|r| r.span.len)
+                .max()
+                .unwrap_or(0);
+            self.nodes.push(NodeReads {
+                node,
+                lo,
+                hi,
+                longest,
+            });
+            lo = hi;
+        }
+    }
+
+    /// The reads of `node` that overlap `span`, by span start then
+    /// transfer.
+    fn overlapping(&self, node: u32, span: super::Span) -> impl Iterator<Item = &Read> {
+        let reads = match self.nodes.binary_search_by_key(&node, |n| n.node) {
+            Ok(k) => {
+                let n = self.nodes[k];
+                let reads = &self.reads[n.lo..n.hi];
+                let from = span.start.saturating_sub(n.longest);
+                let lo = reads.partition_point(|r| r.span.start < from);
+                &reads[lo..lo + reads[lo..].partition_point(|r| r.span.start < span.end())]
+            }
+            Err(_) => &[],
+        };
+        reads.iter().filter(move |r| spans_overlap(span, r.span))
+    }
+
+    /// Does picked writer `i` overwrite, on one of its destinations, a
+    /// span that a transfer not (or no longer) picked reads? (`i` itself
+    /// is picked, so it is never its own left-behind reader.)
+    fn leaves_reader(&self, transfers: &[Transfer], picked: &[bool], i: usize) -> bool {
+        let w = &transfers[i];
+        w.dsts.iter().any(|d| {
+            self.overlapping(d.0, w.dst_span)
+                .any(|r| !picked[r.transfer as usize])
+        })
+    }
+}
+
 /// Splits one step's transfers into sequential contention-free sub-steps.
 ///
 /// Two constraints:
@@ -218,15 +316,30 @@ fn claim(used: &mut Occupancy<usize>, i: usize, t: &Transfer) {
 ///   original step's snapshot semantics read pre-step data, and keeping
 ///   readers at-or-before their writers preserves that exactly.
 ///
+/// The hazard rule queries a [`ReadIndex`] of the transfers left to
+/// place, rebuilt for each sub-step.
+///
 /// `used` holds the claimed resources while it works; it is left clear.
 fn split_step(
     used: &mut Occupancy<usize>,
     transfers: Vec<Transfer>,
 ) -> Result<Vec<CommStep>, PimnetError> {
+    split_step_by(used, transfers, ReadIndex::leaves_reader)
+}
+
+/// [`split_step`] with the hazard rule's query as an argument, so tests
+/// can run the pairwise reference through the same loop.
+fn split_step_by(
+    used: &mut Occupancy<usize>,
+    transfers: Vec<Transfer>,
+    leaves_reader: impl Fn(&ReadIndex, &[Transfer], &[bool], usize) -> bool,
+) -> Result<Vec<CommStep>, PimnetError> {
     let mut remaining = transfers;
+    let mut reads = ReadIndex::default();
     let mut out = Vec::new();
     while !remaining.is_empty() {
         let n = remaining.len();
+        reads.build(&remaining);
         let mut picked = vec![false; n];
         // Writers unpicked by the hazard pass stay out of *this* sub-step,
         // freeing their resources for the readers they would have clobbered
@@ -248,20 +361,12 @@ fn split_step(
                 claim(used, i, t);
             }
             // Hazard pass: a picked writer whose reader would be left
-            // behind must wait — the reader needs the pre-write value.
+            // behind must wait — the reader needs the pre-write value. A
+            // writer unpicked earlier in this pass counts as left behind
+            // for the writers after it.
             let mut any_unpicked = false;
             for i in 0..n {
-                if !picked[i] {
-                    continue;
-                }
-                let w = &remaining[i];
-                let leaves_reader = remaining.iter().enumerate().any(|(j, u)| {
-                    j != i
-                        && !picked[j]
-                        && w.dsts.contains(&u.src)
-                        && spans_overlap(w.dst_span, u.src_span)
-                });
-                if leaves_reader {
+                if picked[i] && leaves_reader(&reads, &remaining, &picked, i) {
                     picked[i] = false;
                     banned[i] = true;
                     any_unpicked = true;
@@ -346,7 +451,7 @@ pub fn repair(
 ) -> Result<RepairedSchedule, PimnetError> {
     if faults.is_empty() {
         return Ok(RepairedSchedule {
-            schedule: schedule.clone(),
+            schedule: Arc::new(schedule.clone()),
             report: RepairReport::default(),
         });
     }
@@ -389,7 +494,7 @@ pub fn repair(
     };
     super::validate::validate(&repaired)?;
     Ok(RepairedSchedule {
-        schedule: repaired,
+        schedule: Arc::new(repaired),
         report,
     })
 }
@@ -485,7 +590,7 @@ mod tests {
     fn empty_fault_set_is_the_identity() {
         let s = build(CollectiveKind::AllReduce, 64, 256);
         let r = repair(&s, &PermanentFaultSet::none()).unwrap();
-        assert_eq!(r.schedule, s);
+        assert_eq!(*r.schedule, s);
         assert!(r.report.is_identity());
     }
 
@@ -629,6 +734,104 @@ mod tests {
         let a = repair(&s, &f).unwrap();
         let b = repair(&s, &f).unwrap();
         assert_eq!(a, b);
+    }
+
+    /// The pairwise hazard scan the read index replaced: every transfer
+    /// tested against the writer. The reference for the indexed query; it
+    /// scans destinations on purpose, which the split itself must not.
+    #[allow(clippy::manual_contains)]
+    fn leaves_reader_pairwise(
+        _: &ReadIndex,
+        transfers: &[Transfer],
+        picked: &[bool],
+        i: usize,
+    ) -> bool {
+        let w = &transfers[i];
+        transfers.iter().enumerate().any(|(j, u)| {
+            j != i
+                && !picked[j]
+                && w.dsts.iter().any(|&d| d == u.src)
+                && spans_overlap(w.dst_span, u.src_span)
+        })
+    }
+
+    /// A seeded step over 6 nodes and a pool of 10 exclusive resources
+    /// plus the rank bus: multi-destination transfers, overlapping and
+    /// empty spans, combining and overwriting writes.
+    fn random_step(rng: &mut pim_sim::rng::SimRng) -> Vec<Transfer> {
+        let chip = |c: u32| ChipLoc {
+            channel: 0,
+            rank: 0,
+            chip: c,
+        };
+        let mut pool: Vec<Resource> = (0..3)
+            .flat_map(|c| {
+                [
+                    Resource::ChipTx { chip: chip(c) },
+                    Resource::ChipRx { chip: chip(c) },
+                ]
+            })
+            .collect();
+        for from_bank in 0..2 {
+            for dir in [Direction::East, Direction::West] {
+                pool.push(Resource::RingSegment {
+                    chip: chip(0),
+                    from_bank,
+                    dir,
+                });
+            }
+        }
+        pool.push(Resource::RankBus { channel: 0 });
+        let n = 1 + rng.below(24) as usize;
+        (0..n)
+            .map(|_| {
+                let len = rng.below(5) as usize;
+                let dsts = (0..1 + rng.below(3))
+                    .map(|_| DpuId(rng.below(6) as u32))
+                    .collect();
+                let resources = (0..1 + rng.below(2))
+                    .map(|_| pool[rng.below(pool.len() as u64) as usize])
+                    .collect();
+                Transfer {
+                    src: DpuId(rng.below(6) as u32),
+                    dsts,
+                    src_span: super::super::Span::new(rng.below(12) as usize, len),
+                    dst_span: super::super::Span::new(rng.below(12) as usize, len),
+                    combine: rng.gen_bool(0.3),
+                    resources,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn indexed_split_matches_the_pairwise_reference() {
+        let mut rng = pim_sim::rng::SimRng::seed_from_u64(0x5711);
+        let mut used = Occupancy::new(&PimGeometry::paper_scaled(64));
+        let (mut split, mut deadlocked, mut hazard_moved) = (0, 0, 0);
+        for case in 0..600 {
+            let step = random_step(&mut rng);
+            let indexed = split_step(&mut used, step.clone());
+            let reference = split_step_by(&mut used, step.clone(), leaves_reader_pairwise);
+            assert_eq!(indexed, reference, "case {case}: {step:?}");
+            match &indexed {
+                Ok(steps) if steps.len() > 1 => split += 1,
+                Ok(_) => {}
+                Err(_) => deadlocked += 1,
+            }
+            if indexed != split_step_by(&mut used, step, |_, _, _, _| false) {
+                hazard_moved += 1;
+            }
+        }
+        // The cases exercise both constraints and both outcomes:
+        // contention splits most steps, the hazard rule changes the
+        // partition of many, and cyclic hazards deadlock some.
+        assert!(split > 300, "only {split} of 600 steps split");
+        assert!(
+            hazard_moved > 300,
+            "the hazard rule moved only {hazard_moved}"
+        );
+        assert!((50..250).contains(&deadlocked), "{deadlocked} deadlocked");
     }
 
     #[test]

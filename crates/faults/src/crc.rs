@@ -3,14 +3,20 @@
 //! PIMnet transfers are statically scheduled, so the receiver knows exactly
 //! which bytes to expect in which step; a CRC mismatch on the expected
 //! window is the hardware's only signal that a transient DQ/link error
-//! happened. This module is the reference implementation both the
-//! functional executor (checking real payload bytes) and the tests use.
+//! happened. This module is the implementation both the functional
+//! executor and the tests use. Its one kernel is slicing-by-8 over
+//! little-endian `u64` words ([`Crc32::update_words`]): the executor
+//! streams a payload's wire words straight into it, and byte input
+//! reaches it 8 bytes at a time.
 
 const POLY: u32 = 0xEDB8_8320;
 
-/// The 256-entry reflected CRC-32 table, built at compile time.
-const TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// The slicing-by-8 tables of the reflected CRC-32. `TABLES[0]` is the
+/// classic byte table; `TABLES[k][b]` is the CRC contribution of byte `b`
+/// followed by `k` zero bytes, so one lookup per byte folds a whole
+/// little-endian `u64` at once.
+const TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -23,10 +29,20 @@ const TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// Streaming CRC-32 state.
@@ -42,12 +58,39 @@ impl Crc32 {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
-    /// Feeds bytes into the checksum.
+    /// Feeds bytes into the checksum: whole 8-byte chunks through
+    /// [`update_words`](Self::update_words), the tail a byte at a time.
     pub fn update(&mut self, data: &[u8]) {
-        for &b in data {
+        let mut chunks = data.chunks_exact(8);
+        self.update_words(
+            chunks
+                .by_ref()
+                .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact yields 8 bytes"))),
+        );
+        for &b in chunks.remainder() {
             let idx = ((self.state ^ u32::from(b)) & 0xFF) as usize;
-            self.state = (self.state >> 8) ^ TABLE[idx];
+            self.state = (self.state >> 8) ^ TABLES[0][idx];
         }
+    }
+
+    /// Feeds each word as its 8 little-endian bytes (the slicing-by-8
+    /// kernel): equal to [`update`](Self::update) over the concatenated
+    /// `to_le_bytes`, without materializing them.
+    pub fn update_words(&mut self, words: impl IntoIterator<Item = u64>) {
+        let mut state = self.state;
+        for w in words {
+            let x = w ^ u64::from(state);
+            let byte = |k: u32| ((x >> (8 * k)) & 0xFF) as usize;
+            state = TABLES[7][byte(0)]
+                ^ TABLES[6][byte(1)]
+                ^ TABLES[5][byte(2)]
+                ^ TABLES[4][byte(3)]
+                ^ TABLES[3][byte(4)]
+                ^ TABLES[2][byte(5)]
+                ^ TABLES[1][byte(6)]
+                ^ TABLES[0][byte(7)];
+        }
+        self.state = state;
     }
 
     /// Finalized checksum value.
@@ -93,6 +136,32 @@ mod tests {
                 corrupted[byte] ^= 1 << bit;
                 assert_ne!(crc32(&corrupted), clean, "missed flip at {byte}.{bit}");
             }
+        }
+    }
+
+    /// The byte-at-a-time fold over the classic table: the reference
+    /// the slicing-by-8 kernel must reproduce.
+    fn bytewise(data: &[u8]) -> u32 {
+        let mut state = 0xFFFF_FFFFu32;
+        for &b in data {
+            state = (state >> 8) ^ TABLES[0][((state ^ u32::from(b)) & 0xFF) as usize];
+        }
+        state ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn update_words_equals_update_over_le_bytes() {
+        let mut rng = pim_sim::rng::SimRng::seed_from_u64(0xC3C3);
+        for len in 0..=97usize {
+            let words: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
+            let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            let mut streamed = Crc32::new();
+            streamed.update_words(words.iter().copied());
+            assert_eq!(streamed.finish(), crc32(&bytes), "{len} words");
+            assert_eq!(crc32(&bytes), bytewise(&bytes), "{len} words");
+            // Ragged byte lengths exercise `update`'s byte tail.
+            let ragged = &bytes[..bytes.len().saturating_sub(len % 8)];
+            assert_eq!(crc32(ragged), bytewise(ragged), "{len} words, ragged");
         }
     }
 

@@ -17,7 +17,7 @@ use pimnet_suite::arch::geometry::{DpuId, PimGeometry};
 use pimnet_suite::arch::SystemConfig;
 use pimnet_suite::faults::{FaultConfig, FaultInjector, PermanentFaultSet};
 use pimnet_suite::net::collective::CollectiveKind;
-use pimnet_suite::net::exec::{ExecMachine, ReduceOp};
+use pimnet_suite::net::exec::{ExecMachine, FaultStats, ReduceOp};
 use pimnet_suite::net::recovery::{run_recovered, RecoveryRequest};
 use pimnet_suite::net::resilience::{plan_degraded, plan_degraded_probed, DegradedPlan};
 use pimnet_suite::net::schedule::CommSchedule;
@@ -446,5 +446,50 @@ fn combined_fault_classes_degrade_soundly_and_the_ladder_is_monotone() {
         for id in s.participants() {
             assert!(m.buffer(id)[..elems].iter().all(|&v| v == k));
         }
+    }
+}
+
+#[test]
+fn fault_stats_of_the_chaos_cells_are_pinned() {
+    // The chaos cells (AllReduce, AllGather, All-to-All and Broadcast at
+    // 8/64/256 DPUs, less AllGather and All-to-All at 256) at 64 elements,
+    // BER 0.02 with an 8-retry budget. Every count is a pure function of
+    // the seed and the transfer coordinates, so any change to the wire
+    // model (what is CRC'd, where a flip lands, when a retry is drawn)
+    // moves a number here.
+    let inj = FaultInjector::new(
+        FaultConfig {
+            transient_ber: 0.02,
+            max_retries: 8,
+            ..FaultConfig::none()
+        }
+        .with_seed(0xC4A05),
+    );
+    let cells = [
+        (CollectiveKind::AllReduce, 8, [224, 226, 2, 2]),
+        (CollectiveKind::AllReduce, 64, [2688, 2734, 46, 46]),
+        (CollectiveKind::AllReduce, 256, [11008, 11216, 208, 208]),
+        (CollectiveKind::AllGather, 8, [56, 56, 0, 0]),
+        (CollectiveKind::AllGather, 64, [4032, 4118, 86, 86]),
+        (CollectiveKind::AllToAll, 8, [56, 57, 1, 1]),
+        (CollectiveKind::AllToAll, 64, [4032, 4109, 77, 77]),
+        (CollectiveKind::Broadcast, 8, [7, 7, 0, 0]),
+        (CollectiveKind::Broadcast, 64, [119, 120, 1, 1]),
+        (CollectiveKind::Broadcast, 256, [463, 467, 4, 4]),
+    ];
+    for (kind, dpus, [transfers, crc_checks, corrupted, retries]) in cells {
+        let s = schedule(kind, dpus, 64);
+        let mut m = ExecMachine::init(&s, |id| input(id, 64));
+        let stats = m.run_with_faults(&s, ReduceOp::Sum, &inj).unwrap();
+        assert_eq!(
+            stats,
+            FaultStats {
+                transfers,
+                crc_checks,
+                corrupted,
+                retries,
+            },
+            "{kind} x{dpus}"
+        );
     }
 }

@@ -317,7 +317,7 @@ fn differential_fuzz_analyzer_accept_implies_exec_matches_reference() {
                 injector.permanent_faults(g.ranks_per_channel, g.chips_per_rank, g.banks_per_chip);
             if !faults.is_empty() && repair::unusable_dpus(&g, &faults).is_empty() {
                 if let Ok(r) = repair::repair(&s, &faults) {
-                    s = r.schedule;
+                    s = std::sync::Arc::unwrap_or_clone(r.schedule);
                 }
             }
         }
