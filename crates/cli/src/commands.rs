@@ -994,15 +994,18 @@ fn lint_one(
         r.report.rerouted_transfers, r.report.remapped_transfers, r.report.extra_steps
     );
     if incremental {
-        // Prove the base once, then re-prove the repair by delta: only
-        // the dirtied steps and their state-dependent suffix re-lint.
+        // Prove the base once, then re-prove the repair by delta: steps
+        // the repair left alone are reused, changed steps re-lint, and
+        // the dataflow re-folds only where the walk cannot adopt it.
         let base = pimnet::analysis::verify_full(&s);
         let (summary, delta) = pimnet::analysis::reverify_repair(&base, &r);
         let note = format!(
-            "{repair_note}\nincremental: {} of {} step(s) reused, {} re-linted{}",
+            "{repair_note}\nincremental: {} of {} step(s) reused, {} re-linted, \
+             {} re-folded{}",
             delta.reused(),
             delta.steps_total,
             delta.relinted,
+            delta.refolded,
             if delta.reused_final {
                 ", result check reused"
             } else {

@@ -34,7 +34,11 @@
 //! that range, and a delivery replaces just that range in place. Run lists
 //! never carry spare capacity — growth reserves exactly, shrinkage trims —
 //! because a proof summary checkpoints one list per node per step, so any
-//! slack would be paid once per step held.
+//! slack would be paid once per step held. The step's working memory is
+//! the fold's [`FlowScratch`]: every payload piece lands, in destination
+//! coordinates, in one arena that each delivery names a range of, and
+//! combines and splices build their runs in reused buffers, so a step
+//! allocates only what lands in the state.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -156,68 +160,89 @@ fn overlapped(runs: &[Run], span: Span) -> Range<usize> {
     lo..lo + runs[lo..].partition_point(|r| r.span.start < span.end())
 }
 
-/// Data pieces of `runs` inside `span` (clipped) plus the uninitialized
-/// gaps between them.
-fn read(runs: &[Run], span: Span) -> (Vec<Run>, Vec<Span>) {
-    let mut pieces = Vec::new();
-    let mut gaps = Vec::new();
+/// Appends the data pieces of `runs` inside `span` to `out`, clipped and
+/// shifted so that `span.start` lands at `at`, and returns the first
+/// uninitialized gap of `span`, if any.
+fn read_into(runs: &[Run], span: Span, at: usize, out: &mut Vec<Run>) -> Option<Span> {
+    let mut first_gap = None;
     let mut cursor = span.start;
     for r in &runs[overlapped(runs, span)] {
         let c = r.clip(span);
         if c.span.start > cursor {
-            gaps.push(Span::new(cursor, c.span.start - cursor));
+            first_gap.get_or_insert(Span::new(cursor, c.span.start - cursor));
         }
         cursor = c.span.end();
-        pieces.push(c);
+        out.push(Run {
+            span: Span::new(at + (c.span.start - span.start), c.span.len),
+            ..c
+        });
     }
     if cursor < span.end() {
-        gaps.push(Span::new(cursor, span.end() - cursor));
+        first_gap.get_or_insert(Span::new(cursor, span.end() - cursor));
     }
-    (pieces, gaps)
+    first_gap
 }
 
 /// Replaces the `span` portion of `runs` with `pieces` (disjoint,
-/// contained in `span`, in any order). Boundary runs are split,
-/// preserving `elem0`; an empty `span` strictly inside a run splits it
-/// in two. Only the overlapped range moves, and the list keeps exact
-/// capacity: checkpoints share lists, so any slack would be paid once per
-/// step held.
-fn splice(runs: &mut Vec<Run>, span: Span, mut pieces: Vec<Run>) {
+/// contained in `span`, ascending). Boundary runs are split, preserving
+/// `elem0`; an empty `span` strictly inside a run splits it in two. The
+/// replacement is built in `buf`, only the overlapped range moves, and
+/// the list keeps exact capacity: checkpoints share lists, so any slack
+/// would be paid once per step held.
+fn splice(runs: &mut Vec<Run>, span: Span, pieces: &[Run], buf: &mut Vec<Run>) {
     let hit = overlapped(runs, span);
-    let left = runs[hit.clone()]
+    buf.clear();
+    if let Some(r) = runs[hit.clone()]
         .first()
         .filter(|r| r.span.start < span.start)
-        .map(|r| Run {
+    {
+        buf.push(Run {
             span: Span::new(r.span.start, span.start - r.span.start),
             elem0: r.elem0,
             contrib: r.contrib.clone(),
         });
-    let right = runs[hit.clone()]
+    }
+    buf.extend(pieces.iter().filter(|p| !p.span.is_empty()).cloned());
+    if let Some(r) = runs[hit.clone()]
         .last()
         .filter(|r| span.end() < r.span.end())
-        .map(|r| Run {
+    {
+        buf.push(Run {
             span: Span::new(span.end(), r.span.end() - span.end()),
             elem0: r.elem_at(span.end()),
             contrib: r.contrib.clone(),
         });
-    pieces.retain(|p| !p.span.is_empty());
-    pieces.sort_unstable_by_key(|p| p.span.start);
-    let added = usize::from(left.is_some()) + pieces.len() + usize::from(right.is_some());
-    runs.reserve_exact(added.saturating_sub(hit.len()));
-    runs.splice(hit, left.into_iter().chain(pieces).chain(right));
+    }
+    runs.reserve_exact(buf.len().saturating_sub(hit.len()));
+    runs.splice(hit, buf.drain(..));
     runs.shrink_to_fit();
 }
 
 /// One pending delivery of a step (snapshot semantics: all payloads are
 /// read before any delivery is applied, in transfer order, like the
-/// executor).
+/// executor). Its payload is a range of [`FlowScratch::pieces`].
+#[derive(Debug)]
 struct Delivery {
     dst: usize,
     dst_span: Span,
-    /// Payload pieces already shifted into destination coordinates.
-    pieces: Vec<Run>,
+    pieces: Range<usize>,
     combine: bool,
     loc: Location,
+}
+
+/// Buffers the dataflow step reuses from one step to the next. Owned by
+/// the fold (inside [`super::StepScratch`]), never by a step, so a step
+/// allocates only the runs that land in the state.
+#[derive(Debug, Default)]
+pub(super) struct FlowScratch {
+    /// Every payload piece of the step, already in destination
+    /// coordinates; each delivery reads a range of it.
+    pieces: Vec<Run>,
+    deliveries: Vec<Delivery>,
+    /// One combine piece merged with the runs it lands on.
+    merged: Vec<Run>,
+    /// A splice's replacement runs.
+    spliced: Vec<Run>,
 }
 
 /// The abstract interpreter's per-node provenance state, folded one step
@@ -271,19 +296,28 @@ impl DataflowState {
 
     /// Interprets one step at `(pi, si)` — snapshot reads, then deliveries
     /// in transfer order — appending any provenance findings to `diags`.
+    /// The step's payloads and merges live in the fold's `scratch`.
     pub(super) fn feed_step(
         &mut self,
         hdr: &ScheduleHeader<'_>,
         pi: usize,
         si: usize,
         step: StepRef<'_>,
+        scratch: &mut FlowScratch,
         diags: &mut Vec<Diagnostic>,
     ) {
         let total = hdr.geometry.total_dpus();
         if total == 0 {
             return;
         }
-        let mut deliveries: Vec<Delivery> = Vec::with_capacity(step.len());
+        let FlowScratch {
+            pieces,
+            deliveries,
+            merged,
+            spliced,
+        } = scratch;
+        pieces.clear();
+        deliveries.clear();
         for (ti, t) in step.transfers().enumerate() {
             let loc = Location::at(pi, si, ti);
             // Transfers the structural/sync passes already rejected
@@ -296,8 +330,9 @@ impl DataflowState {
             {
                 continue;
             }
-            let (pieces, gaps) = read(&self.state[t.src.index()], t.src_span);
-            if let Some(gap) = gaps.first() {
+            let lo = pieces.len();
+            let src = &self.state[t.src.index()];
+            if let Some(gap) = read_into(src, t.src_span, t.dst_span.start, pieces) {
                 diags.push(Diagnostic::error(
                     UNINIT_READ,
                     loc.on(t.src.0),
@@ -307,35 +342,35 @@ impl DataflowState {
                     ),
                 ));
             }
-            let pieces: Vec<Run> = pieces
-                .into_iter()
-                .map(|p| Run {
-                    span: Span::new(
-                        t.dst_span.start + (p.span.start - t.src_span.start),
-                        p.span.len,
-                    ),
-                    elem0: p.elem0,
-                    contrib: p.contrib,
-                })
-                .collect();
-            for &dst in t.dsts {
-                deliveries.push(Delivery {
-                    dst: dst.index(),
-                    dst_span: t.dst_span,
-                    pieces: pieces.clone(),
-                    combine: t.combine,
-                    loc,
-                });
-            }
+            let payload = lo..pieces.len();
+            deliveries.extend(t.dsts.iter().map(|dst| Delivery {
+                dst: dst.index(),
+                dst_span: t.dst_span,
+                pieces: payload.clone(),
+                combine: t.combine,
+                loc,
+            }));
         }
-        for d in deliveries {
+        for d in deliveries.drain(..) {
             let runs = Arc::make_mut(&mut self.state[d.dst]);
+            let payload = &pieces[d.pieces];
             if d.combine {
-                apply_combine(runs, &d, diags);
+                apply_combine(runs, payload, d.dst as u32, d.loc, merged, spliced, diags);
             } else {
-                splice(runs, d.dst_span, d.pieces);
+                splice(runs, d.dst_span, payload, spliced);
             }
         }
+    }
+
+    /// True when every node's run list is one allocation in both states.
+    #[cfg(test)]
+    pub(super) fn shares_all(&self, other: &DataflowState) -> bool {
+        self.state.len() == other.state.len()
+            && self
+                .state
+                .iter()
+                .zip(&other.state)
+                .all(|(a, b)| Arc::ptr_eq(a, b))
     }
 
     /// The state as a JSON object summarizing each node's run list.
@@ -352,32 +387,42 @@ impl DataflowState {
     }
 }
 
-/// Reduces a delivery's payload pieces into a node's runs, in place.
-fn apply_combine(runs: &mut Vec<Run>, d: &Delivery, diags: &mut Vec<Diagnostic>) {
-    let dpu = d.dst as u32;
+/// Reduces a delivery's payload pieces into node `dpu`'s runs, in place,
+/// for the transfer at `loc`. Each piece is merged with the runs it lands
+/// on in `merged`, in position order.
+fn apply_combine(
+    runs: &mut Vec<Run>,
+    payload: &[Run],
+    dpu: u32,
+    loc: Location,
+    merged: &mut Vec<Run>,
+    spliced: &mut Vec<Run>,
+    diags: &mut Vec<Diagnostic>,
+) {
+    let at = loc.on(dpu);
     let (mut warned_uninit, mut warned_align, mut warned_double) = (false, false, false);
-    for p in &d.pieces {
-        let (existing, gaps) = read(runs, p.span);
-        if !gaps.is_empty() && !warned_uninit {
-            warned_uninit = true;
-            diags.push(Diagnostic::error(
-                COMBINE_INTO_UNINIT,
-                d.loc.on(dpu),
-                format!(
-                    "reduction lands on uninitialized region {} of node {dpu}'s buffer",
-                    gaps[0]
-                ),
-            ));
-        }
-        let mut merged: Vec<Run> = Vec::with_capacity(existing.len() + gaps.len());
-        for e in existing {
+    for p in payload {
+        merged.clear();
+        let mut first_gap = None;
+        let mut cursor = p.span.start;
+        for r in &runs[overlapped(runs, p.span)] {
+            let e = r.clip(p.span);
+            // Reducing into the default fill behaves like an overwrite
+            // for `Sum`; model a gap as freshly written payload (P102
+            // records the problem).
+            if e.span.start > cursor {
+                let gap = Span::new(cursor, e.span.start - cursor);
+                first_gap.get_or_insert(gap);
+                merged.push(p.clip(gap));
+            }
+            cursor = e.span.end();
             let seg = e.span;
             let p_elem = p.elem_at(seg.start);
             if p_elem != e.elem0 && !warned_align {
                 warned_align = true;
                 diags.push(Diagnostic::error(
                     MISALIGNED_COMBINE,
-                    d.loc.on(dpu),
+                    at,
                     format!(
                         "reduction at {seg} of node {dpu} combines element {p_elem} \
                          into element {}",
@@ -389,7 +434,7 @@ fn apply_combine(runs: &mut Vec<Run>, d: &Delivery, diags: &mut Vec<Diagnostic>)
                 warned_double = true;
                 diags.push(Diagnostic::error(
                     DOUBLE_COUNTED,
-                    d.loc.on(dpu),
+                    at,
                     format!(
                         "reduction at {seg} of node {dpu} double-counts \
                          contributor(s) already folded in"
@@ -402,13 +447,20 @@ fn apply_combine(runs: &mut Vec<Run>, d: &Delivery, diags: &mut Vec<Diagnostic>)
                 contrib: Arc::new(p.contrib.union(&e.contrib)),
             });
         }
-        // Reducing into the default fill behaves like an overwrite for
-        // `Sum`; model the gap as freshly written payload (the error
-        // above already recorded the problem).
-        for gap in gaps {
+        if cursor < p.span.end() {
+            let gap = Span::new(cursor, p.span.end() - cursor);
+            first_gap.get_or_insert(gap);
             merged.push(p.clip(gap));
         }
-        splice(runs, p.span, merged);
+        if let (Some(gap), false) = (first_gap, warned_uninit) {
+            warned_uninit = true;
+            diags.push(Diagnostic::error(
+                COMBINE_INTO_UNINIT,
+                at,
+                format!("reduction lands on uninitialized region {gap} of node {dpu}'s buffer"),
+            ));
+        }
+        splice(runs, p.span, merged, spliced);
     }
 }
 
@@ -460,6 +512,7 @@ pub(super) fn final_check(
         0
     };
 
+    let mut pieces = Vec::new();
     for i in 0..total {
         let spans = &hdr.result_spans[i as usize];
         let got_len: usize = spans.iter().map(|s| s.len).sum();
@@ -497,7 +550,7 @@ pub(super) fn final_check(
                 elem0: |_j, i, block| i * block,
             },
         };
-        check_node(hdr, state, i, &expect, diags);
+        check_node(hdr, state, i, &expect, &mut pieces, diags);
     }
 
     // ReduceScatter's spans must partition the reduced vector exactly
@@ -526,12 +579,13 @@ pub(super) fn final_check(
 }
 
 /// Verifies one node's result spans against `expect`, walking runs and
-/// expectation blocks piecewise.
+/// expectation blocks piecewise; `pieces` is a reused read buffer.
 fn check_node(
     hdr: &ScheduleHeader<'_>,
     state: &DataflowState,
     node: u32,
     expect: &Expect,
+    pieces: &mut Vec<Run>,
     diags: &mut Vec<Diagnostic>,
 ) {
     let total = hdr.geometry.total_dpus();
@@ -544,8 +598,9 @@ fn check_node(
             k += span.len;
             continue; // structural P010 already fired
         }
-        let (pieces, gaps) = read(runs, *span);
-        if let (Some(gap), false) = (gaps.first(), flagged_prov) {
+        pieces.clear();
+        let first_gap = read_into(runs, *span, span.start, pieces);
+        if let (Some(gap), false) = (first_gap, flagged_prov) {
             flagged_prov = true;
             diags.push(Diagnostic::error(
                 RESULT_PROVENANCE,
@@ -553,7 +608,7 @@ fn check_node(
                 format!("result region {gap} of node {node} is never written"),
             ));
         }
-        for piece in pieces {
+        for piece in pieces.iter() {
             // Split the piece at expectation-block boundaries so both
             // sides are constant/linear, then compare once per segment.
             let mut b = piece.span.start;
@@ -631,6 +686,52 @@ mod tests {
     use crate::analysis::{overlaps, verify_full};
     use crate::schedule::ScheduleView;
 
+    /// The unbuffered read the fold used before [`read_into`]: data
+    /// pieces of `runs` inside `span` (clipped) plus the uninitialized
+    /// gaps between them.
+    fn read(runs: &[Run], span: Span) -> (Vec<Run>, Vec<Span>) {
+        let mut pieces = Vec::new();
+        let mut gaps = Vec::new();
+        let mut cursor = span.start;
+        for r in &runs[overlapped(runs, span)] {
+            let c = r.clip(span);
+            if c.span.start > cursor {
+                gaps.push(Span::new(cursor, c.span.start - cursor));
+            }
+            cursor = c.span.end();
+            pieces.push(c);
+        }
+        if cursor < span.end() {
+            gaps.push(Span::new(cursor, span.end() - cursor));
+        }
+        (pieces, gaps)
+    }
+
+    /// The unbuffered splice the fold used before [`splice`]: `pieces`
+    /// in any order, sorted here.
+    fn sorting_splice(runs: &mut Vec<Run>, span: Span, mut pieces: Vec<Run>) {
+        let hit = overlapped(runs, span);
+        let left = runs[hit.clone()]
+            .first()
+            .filter(|r| r.span.start < span.start)
+            .map(|r| Run {
+                span: Span::new(r.span.start, span.start - r.span.start),
+                elem0: r.elem0,
+                contrib: r.contrib.clone(),
+            });
+        let right = runs[hit.clone()]
+            .last()
+            .filter(|r| span.end() < r.span.end())
+            .map(|r| Run {
+                span: Span::new(span.end(), r.span.end() - span.end()),
+                elem0: r.elem_at(span.end()),
+                contrib: r.contrib.clone(),
+            });
+        pieces.retain(|p| !p.span.is_empty());
+        pieces.sort_unstable_by_key(|p| p.span.start);
+        runs.splice(hit, left.into_iter().chain(pieces).chain(right));
+    }
+
     /// `read` by scanning every run of the list.
     fn scan_read(runs: &[Run], span: Span) -> (Vec<Run>, Vec<Span>) {
         let mut pieces = Vec::new();
@@ -679,20 +780,32 @@ mod tests {
         *runs = kept;
     }
 
-    /// `read` through both implementations, which must agree.
+    /// `read` through every implementation, which must agree: the scan,
+    /// the unbuffered range read and the fold's buffered [`read_into`].
     fn checked_read(runs: &[Run], span: Span) -> (Vec<Run>, Vec<Span>) {
         let got = scan_read(runs, span);
         assert_eq!(read(runs, span), got, "read of {span}");
+        let mut into = Vec::new();
+        let first_gap = read_into(runs, span, span.start, &mut into);
+        assert_eq!(
+            (&into, first_gap),
+            (&got.0, got.1.first().copied()),
+            "read_into of {span}"
+        );
         got
     }
 
-    /// The oracle splice; counts an empty `span` strictly inside a run.
+    /// The oracle splice, checked against the unbuffered range splice;
+    /// counts an empty `span` strictly inside a run.
     fn reference_splice(runs: &mut Vec<Run>, span: Span, pieces: Vec<Run>, inside: &mut usize) {
         let strictly_inside = |r: &Run| r.span.start < span.start && span.start < r.span.end();
         if span.is_empty() && runs.iter().any(strictly_inside) {
             *inside += 1;
         }
+        let mut ranged = runs.clone();
+        sorting_splice(&mut ranged, span, pieces.clone());
         resort_splice(runs, span, pieces);
+        assert_eq!(ranged, *runs, "splice of {span}");
     }
 
     /// One step of `feed_step` without diagnostics, over the oracles:
@@ -766,7 +879,11 @@ mod tests {
             for (si, record) in summary.records.iter().enumerate() {
                 reference_step(&mut want, &hdr, schedule.step(0, si), &mut inside);
                 // Every list the verifier checkpointed after this step.
-                for (node, runs) in record.post.dataflow.state.iter().enumerate() {
+                let post = record
+                    .post
+                    .as_ref()
+                    .expect("a full proof checkpoints every step");
+                for (node, runs) in post.dataflow.state.iter().enumerate() {
                     assert_eq!(**runs, want[node], "seed {seed} step {si} node {node}");
                     assert_eq!(
                         runs.capacity(),

@@ -175,16 +175,30 @@ pub fn run_all<S: ScheduleView>(schedule: &S) -> AnalysisReport {
     sorted_report(&hdr, diagnostics)
 }
 
-/// The fold's step function: the four step-local kernels over the step at
-/// `(pi, si)` of a phase that is `multiplexed` or not, folding the
-/// dataflow state `live`. [`run_all`] and the streaming verifier lint
-/// every step through it. The step's access index is built here, once,
-/// into the fold's `scratch`.
+/// The fold's step function: the four kernels over the step at `(pi, si)`
+/// of a phase that is `multiplexed` or not, folding the dataflow state
+/// `live`. [`run_all`] and the streaming verifier lint every step through
+/// it.
 fn lint_step(
+    hdr: &ScheduleHeader<'_>,
+    pos: (usize, usize, bool),
+    step: StepRef<'_>,
+    live: &mut DataflowState,
+    scratch: &mut StepScratch,
+    diags: &mut Vec<Diagnostic>,
+) {
+    lint_step_stateless(hdr, pos, step, scratch, diags);
+    live.feed_step(hdr, pos.0, pos.1, step, &mut scratch.flow, diags);
+}
+
+/// The step function's stateless part: structural, sync and hazard over
+/// the step at `(pi, si)`. They read no fold state, so the delta re-lint
+/// runs them alone on a step whose dataflow it can adopt. The step's
+/// access index is built here, once, into the fold's `scratch`.
+fn lint_step_stateless(
     hdr: &ScheduleHeader<'_>,
     (pi, si, multiplexed): (usize, usize, bool),
     step: StepRef<'_>,
-    live: &mut DataflowState,
     scratch: &mut StepScratch,
     diags: &mut Vec<Diagnostic>,
 ) {
@@ -200,17 +214,18 @@ fn lint_step(
         diags,
     );
     hazard::check_step(pi, si, &scratch.index, &scratch.precede, diags);
-    live.feed_step(hdr, pi, si, step, diags);
 }
 
 /// Buffers the step fold reuses from one step to the next: the access
-/// index and the must-precede relation built from it. Owned by the fold
-/// (one per [`run_all`], verifier or delta re-lint), never by a step, so
-/// steady-state linting allocates nothing here.
+/// index, the must-precede relation built from it and the dataflow
+/// step's payload and merge buffers. Owned by the fold (one per
+/// [`run_all`], verifier or delta re-lint), never by a step, so
+/// steady-state linting allocates only what lands in the dataflow state.
 #[derive(Debug, Default)]
 struct StepScratch {
     index: AccessIndex,
     precede: sync::MustPrecede,
+    flow: dataflow::FlowScratch,
 }
 
 /// True when two spans share an element, or when an empty span sits
