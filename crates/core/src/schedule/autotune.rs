@@ -4,8 +4,9 @@
 //! module instead *searches*: for one `(collective kind, geometry,
 //! payload)` request it sweeps a deterministic candidate set of per-tier
 //! algorithm [`Composition`]s × chunk splits, prices every candidate
-//! through the same boost-plan timing path the sweeps use, proves the
-//! ones that could win with the full four-pass [`crate::analysis`] suite
+//! from the same boost facts the sweeps' boost-plan pricing reads
+//! ([`boost::price`]), proves the ones that could win with the full
+//! four-pass [`crate::analysis`] suite
 //! (rejecting anything with a diagnostic — the tuner never trades
 //! correctness for speed), and memoizes the winner in the schedule cache
 //! under a composition-aware key.
@@ -19,13 +20,25 @@
 //! # Price first, prove lazily
 //!
 //! Only a candidate strictly cheaper than the incumbent can win, and the
-//! cheapest clean one does. So the sweep builds, validates and prices
-//! every candidate, sorts the ones cheaper than the paper by (price,
-//! sweep index), and proves them in that order, stopping at the first
-//! clean one. That is the winner a sweep proving every candidate would
-//! pick, at a fraction of the proofs: a request the paper keeps proves
-//! nothing, and one that tunes away proves its winner plus any cheaper
-//! candidate found unclean.
+//! cheapest clean one does. So the sweep builds each candidate outside
+//! the cache, prices it from its boost facts and drops it before building
+//! the next. Then it proves the candidates cheaper than the paper in
+//! (price, sweep index) order through the cache's [`Proof`], stopping at
+//! the first clean one. That is the winner a sweep proving every
+//! candidate would pick, at a fraction of the work: a request the paper
+//! keeps proves nothing and caches no candidate, and one that tunes away
+//! proves and caches its winner plus any cheaper candidate found unclean.
+//!
+//! Validation sits behind the price too. A proof lookup builds its
+//! candidate through the cache, which validates it, and every rule
+//! [`super::validate::validate`] checks is part of the proof, so a clean
+//! proof implies a valid schedule; validating a candidate that cannot
+//! win would decide nothing.
+//!
+//! A candidate that spells the paper's own composition at one chunk
+//! (All-to-All's only candidate) *is* the paper schedule: it takes the
+//! paper's price without a rebuild, and, never strictly cheaper, it is
+//! never proven or rejected.
 //!
 //! # Candidate grammar
 //!
@@ -52,7 +65,7 @@ use crate::collective::CollectiveKind;
 use crate::error::PimnetError;
 use crate::timing::TimingModel;
 
-use super::algos::{Composition, TierAlgo};
+use super::algos::{self, Composition, TierAlgo};
 use super::cache::{self, Algo, Proof, ScheduleRequest};
 use super::{boost, CommSchedule};
 
@@ -70,7 +83,8 @@ pub struct TunedChoice {
     /// The winning composition and chunk split, or `None` when the
     /// paper's Table V schedule won (or tied — the incumbent keeps ties).
     pub winner: Option<(Composition, usize)>,
-    /// The winning schedule itself (validated, analysis-clean).
+    /// The winning schedule itself (validated, analysis-clean): the
+    /// cache's allocation of it, shared with its proof.
     pub schedule: Arc<CommSchedule>,
     /// Modeled completion time of the winner.
     pub tuned_time: SimTime,
@@ -82,9 +96,11 @@ pub struct TunedChoice {
     /// Candidates proven by the analysis suite: the ones cheaper than the
     /// paper incumbent, cheapest first, up to the first clean one.
     pub proven: usize,
-    /// Candidates that failed to build or validate, or were proven and
-    /// found unclean. One that does not beat the paper, or sorts after
-    /// the winner, is never proven, so it is never rejected.
+    /// Candidates that failed to build, or were proven and found unclean.
+    /// A proof lookup validates its candidate first, so one that fails
+    /// validation is rejected there. One that does not beat the paper,
+    /// or sorts after the winner, is never validated or proven, so it is
+    /// never rejected.
     pub rejected: usize,
 }
 
@@ -197,12 +213,10 @@ pub fn candidates(
     out
 }
 
-/// Prices one schedule the way the figure sweeps do: boost-plan
+/// Prices one schedule the way the figure sweeps do: boost
 /// reconstruction under the paper timing model, zero skew.
 fn price(schedule: &CommSchedule, timing: &TimingModel) -> SimTime {
-    boost::plan(schedule)
-        .breakdown(timing, SimTime::ZERO)
-        .total()
+    boost::price(schedule, timing, SimTime::ZERO).total()
 }
 
 /// Which priced candidate wins, and the proofs it took to find out.
@@ -219,7 +233,7 @@ struct Selection {
 
 /// Picks the cheapest clean candidate strictly cheaper than `paper_time`,
 /// the lower sweep index on a tie. `priced` holds the `(sweep index,
-/// price)` of every candidate that built and validated, and `prove(i)`
+/// price)` of every candidate that built, and `prove(i)`
 /// says whether candidate `i` is clean. Only candidates cheaper than the
 /// paper are proven, in (price, sweep index) order, and the first clean
 /// one wins: the pick of a sweep that proves every candidate and takes
@@ -252,10 +266,11 @@ fn select(
 }
 
 /// Tunes one request: sweeps [`candidates`], prices every one that builds
-/// and validates, proves the ones cheaper than the paper incumbent with
-/// the full analysis suite, cheapest first, until one is clean, and
-/// memoizes the winner in the schedule cache. Warm calls are a map
-/// lookup. This is [`cache::get`] of a [`TunedChoice`] with no probe.
+/// from its boost facts, proves the ones cheaper than the paper incumbent
+/// with the full analysis suite, cheapest first, until one is clean, and
+/// memoizes the winner in the schedule cache. Only the paper schedule and
+/// the proven candidates enter the cache. Warm calls are a map lookup.
+/// This is [`cache::get`] of a [`TunedChoice`] with no probe.
 ///
 /// # Errors
 ///
@@ -275,8 +290,9 @@ pub fn tune(
     cache::get(&req, Probe::disabled())
 }
 
-/// The uncached sweep behind [`tune`]: every schedule and proof it needs
-/// comes from the cache, under `req` with its algorithm swapped.
+/// The uncached sweep behind [`tune`]. The paper incumbent and every
+/// proof come from the cache, under `req` with its algorithm swapped;
+/// candidates are built and priced outside it, one alive at a time.
 pub(crate) fn sweep(req: &ScheduleRequest<'_>, probe: &Probe) -> Result<TunedChoice, PimnetError> {
     let timing = TimingModel::paper();
     let paper = ScheduleRequest {
@@ -286,33 +302,42 @@ pub(crate) fn sweep(req: &ScheduleRequest<'_>, probe: &Probe) -> Result<TunedCho
     let paper = cache::get::<CommSchedule>(&paper, probe)?;
     let paper_time = price(&paper, &timing);
 
-    let cands = candidates(req.kind, &req.geometry, req.elems_per_node);
-    let request = |i: usize| {
-        let (comp, chunks) = cands[i];
-        ScheduleRequest {
-            algo: Algo::Composed(comp, chunks),
-            ..*req
-        }
-    };
-    // Build, validate and price every candidate; one that fails to build
-    // or validate is rejected unproven.
-    let built: Vec<Option<Arc<CommSchedule>>> = (0..cands.len())
-        .map(|i| cache::get::<CommSchedule>(&request(i), probe).ok())
-        .collect();
-    let priced: Vec<(usize, SimTime)> = built
+    let (kind, g, elems, bytes) = (req.kind, &req.geometry, req.elems_per_node, req.elem_bytes);
+    let cands = candidates(kind, g, elems);
+    let twin = Composition::paper(kind).map(|comp| (comp, 1));
+    // A candidate that fails to build is rejected unproven.
+    let priced: Vec<(usize, SimTime)> = cands
         .iter()
         .enumerate()
-        .filter_map(|(i, s)| Some((i, price(s.as_deref()?, &timing))))
+        .filter_map(|(i, &(comp, chunks))| {
+            if Some((comp, chunks)) == twin {
+                return Some((i, paper_time));
+            }
+            let s = algos::build_composed_chunked(kind, g, elems, bytes, comp, chunks).ok()?;
+            Some((i, price(&s, &timing)))
+        })
         .collect();
-    // Any diagnostic at all disqualifies a candidate.
+    // Any diagnostic at all, or a failed validation, disqualifies a
+    // candidate.
+    let mut won = None;
     let pick = select(&priced, paper_time, |i| {
-        matches!(cache::get::<Proof>(&request(i), probe),
-            Ok(p) if p.summary.report.is_clean())
+        let (comp, chunks) = cands[i];
+        let composed = ScheduleRequest {
+            algo: Algo::Composed(comp, chunks),
+            ..*req
+        };
+        match cache::get::<Proof>(&composed, probe) {
+            Ok(proof) if proof.summary.report.is_clean() => {
+                won = Some(proof);
+                true
+            }
+            _ => false,
+        }
     });
     let (winner, schedule, tuned_time) = match pick.winner {
         Some((i, t)) => {
-            let schedule = built[i].clone().expect("only built candidates are priced");
-            (Some(cands[i]), schedule, t)
+            let proof = won.expect("the winner was proven clean");
+            (Some(cands[i]), proof.summary.schedule().clone(), t)
         }
         None => (None, paper, paper_time),
     };
@@ -334,6 +359,7 @@ pub(crate) fn sweep(req: &ScheduleRequest<'_>, probe: &Probe) -> Result<TunedCho
 
 #[cfg(test)]
 mod tests {
+    use pim_sim::trace::codes;
     use pim_sim::SimRng;
 
     use super::*;
@@ -402,6 +428,46 @@ mod tests {
         // Memoized: the second call shares the entry.
         let again = tune(CollectiveKind::AllReduce, &g, 64, 4).unwrap();
         assert!(Arc::ptr_eq(&choice, &again));
+    }
+
+    #[test]
+    fn a_composed_winner_is_the_cached_schedule_and_no_loser_is_cached() {
+        // A payload no other test here asks for, so this sweep alone
+        // decides every hit and miss below.
+        let g = PimGeometry::paper_scaled(8);
+        let req = ScheduleRequest {
+            algo: Algo::Tuned,
+            ..ScheduleRequest::new(CollectiveKind::Broadcast, &g, 104, 4)
+        };
+        let probe = Probe::enabled();
+        let choice = cache::get::<TunedChoice>(&req, &probe).unwrap();
+        let won = choice.winner.expect("Broadcast x8 e104 tunes away");
+        assert_eq!((choice.proven, choice.rejected), (1, 0));
+        // The sweep's own entry, the paper schedule and the winner's
+        // proof: no candidate's schedule is looked up.
+        let seen: Vec<u16> = probe.trace.drain().events.iter().map(|e| e.code).collect();
+        assert_eq!(
+            seen,
+            [codes::CACHE_MISS, codes::CACHE_MISS, codes::LINT_FULL]
+        );
+
+        let composed = |(comp, chunks)| ScheduleRequest {
+            algo: Algo::Composed(comp, chunks),
+            ..req
+        };
+        let cached = cache::get::<CommSchedule>(&composed(won), Probe::disabled()).unwrap();
+        assert!(Arc::ptr_eq(&choice.schedule, &cached));
+        let proof = cache::get::<Proof>(&composed(won), Probe::disabled()).unwrap();
+        assert!(Arc::ptr_eq(&choice.schedule, proof.summary.schedule()));
+        // Every loser is still cold.
+        for cand in candidates(req.kind, &g, req.elems_per_node) {
+            if cand != won {
+                let p = Probe::enabled();
+                cache::get::<CommSchedule>(&composed(cand), &p).unwrap();
+                let first = p.trace.drain().events.first().map(|e| e.code);
+                assert_eq!(first, Some(codes::CACHE_MISS), "{cand:?} was cached");
+            }
+        }
     }
 
     #[test]

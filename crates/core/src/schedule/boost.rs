@@ -37,8 +37,12 @@
 //! A [`BoostPlan`] is a pure function of the schedule — no
 //! [`TimingModel`] is involved at plan time — so the schedule cache can
 //! store one plan and re-price it under any fabric configuration.
-
-use std::collections::BTreeMap;
+//!
+//! A schedule priced once and never walked as a timeline needs the facts
+//! and nothing else: [`price`] runs the same per-step tally as [`plan`]
+//! and assembles the same breakdown, without picking a representative
+//! chip or copying a transfer, so it equals
+//! `plan(schedule).breakdown(timing, skew)` exactly.
 
 use pim_sim::{Bandwidth, Bytes, SimTime};
 
@@ -47,7 +51,7 @@ use pim_arch::geometry::DpuId;
 use crate::sync::SyncModel;
 use crate::timeline::{Timeline, TransferWindow};
 use crate::timing::{CommBreakdown, TimingModel};
-use crate::topology::{ChipLoc, Occupancy, Resource};
+use crate::topology::{chip_at, chip_index, ChipLoc, Occupancy, Resource};
 
 use super::{CommSchedule, CommStep, Phase, Transfer};
 
@@ -121,55 +125,116 @@ struct Tally {
     max_single: u64,
 }
 
+/// The chip a ring segment or DQ channel belongs to; `None` for the rank
+/// bus, which belongs to no chip.
+fn chip_of(r: &Resource) -> Option<ChipLoc> {
+    match r {
+        Resource::RingSegment { chip, .. }
+        | Resource::ChipTx { chip }
+        | Resource::ChipRx { chip } => Some(*chip),
+        Resource::RankBus { .. } => None,
+    }
+}
+
 /// Picks the representative chip: the chip whose resources the fewest
 /// non-local transfers occupy (smallest [`ChipLoc`] on ties, so the
 /// choice is deterministic). On symmetric collectives every chip carries
 /// the same slice; on rooted ones (gather, reduce, broadcast) this
 /// steers the slice away from the root's funnel, keeping the reduction
 /// high. Falls back to DPU 0's chip when no transfer names a chip.
-fn representative_chip(schedule: &CommSchedule) -> ChipLoc {
-    let mut touch: BTreeMap<ChipLoc, usize> = BTreeMap::new();
-    for phase in &schedule.phases {
-        for step in &phase.steps {
-            for t in &step.transfers {
-                if t.is_local() {
-                    continue;
-                }
-                let mut chips: Vec<ChipLoc> = t
-                    .resources
-                    .iter()
-                    .filter_map(|r| match r {
-                        Resource::RingSegment { chip, .. }
-                        | Resource::ChipTx { chip }
-                        | Resource::ChipRx { chip } => Some(*chip),
-                        Resource::RankBus { .. } => None,
-                    })
-                    .collect();
-                chips.sort_unstable();
-                chips.dedup();
-                for chip in chips {
-                    *touch.entry(chip).or_default() += 1;
-                }
+///
+/// Counts go to a dense per-chip table in (channel, rank, chip) order,
+/// which is [`ChipLoc`]'s order; a chip outside the geometry (a P011
+/// resource) gets an overflow entry of its own and competes under the
+/// same (count, chip) order.
+#[must_use]
+pub fn representative_chip(schedule: &CommSchedule) -> ChipLoc {
+    let g = &schedule.geometry;
+    let mut touch = vec![0usize; g.total_chips() as usize];
+    let mut outside: Vec<(ChipLoc, usize)> = Vec::new();
+    let mut chips: Vec<ChipLoc> = Vec::new();
+    let steps = schedule.phases.iter().flat_map(|p| &p.steps);
+    for t in steps.flat_map(|s| &s.transfers).filter(|t| !t.is_local()) {
+        chips.clear();
+        chips.extend(t.resources.iter().filter_map(chip_of));
+        chips.sort_unstable();
+        chips.dedup();
+        for &chip in &chips {
+            match chip_index(g, chip) {
+                Some(i) => touch[i as usize] += 1,
+                None => match outside.iter_mut().find(|(c, _)| *c == chip) {
+                    Some((_, n)) => *n += 1,
+                    None => outside.push((chip, 1)),
+                },
             }
         }
     }
-    let mut best: Option<(ChipLoc, usize)> = None;
-    for (chip, count) in touch {
-        if best.is_none_or(|(_, c)| count < c) {
-            best = Some((chip, count));
+    let inside = (0u32..).zip(touch).filter(|&(_, n)| n > 0);
+    inside
+        .map(|(i, n)| (n, chip_at(g, i)))
+        .chain(outside.into_iter().map(|(chip, n)| (n, chip)))
+        .min()
+        .map_or_else(|| ChipLoc::of(g.coord(DpuId(0))), |(_, chip)| chip)
+}
+
+/// Tallies one step's non-local transfers into `tallies` (left clear on
+/// return) and returns the step's [`StepFacts`] and wire bytes. `visit`
+/// sees every non-local transfer, in step order.
+///
+/// The busiest resource of each bandwidth class is picked by byte sum
+/// (the first in resource order wins ties); the slack is the class-wide
+/// maximum transfer count, so the non-uniform bound dominates every
+/// resource of the class, not just the busiest-by-bytes one.
+fn tally_step<'s>(
+    step: &'s CommStep,
+    elem_bytes: u32,
+    tallies: &mut Occupancy<Tally>,
+    mut visit: impl FnMut(&'s Transfer),
+) -> (StepFacts, u64) {
+    let mut f = StepFacts::default();
+    let mut wire_bytes = 0u64;
+    for t in step.transfers.iter().filter(|t| !t.is_local()) {
+        let bytes = t.bytes(elem_bytes).as_u64();
+        wire_bytes += bytes;
+        f.max_hops = f.max_hops.max(t.resources.len() as u32);
+        for r in &t.resources {
+            let tally = tallies.entry(r, Tally::default());
+            tally.bytes_sum += bytes;
+            tally.transfers += 1;
+            tally.max_single = tally.max_single.max(bytes);
+        }
+        visit(t);
+    }
+    let mut best = [0u64; 3];
+    let mut slack = [0u32; 3];
+    for (r, tally) in tallies.drain_sorted() {
+        let (slot, class) = match r {
+            Resource::RingSegment { .. } => (0, &mut f.ring),
+            Resource::ChipTx { .. } | Resource::ChipRx { .. } => (1, &mut f.dq),
+            Resource::RankBus { .. } => (2, &mut f.bus),
+        };
+        slack[slot] = slack[slot].max(tally.transfers);
+        if tally.bytes_sum > best[slot] {
+            best[slot] = tally.bytes_sum;
+            *class = ClassFacts {
+                transfers: tally.transfers,
+                unit_bytes: Bytes::new(tally.max_single),
+                total_bytes: Bytes::new(tally.bytes_sum),
+                slack: 0,
+            };
         }
     }
-    best.map_or_else(
-        || ChipLoc::of(schedule.geometry.coord(DpuId(0))),
-        |(chip, _)| chip,
-    )
+    f.ring.slack = slack[0];
+    f.dq.slack = slack[1];
+    f.bus.slack = slack[2];
+    (f, wire_bytes)
 }
 
 /// Thins `schedule` to its representative slice and records the per-step
 /// reconstruction facts.
 ///
 /// The representative chip is the least-loaded chip
-/// (`representative_chip`). A transfer is kept in the thin slice iff it
+/// ([`representative_chip`]). A transfer is kept in the thin slice iff it
 /// occupies any of that chip's resources (its ring segments or its DQ
 /// send/receive channels). A step none of whose transfers touch the
 /// representative chip (possible on asymmetric or repaired schedules)
@@ -178,12 +243,7 @@ fn representative_chip(schedule: &CommSchedule) -> ChipLoc {
 #[must_use]
 pub fn plan(schedule: &CommSchedule) -> BoostPlan {
     let rep = representative_chip(schedule);
-    let is_rep = |r: &Resource| match r {
-        Resource::RingSegment { chip, .. }
-        | Resource::ChipTx { chip }
-        | Resource::ChipRx { chip } => *chip == rep,
-        Resource::RankBus { .. } => false,
-    };
+    let is_rep = |r: &Resource| chip_of(r) == Some(rep);
 
     let mut tallies: Occupancy<Tally> = Occupancy::new(&schedule.geometry);
     let mut facts = Vec::with_capacity(schedule.step_count());
@@ -195,60 +255,17 @@ pub fn plan(schedule: &CommSchedule) -> BoostPlan {
         let tier = phase.label.tier_index();
         let mut steps = Vec::with_capacity(phase.steps.len());
         for step in &phase.steps {
-            let mut max_hops = 0u32;
             let mut kept: Vec<Transfer> = Vec::new();
             let mut longest: Option<&Transfer> = None;
-            for t in &step.transfers {
-                if t.is_local() {
-                    continue;
-                }
+            let (f, wire_bytes) = tally_step(step, schedule.elem_bytes, &mut tallies, |t| {
                 total_transfers += 1;
-                let bytes = t.bytes(schedule.elem_bytes).as_u64();
-                tier_bytes[tier] += bytes;
-                max_hops = max_hops.max(t.resources.len() as u32);
-                for r in &t.resources {
-                    let tally = tallies.entry(r, Tally::default());
-                    tally.bytes_sum += bytes;
-                    tally.transfers += 1;
-                    tally.max_single = tally.max_single.max(bytes);
-                }
                 if t.resources.iter().any(is_rep) {
                     kept.push(t.clone());
                 } else if longest.is_none_or(|l| t.src_span.len > l.src_span.len) {
                     longest = Some(t);
                 }
-            }
-            // The busiest resource of each bandwidth class, by byte sum
-            // (the first in resource order wins ties); the slack is the
-            // class-wide maximum transfer count, so the non-uniform bound
-            // dominates every resource of the class, not just the
-            // busiest-by-bytes one.
-            let mut f = StepFacts {
-                max_hops,
-                ..StepFacts::default()
-            };
-            let mut best = [0u64; 3];
-            let mut slack = [0u32; 3];
-            for (r, tally) in tallies.drain_sorted() {
-                let (slot, class) = match r {
-                    Resource::RingSegment { .. } => (0, &mut f.ring),
-                    Resource::ChipTx { .. } | Resource::ChipRx { .. } => (1, &mut f.dq),
-                    Resource::RankBus { .. } => (2, &mut f.bus),
-                };
-                slack[slot] = slack[slot].max(tally.transfers);
-                if tally.bytes_sum > best[slot] {
-                    best[slot] = tally.bytes_sum;
-                    *class = ClassFacts {
-                        transfers: tally.transfers,
-                        unit_bytes: Bytes::new(tally.max_single),
-                        total_bytes: Bytes::new(tally.bytes_sum),
-                        slack: 0,
-                    };
-                }
-            }
-            f.ring.slack = slack[0];
-            f.dq.slack = slack[1];
-            f.bus.slack = slack[2];
+            });
+            tier_bytes[tier] += wire_bytes;
             if kept.is_empty() {
                 if let Some(t) = longest {
                     kept.push(t.clone());
@@ -281,6 +298,44 @@ pub fn plan(schedule: &CommSchedule) -> BoostPlan {
     }
 }
 
+/// The boosted [`CommBreakdown`] of `schedule` from its per-step facts
+/// alone: exactly `plan(schedule).breakdown(timing, skew)`, without
+/// picking a representative chip or copying a transfer. This is the
+/// price for a schedule that is priced once and never re-priced or
+/// walked as a timeline, such as an autotuner candidate.
+#[must_use]
+pub fn price(schedule: &CommSchedule, timing: &TimingModel, skew: SimTime) -> CommBreakdown {
+    let mut tallies: Occupancy<Tally> = Occupancy::new(&schedule.geometry);
+    reconstruct(schedule, timing, skew, |step| {
+        tally_step(step, schedule.elem_bytes, &mut tallies, |_| {}).0
+    })
+}
+
+/// Reassembles a full-schedule [`CommBreakdown`] over `skeleton`'s phases
+/// and steps: the barrier under `skew`, each phase's reconstructed step
+/// times, and the buffer's memory overhead. `facts` yields each step's
+/// facts in phase-major order. [`BoostPlan::breakdown`] and [`price`]
+/// both assemble their breakdown here, so the two cannot drift.
+fn reconstruct(
+    skeleton: &CommSchedule,
+    timing: &TimingModel,
+    skew: SimTime,
+    mut facts: impl FnMut(&CommStep) -> StepFacts,
+) -> CommBreakdown {
+    let mut b = CommBreakdown::zero();
+    let sync = SyncModel::from_fabric(&timing.fabric);
+    b.sync = sync.barrier(TimingModel::scope_of_geometry(&skeleton.geometry), skew);
+    for phase in &skeleton.phases {
+        let mut t = SimTime::ZERO;
+        for step in &phase.steps {
+            t += step_time(timing, &facts(step));
+        }
+        b.add_phase(phase.label, t);
+    }
+    b.mem = timing.mem_overhead_of(skeleton.buffer_len, skeleton.elem_bytes);
+    b
+}
+
 /// Reconstructed occupancy of one class's busiest resource: exact
 /// `count x serialization(unit)` for uniform payloads, the byte-sum
 /// ceiling bound otherwise (see [`ClassFacts`]).
@@ -295,6 +350,16 @@ fn class_time(bw: Bandwidth, f: ClassFacts) -> SimTime {
     }
 }
 
+/// Reconstructed duration of one step from its facts alone: the busiest
+/// class occupancy plus the longest path's hop propagation — the boosted
+/// analogue of [`TimingModel::step_time`].
+fn step_time(timing: &TimingModel, f: &StepFacts) -> SimTime {
+    let busiest = class_time(timing.fabric.ring_segment_bw(), f.ring)
+        .max(class_time(timing.fabric.chip_channel_bw, f.dq))
+        .max(class_time(timing.fabric.rank_bus_bw, f.bus));
+    busiest + timing.fabric.hop_latency * u64::from(f.max_hops)
+}
+
 impl BoostPlan {
     /// Transfer-count reduction of the thin slice over the full schedule
     /// (the per-pricing speedup boost mode buys).
@@ -307,36 +372,15 @@ impl BoostPlan {
         }
     }
 
-    /// Reconstructed duration of one step from its facts alone: the
-    /// busiest class occupancy plus the longest path's hop propagation —
-    /// the boosted analogue of [`TimingModel::step_time`].
-    #[must_use]
-    pub fn step_time(&self, timing: &TimingModel, f: &StepFacts) -> SimTime {
-        let busiest = class_time(timing.fabric.ring_segment_bw(), f.ring)
-            .max(class_time(timing.fabric.chip_channel_bw, f.dq))
-            .max(class_time(timing.fabric.rank_bus_bw, f.bus));
-        busiest + timing.fabric.hop_latency * u64::from(f.max_hops)
-    }
-
     /// Reconstructed [`CommBreakdown`] of the *full* schedule — the boost
     /// replacement for [`TimingModel::time_schedule`], O(steps) instead
     /// of O(total transfers).
     #[must_use]
     pub fn breakdown(&self, timing: &TimingModel, skew: SimTime) -> CommBreakdown {
-        let mut b = CommBreakdown::zero();
-        let sync = SyncModel::from_fabric(&timing.fabric);
-        b.sync = sync.barrier(TimingModel::scope_of_geometry(&self.thin.geometry), skew);
-        let mut fi = 0usize;
-        for phase in &self.thin.phases {
-            let mut t = SimTime::ZERO;
-            for _ in &phase.steps {
-                t += self.step_time(timing, &self.facts[fi]);
-                fi += 1;
-            }
-            b.add_phase(phase.label, t);
-        }
-        b.mem = timing.mem_overhead_of(self.thin.buffer_len, self.thin.elem_bytes);
-        b
+        let mut facts = self.facts.iter();
+        reconstruct(&self.thin, timing, skew, |_| {
+            *facts.next().expect("one facts entry per step")
+        })
     }
 
     /// Reconstructed [`Timeline`] of the representative slice — the boost
@@ -357,7 +401,7 @@ impl BoostPlan {
         let mut fi = 0usize;
         for (pi, phase) in self.thin.phases.iter().enumerate() {
             for (si, step) in phase.steps.iter().enumerate() {
-                let step_time = self.step_time(timing, &self.facts[fi]);
+                let step_time = step_time(timing, &self.facts[fi]);
                 fi += 1;
                 for t in &step.transfers {
                     if t.is_local() {

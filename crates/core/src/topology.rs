@@ -204,13 +204,13 @@ impl Resource {
 }
 
 /// Dense index of a chip of `g` (channel-major), or `None` outside `g`.
-fn chip_index(g: &PimGeometry, c: ChipLoc) -> Option<u32> {
+pub(crate) fn chip_index(g: &PimGeometry, c: ChipLoc) -> Option<u32> {
     (c.channel < g.channels && c.rank < g.ranks_per_channel && c.chip < g.chips_per_rank)
         .then(|| (c.channel * g.ranks_per_channel + c.rank) * g.chips_per_rank + c.chip)
 }
 
 /// The chip at dense index `c` of `g`; inverse of `chip_index`.
-fn chip_at(g: &PimGeometry, c: u32) -> ChipLoc {
+pub(crate) fn chip_at(g: &PimGeometry, c: u32) -> ChipLoc {
     ChipLoc {
         channel: c / (g.chips_per_rank * g.ranks_per_channel),
         rank: c / g.chips_per_rank % g.ranks_per_channel,

@@ -9,7 +9,9 @@
 //! mode's accuracy contract is enforced at exactly the scales the
 //! scaling gate benchmarks.
 
-use std::collections::BTreeMap;
+mod pins_matrix;
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use pim_arch::geometry::{DpuId, PimGeometry};
 use pimnet_suite::net::collective::CollectiveKind;
@@ -257,13 +259,46 @@ fn on_every_channel(s: &CommSchedule, g: PimGeometry) -> CommSchedule {
     out
 }
 
+/// The representative chip counted in an ordered map: the chip the fewest
+/// non-local transfers touch, the smallest on ties, or DPU 0's chip when
+/// no transfer names one. The reference boost's dense per-chip count must
+/// equal.
+fn reference_representative_chip(s: &CommSchedule) -> ChipLoc {
+    let mut touch: BTreeMap<ChipLoc, usize> = BTreeMap::new();
+    let steps = s.phases.iter().flat_map(|p| &p.steps);
+    for t in steps.flat_map(|st| &st.transfers).filter(|t| !t.is_local()) {
+        let chips: BTreeSet<ChipLoc> = t
+            .resources
+            .iter()
+            .filter_map(|r| match r {
+                Resource::RingSegment { chip, .. }
+                | Resource::ChipTx { chip }
+                | Resource::ChipRx { chip } => Some(*chip),
+                Resource::RankBus { .. } => None,
+            })
+            .collect();
+        for chip in chips {
+            *touch.entry(chip).or_default() += 1;
+        }
+    }
+    let mut best: Option<(ChipLoc, usize)> = None;
+    for (chip, count) in touch {
+        if best.is_none_or(|(_, c)| count < c) {
+            best = Some((chip, count));
+        }
+    }
+    best.map_or_else(|| ChipLoc::of(s.geometry.coord(DpuId(0))), |(chip, _)| chip)
+}
+
 /// The dense occupancy kernel against ordered-map references, step by
-/// step: the timing model's step time and boost's class facts, whose
-/// busiest-resource pick on ties follows `Resource` order. The corpus is
+/// step: the timing model's step time, boost's class facts, whose
+/// busiest-resource pick on ties follows `Resource` order, and boost's
+/// representative chip, least touched and smallest on ties. The corpus is
 /// every kind at 8/64/256 DPUs (less AllGather@256), the serving
 /// tenants' 128-DPU geometry, a 2-channel geometry, a schedule whose
 /// resources outside its geometry must each stay their own contention
-/// domain, and a step whose busiest segments tie.
+/// domain, a step whose busiest segments tie, and a chip outside the
+/// geometry that ties for least touched.
 #[test]
 fn dense_occupancy_matches_an_ordered_map_reference() {
     let timing = TimingModel::paper();
@@ -328,8 +363,39 @@ fn dense_occupancy_matches_an_ordered_map_reference() {
         send(2, 25, seg(1)),
     ];
     corpus.push(("AllReduce x8 with a byte-sum tie".into(), tie));
+    // A chip outside the geometry ties for least touched with one inside
+    // it and sorts first (chip 7 of rank 0 before chip 0 of rank 1): its
+    // overflow count must compete in chip order.
+    let chip = |rank, chip| ChipLoc {
+        channel: 0,
+        rank,
+        chip,
+    };
+    let mut outside_tie = CommSchedule::build(
+        CollectiveKind::AllReduce,
+        &PimGeometry::new(4, 2, 2, 1),
+        64,
+        4,
+    )
+    .expect("builds");
+    for step in outside_tie.phases.iter_mut().flat_map(|p| &mut p.steps) {
+        step.transfers.clear();
+    }
+    outside_tie.phases[0].steps[0].transfers = vec![
+        send(0, 8, Resource::ChipTx { chip: chip(1, 0) }),
+        send(1, 8, Resource::ChipRx { chip: chip(0, 7) }),
+        send(2, 8, Resource::ChipTx { chip: chip(0, 1) }),
+        send(3, 8, Resource::ChipRx { chip: chip(0, 1) }),
+    ];
+    assert_eq!(boost::representative_chip(&outside_tie), chip(0, 7));
+    corpus.push(("a chip outside the geometry ties".into(), outside_tie));
 
     for (what, s) in &corpus {
+        assert_eq!(
+            boost::representative_chip(s),
+            reference_representative_chip(s),
+            "{what}: representative chip"
+        );
         let plan = boost::plan(s);
         let steps = s.phases.iter().flat_map(|p| &p.steps);
         for (i, step) in steps.enumerate() {
@@ -345,4 +411,34 @@ fn dense_occupancy_matches_an_ordered_map_reference() {
             );
         }
     }
+}
+
+/// The facts-only price the autotuner ranks candidates by equals the boost
+/// plan's breakdown exactly, at zero and nonzero skew, and the plan's
+/// dense representative chip equals the ordered-map count, on every paper
+/// and candidate schedule of the schedule-pins matrix.
+#[test]
+fn facts_price_and_representative_chip_match_the_plan_over_the_pins_matrix() {
+    let timing = TimingModel::paper();
+    let mut priced = 0;
+    for cell in pins_matrix::cells() {
+        let Ok(s) = cell.build() else {
+            continue;
+        };
+        let plan = boost::plan(&s);
+        for skew in [SimTime::ZERO, SimTime::from_us(7)] {
+            assert_eq!(
+                boost::price(&s, &timing, skew),
+                plan.breakdown(&timing, skew),
+                "{cell} skew {skew}: facts price differs from the plan's"
+            );
+        }
+        assert_eq!(
+            boost::representative_chip(&s),
+            reference_representative_chip(&s),
+            "{cell}: representative chip"
+        );
+        priced += 1;
+    }
+    assert_eq!(priced, 1002, "schedules of the pins matrix that build");
 }

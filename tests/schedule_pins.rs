@@ -11,21 +11,19 @@
 //! fingerprint). Any change to a builder that moves one transfer, reorders
 //! a step or renames an error shows up as a changed row.
 //!
-//! The matrix is all seven kinds × `paper_scaled` 1/2/8/64/256 plus a
-//! non-power-of-two 3-bank × 2-chip × 2-rank geometry × payloads
-//! {1, 3, 64, 193, 1030}; AllGather at 256 DPUs is skipped (its `N·n`
-//! buffer makes those builds the slowest by far, as in pimbench).
+//! The matrix is `pins_matrix::cells`: all seven kinds × `paper_scaled`
+//! 1/2/8/64/256 plus a non-power-of-two 3-bank × 2-chip × 2-rank
+//! geometry × payloads {1, 3, 64, 193, 1030}, less AllGather at 256 DPUs.
+
+mod pins_matrix;
 
 use std::fmt::{self, Write as _};
 
-use pim_arch::geometry::PimGeometry;
-use pimnet_suite::net::collective::CollectiveKind;
-use pimnet_suite::net::schedule::{autotune, build_composed_chunked, CommSchedule};
+use pimnet_suite::net::schedule::validate::validate;
+use pimnet_suite::net::schedule::{CommSchedule, Composition};
 use pimnet_suite::net::PimnetError;
 
 const PINS: &str = include_str!("schedule_pins.txt");
-
-const ELEMS: [usize; 5] = [1, 3, 64, 193, 1030];
 
 /// FNV-1a over everything written into it.
 struct Fnv(u64);
@@ -101,40 +99,12 @@ fn pin(built: Result<CommSchedule, PimnetError>) -> String {
     }
 }
 
-fn geometries() -> Vec<(String, PimGeometry)> {
-    let mut out: Vec<(String, PimGeometry)> = [1u32, 2, 8, 64, 256]
-        .into_iter()
-        .map(|n| (format!("x{n}"), PimGeometry::paper_scaled(n)))
-        .collect();
-    out.push(("b3c2r2".to_string(), PimGeometry::new(3, 2, 2, 1)));
-    out
-}
-
 /// Every row of the pin table, in the committed order.
 fn rows() -> Vec<String> {
-    let mut out = Vec::new();
-    for (label, g) in geometries() {
-        for kind in CollectiveKind::ALL {
-            if kind == CollectiveKind::AllGather && g.total_dpus() == 256 {
-                continue;
-            }
-            let tag = format!("{kind:?}");
-            for elems in ELEMS {
-                let paper = pin(CommSchedule::build(kind, &g, elems, 4));
-                out.push(format!("paper {tag} {label} {elems} {paper}"));
-                for (comp, chunks) in autotune::candidates(kind, &g, elems) {
-                    let spec = if chunks == 1 {
-                        comp.spec()
-                    } else {
-                        format!("{comp}/c{chunks}")
-                    };
-                    let fp = pin(build_composed_chunked(kind, &g, elems, 4, comp, chunks));
-                    out.push(format!("{spec} {tag} {label} {elems} {fp}"));
-                }
-            }
-        }
-    }
-    out
+    pins_matrix::cells()
+        .iter()
+        .map(|cell| format!("{cell} {}", pin(cell.build())))
+        .collect()
 }
 
 #[test]
@@ -155,4 +125,31 @@ fn every_paper_and_candidate_schedule_matches_its_pin() {
         want.len(),
         diffs.join("\n")
     );
+}
+
+/// The tuner prices candidates without validating them, so a candidate
+/// that builds but fails `validate` would be a rejection the sweep never
+/// sees: none does. And wherever the sweep lists the paper's own
+/// composition at one chunk, it builds what the paper builder does, so
+/// the tuner may take the paper's price for it without a rebuild.
+#[test]
+fn every_candidate_that_builds_validates_and_the_paper_twin_is_the_paper() {
+    let mut twins = 0;
+    for cell in pins_matrix::cells() {
+        let Some((comp, chunks)) = cell.candidate else {
+            continue;
+        };
+        let built = cell.build();
+        if (Some(comp), chunks) == (Composition::paper(cell.kind), 1) {
+            let paper = CommSchedule::build(cell.kind, &cell.geometry, cell.elems, 4);
+            assert_eq!(built, paper, "{cell}: differs from the paper");
+            twins += 1;
+        }
+        if let Ok(s) = &built {
+            if let Err(e) = validate(s) {
+                panic!("{cell}: builds but fails validate: {e}");
+            }
+        }
+    }
+    assert_eq!(twins, 30, "paper twins in the matrix");
 }

@@ -9,10 +9,11 @@ use pim_arch::geometry::{DpuId, PimGeometry};
 use pimnet_suite::net::analysis;
 use pimnet_suite::net::collective::CollectiveKind;
 use pimnet_suite::net::exec::{run_collective, ReduceOp};
-use pimnet_suite::net::schedule::{repair, validate::validate, CommSchedule, Span};
+use pimnet_suite::net::schedule::{boost, repair, validate::validate, CommSchedule, Span};
+use pimnet_suite::net::timing::TimingModel;
 use pimnet_suite::net::topology::Resource;
 use pimnet_suite::net::{isa, PimnetError};
-use pimnet_suite::sim::SimRng;
+use pimnet_suite::sim::{SimRng, SimTime};
 
 fn base_schedule() -> CommSchedule {
     CommSchedule::build(
@@ -373,7 +374,10 @@ enum FuzzOutcome {
 
 /// Mutates one seeded schedule and adjudicates the analyzer's verdict.
 /// Also pins `validate` to the analyzer's structural verdict: it rejects
-/// the mutant exactly when the report holds a `P0xx` or `P301` error.
+/// the mutant exactly when the report holds a `P0xx` or `P301` error. The
+/// autotuner prices candidates before anything validates them, so every
+/// mutant, accepted or rejected, is priced too, and its facts price must
+/// equal its boost plan's breakdown.
 /// Returns whether `validate` rejected, and the outcome. Pure function of
 /// the seed, so the 1000-seed sweep fans out over `pim_sim::par` without
 /// changing any outcome.
@@ -442,6 +446,12 @@ fn fuzz_one_mutation(seed: u64) -> (bool, FuzzOutcome) {
             }
         }
 
+        let timing = TimingModel::paper();
+        assert_eq!(
+            boost::price(&s, &timing, SimTime::ZERO),
+            boost::plan(&s).breakdown(&timing, SimTime::ZERO),
+            "seed {seed} ({kind} x{dpus} op {op}): facts price differs from the plan's"
+        );
         let report = analysis::run_all(&s);
         let rejected = validate(&s).is_err();
         let structural = report.diagnostics.iter().any(|d| {
